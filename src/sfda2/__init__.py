@@ -12,9 +12,8 @@ from .adapt import (
     adapt,
     evaluate,
     pretrain_source,
-    pseudo_label,
 )
-from .banks import FeatureBank, NeighborSet, ScoreBank, init_banks, knn, update_banks
+from .banks import FeatureBank, init_banks, knn, update_banks
 from .data import (
     Dataset,
     ShiftSpec,
@@ -27,7 +26,6 @@ from .data import (
 )
 from .errors import CheckpointError, DatasetFormatError, InvalidInputError, NumericalError
 from .losses import (
-    AffinityWeights,
     LossBreakdown,
     affinity_weights,
     decay_factor,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptConfig",
-    "AffinityWeights",
     "CheckpointError",
     "ClassStatistics",
     "Dataset",
@@ -63,10 +60,8 @@ __all__ = [
     "LossBreakdown",
     "MetricsTrace",
     "Model",
-    "NeighborSet",
     "NumericalError",
     "RngState",
-    "ScoreBank",
     "ShiftSpec",
     "VerifyReport",
     "adapt",
@@ -86,7 +81,6 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "pretrain_source",
-    "pseudo_label",
     "sample_gaussian",
     "save_checkpoint",
     "save_dataset",

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banks import FeatureBank, ScoreBank, init_banks, knn, update_banks
+from .banks import init_banks, knn, update_banks
 from .errors import InvalidInputError, NumericalError
 from .losses import (
     LossBreakdown,
-    AffinityWeights,
     affinity_weights,
     decay_factor,
     fd_loss,
@@ -28,7 +27,6 @@ from .losses import (
 from .model import (
     GradientSet,
     Model,
-    OptimizerState,
     forward,
     grad_params,
     init_model,
@@ -106,16 +104,6 @@ class MetricsTrace:
 
     iterations: list[LossBreakdown] = field(default_factory=list)
     epoch_metrics: list[EvalMetrics] = field(default_factory=list)
-
-
-def pseudo_label(probs: np.ndarray) -> int:
-    """Hard label = argmax of a class distribution; ties pick the lowest index."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
-        raise InvalidInputError("probs must be a nonempty finite vector")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("probs must be a probability distribution")
-    return int(np.argmax(p))
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
@@ -229,12 +217,12 @@ def batch_objective(
     bank_batch_probs: np.ndarray,
     batch_pseudo_labels: np.ndarray,
     stats: ClassStatistics,
-    affinity: AffinityWeights,
+    affinity: np.ndarray,
     decay: float,
     lam: float,
     alpha1: float,
     alpha2: float,
-) -> tuple[LossBreakdown, GradientSet, bool]:
+) -> tuple[LossBreakdown, GradientSet]:
     """One batch's loss breakdown and full parameter gradient.
 
     `bank_batch_probs[i]` is the stored score-bank row for batch sample i;
@@ -270,9 +258,8 @@ def batch_objective(
             clf_b_extra += (alpha1 / b) * db
 
     fd_value = 0.0
-    fd_degenerate = True
     if alpha2 != 0.0:
-        fd_value, fd_grad, fd_degenerate = fd_loss(features, labels, affinity)
+        fd_value, fd_grad = fd_loss(features, labels, affinity)
         dfeatures += alpha2 * fd_grad
 
     snc_mean = snc_sum / b
@@ -284,7 +271,7 @@ def batch_objective(
     breakdown = LossBreakdown(
         snc=snc_mean, ifa=ifa_mean, fd=fd_value, total=total, decay=decay, lam=lam
     )
-    return breakdown, grads, fd_degenerate
+    return breakdown, grads
 
 
 def iterations_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -314,8 +301,6 @@ def adapt(
     if target.dim != model.input_dim:
         raise InvalidInputError("target width disagrees with the model")
     m = target.size
-    if m < config.k + 1:
-        raise InvalidInputError("need at least k+1 target samples")
 
     per_epoch = iterations_per_epoch(m, config.batch_size)
     if per_epoch == 0:
@@ -325,7 +310,12 @@ def adapt(
     # lambda 0, the last sees the terminal values.
     denom = max(total_iters - 1, 1)
 
-    fbank, sbank = init_banks(model, target.inputs, config.bank_fraction)
+    fbank, score_bank = init_banks(model, target.inputs, config.bank_fraction)
+    if fbank.capacity < config.k + 1:
+        raise InvalidInputError(
+            f"bank_fraction={config.bank_fraction!r} leaves a bank capacity of "
+            f"{fbank.capacity} rows; k={config.k} needs at least k+1={config.k + 1}"
+        )
     stats = ClassStatistics.empty(model.n_classes, model.feature_dim)
     order_rng = RngState(config.seed)
     trace = MetricsTrace()
@@ -334,8 +324,8 @@ def adapt(
     current = model
     opt = init_optimizer(current, config.momentum, config.lr)
     for _ in range(config.epochs):
-        bank_labels = np.argmax(sbank.probs, axis=1)
-        affinity = affinity_weights(sbank, bank_labels)
+        bank_labels = np.argmax(score_bank, axis=1)
+        affinity = affinity_weights(score_bank, bank_labels)
         perm = order_rng.generator.permutation(m)
         for batch in _batches(perm, config.batch_size):
             if batch.size < 2:
@@ -349,22 +339,19 @@ def adapt(
                 raise NumericalError(
                     f"non-finite forward pass at iteration {t}: {exc}"
                 ) from exc
-            update_banks(fbank, sbank, batch, features, probs)
-            neighbor_probs = []
-            for idx in batch:
-                hit = knn(fbank, int(idx), config.k)
-                neighbor_probs.append(sbank.probs[hit.indices])
+            update_banks(fbank, score_bank, batch, features, probs)
+            neighbor_probs = [score_bank[knn(fbank, int(idx), config.k)] for idx in batch]
             labels = np.argmax(probs, axis=1)
             stats = update_class_stats(stats, features, labels)
 
             decay = decay_factor(t, denom, config.beta)
             lam = lambda_schedule(t, denom, config.lambda0)
             try:
-                breakdown, grads, _ = batch_objective(
+                breakdown, grads = batch_objective(
                     current,
                     x,
                     neighbor_probs,
-                    sbank.probs[batch],
+                    score_bank[batch],
                     labels,
                     stats,
                     affinity,

@@ -1,17 +1,18 @@
 """Memory banks for target features and their predictions, with exact
 cosine-KNN retrieval.
 
-Bank row i always corresponds to target sample i. When a capacity fraction
-below 1 is configured, arrays keep their full size and a validity mask plus
-a FIFO write queue decide which rows are searchable; the least recently
-written index is evicted first, and rewriting a live index refreshes its
-queue position.
+Bank row i always corresponds to target sample i. The score bank is a plain
+(M, C) array of stored probability rows. When a capacity fraction below 1 is
+configured, arrays keep their full size and each feature-bank row carries a
+write stamp that grows with every write; a row is searchable exactly when
+its stamp is among the `capacity` largest. So the least recently written
+row is evicted first, and rewriting a live row refreshes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,71 +22,47 @@ from .model import Model, forward
 
 @dataclass
 class FeatureBank:
-    raw: np.ndarray  # (M, d)
-    normalized: np.ndarray  # (M, d); zero rows stay zero and are flagged
-    zero_rows: np.ndarray  # (M,) bool
-    valid: np.ndarray  # (M,) bool
+    normalized: np.ndarray  # (M, d) unit rows; zero rows stay zero
+    valid: np.ndarray  # (M,) bool: stamp among the `capacity` largest
     capacity: int
-    write_queue: list[int] = field(default_factory=list)
+    stamps: np.ndarray  # (M,) int64, distinct; larger means written later
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, capacity: int) -> "FeatureBank":
+        """Bank whose rows were written in index order, so the last
+        `capacity` rows are the searchable ones."""
+        norms = np.linalg.norm(rows, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        m = rows.shape[0]
+        stamps = np.arange(m, dtype=np.int64)
+        return cls(
+            normalized=rows / safe[:, None],
+            valid=stamps >= m - capacity,
+            capacity=capacity,
+            stamps=stamps,
+        )
 
     @property
     def size(self) -> int:
-        return self.raw.shape[0]
-
-
-@dataclass
-class ScoreBank:
-    probs: np.ndarray  # (M, C)
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[0]
-
-
-@dataclass
-class NeighborSet:
-    query_index: int
-    indices: np.ndarray  # (K,) ordered by (distance, index)
-    distances: np.ndarray  # (K,) nondecreasing
-
-
-def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(rows, axis=1)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return rows / safe[:, None], zero
+        return self.normalized.shape[0]
 
 
 def init_banks(
     model: Model, target_inputs, capacity_fraction: float = 1.0
-) -> tuple[FeatureBank, ScoreBank]:
-    """Populate both banks with one full forward pass, dataset order."""
+) -> tuple[FeatureBank, np.ndarray]:
+    """Populate the feature bank and the (M, C) score bank with one full
+    forward pass, dataset order."""
     inputs = np.asarray(target_inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise InvalidInputError("target set must be a nonempty 2-D batch")
     if not (0.0 < capacity_fraction <= 1.0):
         raise InvalidInputError("capacity fraction must be in (0, 1]")
     features, _, probs = forward(model, inputs)
-    m = inputs.shape[0]
-    capacity = max(1, math.ceil(capacity_fraction * m))
-    normalized, zero = _normalize_rows(features)
-    fbank = FeatureBank(
-        raw=features.copy(),
-        normalized=normalized,
-        zero_rows=zero,
-        valid=np.ones(m, dtype=bool),
-        capacity=capacity,
-    )
-    sbank = ScoreBank(probs=probs.copy())
-    fbank.write_queue = list(range(m))
-    if capacity < m:
-        evicted = fbank.write_queue[: m - capacity]
-        fbank.write_queue = fbank.write_queue[m - capacity:]
-        fbank.valid[evicted] = False
-    return fbank, sbank
+    capacity = max(1, math.ceil(capacity_fraction * inputs.shape[0]))
+    return FeatureBank.from_rows(features, capacity), probs.copy()
 
 
-def update_banks(fbank: FeatureBank, sbank: ScoreBank, indices, features, probs) -> None:
+def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, probs) -> None:
     """Overwrite the addressed rows; duplicates apply in order (last wins)."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
     feats = np.asarray(features, dtype=np.float64)
@@ -94,35 +71,28 @@ def update_banks(fbank: FeatureBank, sbank: ScoreBank, indices, features, probs)
         return
     if idx.min() < 0 or idx.max() >= fbank.size:
         raise InvalidInputError("bank index out of range")
-    if feats.shape != (idx.size, fbank.raw.shape[1]):
+    if feats.shape != (idx.size, fbank.normalized.shape[1]):
         raise InvalidInputError("feature rows shape mismatch")
-    if prob_rows.shape != (idx.size, sbank.probs.shape[1]):
+    if prob_rows.shape != (idx.size, score_bank.shape[1]):
         raise InvalidInputError("probability rows shape mismatch")
     if np.abs(prob_rows.sum(axis=1) - 1.0).max() > 1e-9 or prob_rows.min() < 0.0:
         raise InvalidInputError("probability rows are not valid distributions")
 
+    first_stamp = fbank.stamps.max() + 1
     for pos, i in enumerate(idx):
-        i = int(i)
         row = feats[pos]
         norm = np.linalg.norm(row)
-        fbank.raw[i] = row
-        fbank.zero_rows[i] = norm == 0.0
         fbank.normalized[i] = row / norm if norm != 0.0 else 0.0
-        sbank.probs[i] = prob_rows[pos]
-        if fbank.capacity >= fbank.size:
-            continue  # full-capacity banks never evict; skip queue upkeep
-        if i in fbank.write_queue:
-            fbank.write_queue.remove(i)
-        fbank.write_queue.append(i)
-        fbank.valid[i] = True
-        while len(fbank.write_queue) > fbank.capacity:
-            evict = fbank.write_queue.pop(0)
-            fbank.valid[evict] = False
+        score_bank[i] = prob_rows[pos]
+        fbank.stamps[i] = first_stamp + pos
+    evicted = fbank.size - fbank.capacity
+    fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
 
 
-def knn(fbank: FeatureBank, query_index: int, k: int) -> NeighborSet:
-    """Exhaustive K nearest rows by cosine distance (1 - cosine similarity)
-    on the normalized copies; self excluded; ties broken by lower index."""
+def knn(fbank: FeatureBank, query_index: int, k: int) -> np.ndarray:
+    """Indices of the K nearest searchable rows by cosine distance
+    (1 - cosine similarity) on the normalized copies, ordered by
+    (distance, index); self excluded."""
     m = fbank.size
     if not 0 <= query_index < m:
         raise InvalidInputError("query index out of range")
@@ -136,10 +106,4 @@ def knn(fbank: FeatureBank, query_index: int, k: int) -> NeighborSet:
     dist = 1.0 - sims
     dist[query_index] = np.inf
     dist[~fbank.valid] = np.inf
-    order = np.lexsort((np.arange(m), dist))
-    chosen = order[:k]
-    return NeighborSet(
-        query_index=query_index,
-        indices=chosen.astype(np.int64),
-        distances=dist[chosen].copy(),
-    )
+    return np.lexsort((np.arange(m), dist))[:k]

@@ -31,7 +31,6 @@ from .data import (
     validate_shift_spec,
 )
 from .errors import InvalidInputError, NumericalError
-from .model import init_optimizer
 from .verify import (
     verify_gradients,
     verify_ifa_bound,
@@ -232,7 +231,7 @@ def _cmd_pretrain(args) -> int:
     model = pretrain_source(config, source, hidden_dims, feature_dim)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "source.ckpt")
-    save_checkpoint(model, init_optimizer(model, config.momentum, config.lr), ckpt_path)
+    save_checkpoint(model, ckpt_path)
     metrics = evaluate(model, source)
     _write_text(
         os.path.join(args.out, "metrics.json"),
@@ -244,7 +243,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_adapt(args) -> int:
     config, _, _ = _load_run_config(args.config, args)
-    model, _ = load_checkpoint(args.model)
+    model = load_checkpoint(args.model)
     target = load_dataset(args.target, n_classes=model.n_classes).unlabeled()
     eval_data = None
     if args.eval_data:
@@ -252,9 +251,7 @@ def _cmd_adapt(args) -> int:
     adapted, trace = adapt(config, model, target, eval_data)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "adapted.ckpt")
-    # Checkpoints store optimizer settings with fresh buffers; adaptation
-    # momentum is not meant to be resumed across runs.
-    save_checkpoint(adapted, init_optimizer(adapted, config.momentum, config.lr), ckpt_path)
+    save_checkpoint(adapted, ckpt_path)
     _write_losses_csv(os.path.join(args.out, "losses.csv"), trace)
     _write_text(os.path.join(args.out, "metrics.json"), dumps_17g(_trace_payload(trace)) + "\n")
     print(f"wrote {ckpt_path} after {len(trace.iterations)} iterations")
@@ -262,7 +259,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _ = load_checkpoint(args.model)
+    model = load_checkpoint(args.model)
     dataset = load_dataset(args.data, n_classes=model.n_classes)
     metrics = evaluate(model, dataset)
     os.makedirs(args.out, exist_ok=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, DatasetFormatError, InvalidInputError
-from .model import Layer, Model, OptimizerState, validate_model, zero_gradients, gradient_arrays
+from .model import Layer, Model, validate_model
 from .numerics import RngState, check_symmetric, sample_gaussian
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -248,7 +248,7 @@ def dumps_17g(obj) -> str:
     return "".join(parts)
 
 
-def save_checkpoint(model: Model, optimizer: OptimizerState, path: str) -> None:
+def save_checkpoint(model: Model, path: str) -> None:
     validate_model(model)
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -264,17 +264,12 @@ def save_checkpoint(model: Model, optimizer: OptimizerState, path: str) -> None:
             "weights": model.clf_weights.tolist(),
             "bias": model.clf_bias.tolist(),
         },
-        "optimizer": {
-            "momentum": optimizer.momentum,
-            "lr": optimizer.lr,
-            "buffers": [arr.tolist() for arr in gradient_arrays(optimizer.buffers)],
-        },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_17g(payload) + "\n")
 
 
-def load_checkpoint(path: str) -> tuple[Model, OptimizerState]:
+def load_checkpoint(path: str) -> Model:
     """Parse and validate fully before constructing; no partial models."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -284,6 +279,12 @@ def load_checkpoint(path: str) -> tuple[Model, OptimizerState]:
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint root must be an object")
     version = payload.get("format_version")
+    if version == 1:
+        raise CheckpointError(
+            f"{path!r} is a v1 checkpoint (with an optimizer section), which this "
+            f"version no longer reads; re-run `sfda2 pretrain` to write a "
+            f"v{CHECKPOINT_FORMAT_VERSION} checkpoint"
+        )
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"format_version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
@@ -303,10 +304,6 @@ def load_checkpoint(path: str) -> tuple[Model, OptimizerState]:
             clf_weights=np.asarray(clf["weights"], dtype=np.float64),
             clf_bias=np.asarray(clf["bias"], dtype=np.float64),
         )
-        opt_section = payload["optimizer"]
-        momentum = float(opt_section["momentum"])
-        lr = float(opt_section["lr"])
-        buffer_payload = [np.asarray(arr, dtype=np.float64) for arr in opt_section["buffers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
@@ -314,13 +311,4 @@ def load_checkpoint(path: str) -> tuple[Model, OptimizerState]:
         validate_model(model)
     except InvalidInputError as exc:
         raise CheckpointError(f"inconsistent checkpoint shapes: {exc}") from exc
-
-    buffers = zero_gradients(model)
-    slots = gradient_arrays(buffers)
-    if len(buffer_payload) != len(slots):
-        raise CheckpointError("optimizer buffer count does not match the model")
-    for slot, arr in zip(slots, buffer_payload):
-        if arr.shape != slot.shape:
-            raise CheckpointError("optimizer buffer shape does not match the model")
-        slot[...] = arr
-    return model, OptimizerState(momentum=momentum, lr=lr, buffers=buffers)
+    return model

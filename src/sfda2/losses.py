@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banks import ScoreBank
 from .errors import InvalidInputError
-from .numerics import RngState, check_symmetric, row_softmax, sample_gaussian
+from .numerics import RngState, check_symmetric, row_logsumexp, row_softmax, sample_gaussian
 
 
 @dataclass
@@ -28,14 +27,6 @@ class LossBreakdown:
     total: float
     decay: float
     lam: float
-
-
-@dataclass
-class AffinityWeights:
-    """Pairwise class-confusability weights a_ij = mean_pred_i . mean_pred_j."""
-
-    matrix: np.ndarray  # (C, C) symmetric, entries in [0, 1]
-    mean_preds: np.ndarray  # (C, C): per-class mean prediction rows
 
 
 def decay_factor(iteration: int, max_iter: int, beta: float) -> float:
@@ -150,9 +141,7 @@ def ifa_loss(
     diag = np.diagonal(gram)
     quad = diag[None, :] - 2.0 * gram + diag[:, None]  # quad[c, c']
     shifted = logits[None, :] + 0.5 * lam * quad
-    row_max = shifted.max(axis=1, keepdims=True)
-    lse = (row_max + np.log(np.exp(shifted - row_max).sum(axis=1, keepdims=True))).ravel()
-    value = -2.0 * float(logits.sum() - lse.sum())
+    value = -2.0 * float(logits.sum() - row_logsumexp(shifted).sum())
 
     resp = row_softmax(shifted)  # resp[c, c']
     d_logits = -2.0 * (1.0 - resp.sum(axis=0))
@@ -198,32 +187,33 @@ def efa_mc_estimate(
     return mean, stderr
 
 
-def affinity_weights(sbank: ScoreBank, pseudo_labels) -> AffinityWeights:
-    """Epoch-start class affinities from bank predictions.
+def affinity_weights(score_bank: np.ndarray, pseudo_labels) -> np.ndarray:
+    """Epoch-start (C, C) class affinities a_ij = mean_pred_i . mean_pred_j
+    from the score bank's (M, C) probability rows.
 
     mean_pred_c is the mean bank probability row over samples pseudo-labeled
-    c (zero vector when the class is unpopulated), and the affinity matrix is
-    mean_preds @ mean_preds.T, so unpopulated classes get zero rows/columns.
+    c (zero vector when the class is unpopulated), so unpopulated classes get
+    zero rows/columns. The matrix is symmetric with entries in [0, 1].
     """
     labels = np.asarray(pseudo_labels, dtype=np.int64).ravel()
-    if labels.shape[0] != sbank.size:
+    if labels.shape[0] != score_bank.shape[0]:
         raise InvalidInputError("pseudo-labels must align with bank rows")
-    n_classes = sbank.probs.shape[1]
+    n_classes = score_bank.shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise InvalidInputError("pseudo-label out of range")
-    mean_preds = np.zeros((n_classes, n_classes))
+    class_means = np.zeros((n_classes, n_classes))
     for c in range(n_classes):
         member = labels == c
         if member.any():
-            mean_preds[c] = sbank.probs[member].mean(axis=0)
-    return AffinityWeights(matrix=mean_preds @ mean_preds.T, mean_preds=mean_preds)
+            class_means[c] = score_bank[member].mean(axis=0)
+    return class_means @ class_means.T
 
 
 def fd_loss(
     batch_features,
     batch_pseudo_labels,
-    affinity: AffinityWeights,
-) -> tuple[float, np.ndarray, bool]:
+    affinity: np.ndarray,
+) -> tuple[float, np.ndarray]:
     """Between-class dispersal penalty on per-batch class covariances.
 
     For every ordered pair (i, j), i != j, of classes with >= 2 batch
@@ -232,22 +222,22 @@ def fd_loss(
         value += -(1/2) * a_ij * (1 - tr(cov_i cov_j) / (|cov_i| |cov_j|))
 
     The covariances are population-normalized within the batch and carry
-    gradient back into batch_features. Returns (value, grad, degenerate)
-    where degenerate flags a batch with no class of >= 2 members (value and
-    gradient are zero in that case).
+    gradient back into batch_features; a_ij are the entries of the (C, C)
+    `affinity` matrix. Returns (value, grad); both are zero for a batch with
+    no class of >= 2 members.
     """
     feats = np.asarray(batch_features, dtype=np.float64)
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64).ravel()
     if feats.ndim != 2 or labels.shape[0] != feats.shape[0]:
         raise InvalidInputError("features and pseudo-labels must align")
-    aff = affinity.matrix
+    aff = np.asarray(affinity, dtype=np.float64)
     if labels.size and (labels.min() < 0 or labels.max() >= aff.shape[0]):
         raise InvalidInputError("pseudo-label out of range")
 
     grad = np.zeros_like(feats)
     populated = [c for c in np.unique(labels) if (labels == c).sum() >= 2]
     if not populated:
-        return 0.0, grad, True
+        return 0.0, grad
 
     covs: dict[int, np.ndarray] = {}
     norms: dict[int, float] = {}
@@ -278,4 +268,4 @@ def fd_loss(
         rows = feats[member]
         mu = rows.mean(axis=0)
         grad[member] = (2.0 / rows.shape[0]) * (rows - mu) @ dcov[c]
-    return value, grad, False
+    return value, grad

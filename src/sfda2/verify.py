@@ -21,7 +21,6 @@ from .banks import FeatureBank, knn
 from .data import dumps_17g
 from .errors import InvalidInputError
 from .losses import (
-    AffinityWeights,
     efa_mc_estimate,
     fd_loss,
     ifa_loss,
@@ -37,7 +36,7 @@ from .model import (
     parameter_arrays,
     zero_gradients,
 )
-from .numerics import RngState, logsumexp, row_softmax, softmax
+from .numerics import RngState, logsumexp, row_logsumexp, row_softmax, softmax
 from .stats import ClassStatistics, update_class_stats
 
 
@@ -92,8 +91,7 @@ def _sign_flipped_bound(feature, cov, weights, bias, lam: float) -> float:
     diag = np.diagonal(gram)
     quad = diag[None, :] - 2.0 * gram + diag[:, None]
     shifted = logits[None, :] - 0.5 * lam * quad
-    lse = np.array([logsumexp(row) for row in shifted])
-    return -2.0 * float(logits.sum() - lse.sum())
+    return -2.0 * float(logits.sum() - row_logsumexp(shifted).sum())
 
 
 def verify_ifa_bound(
@@ -216,21 +214,6 @@ def _plant_points(n_points: int, k: int, g: np.random.Generator) -> np.ndarray:
     return np.asarray(points)[order]
 
 
-def _bank_from_rows(rows: np.ndarray) -> FeatureBank:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    zero = norms.ravel() == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    n = rows.shape[0]
-    return FeatureBank(
-        raw=rows.copy(),
-        normalized=rows / safe,
-        zero_rows=zero,
-        valid=np.ones(n, dtype=bool),
-        capacity=n,
-        write_queue=[],
-    )
-
-
 def verify_snc_factorization(
     n_points: int = 30,
     k: int = 3,
@@ -262,10 +245,10 @@ def verify_snc_factorization(
         adjacency = None
         for _ in range(max_attempts):
             pts = _plant_points(n_points, k, g)
-            bank = _bank_from_rows(pts)
+            bank = FeatureBank.from_rows(pts, n_points)
             cand = np.zeros((n_points, n_points))
             for i in range(n_points):
-                cand[i, knn(bank, i, k).indices] = 1.0
+                cand[i, knn(bank, i, k)] = 1.0
             if np.array_equal(cand, cand.T):
                 adjacency = cand
                 break
@@ -401,8 +384,8 @@ def verify_gradients(
             covs=covs,
             counts=np.ones(n_classes, dtype=np.int64),
         )
-        mean_preds = row_softmax(g.standard_normal((n_classes, n_classes)))
-        affinity = AffinityWeights(matrix=mean_preds @ mean_preds.T, mean_preds=mean_preds)
+        class_means = row_softmax(g.standard_normal((n_classes, n_classes)))
+        affinity = class_means @ class_means.T
         decay = float(0.25 + g.random())
         lam = float(2.0 * g.random())
         alpha1, alpha2 = 0.3, 0.7
@@ -436,11 +419,11 @@ def verify_gradients(
 
         def fd_closure(m):
             feats, _, _ = forward(m, x)
-            value, gfeat, _ = fd_loss(feats, labels, affinity)
+            value, gfeat = fd_loss(feats, labels, affinity)
             return value, grad_params(m, x, np.zeros((batch, n_classes)), gfeat)
 
         def composite_closure(m):
-            breakdown, grads, _ = batch_objective(
+            breakdown, grads = batch_objective(
                 m, x, neighbor_probs, bank_rows, labels, stats, affinity,
                 decay, lam, alpha1, alpha2,
             )
@@ -615,7 +598,7 @@ def verify_oracles(
 
     g = rngs[streams].generator
     rows = g.standard_normal((bank_points, bank_dim))
-    bank = _bank_from_rows(rows)
+    bank = FeatureBank.from_rows(rows, bank_points)
     queries = g.choice(bank_points, n_queries, replace=False)
     knn_mismatches = 0
     # Oracle scan; the negative control plants the bug of skipping row
@@ -630,7 +613,7 @@ def verify_oracles(
         )
         for k in ks:
             expected = [idx for _, idx in ranked[:k]]
-            got = knn(bank, q, k).indices.tolist()
+            got = knn(bank, q, k).tolist()
             if got != expected:
                 knn_mismatches += 1
                 if knn_mismatches <= 10:

@@ -264,8 +264,8 @@ def test_criterion_09_determinism(
     second_model = _toy_pipeline(0)["full_model"]
     path_a = str(tmp_path / "a.ckpt")
     path_b = str(tmp_path / "b.ckpt")
-    save_checkpoint(first_model, init_optimizer(first_model, 0.0, ADAPT_SETTINGS["lr"]), path_a)
-    save_checkpoint(second_model, init_optimizer(second_model, 0.0, ADAPT_SETTINGS["lr"]), path_b)
+    save_checkpoint(first_model, path_a)
+    save_checkpoint(second_model, path_b)
     with open(path_a, "rb") as fh:
         bytes_a = fh.read()
     with open(path_b, "rb") as fh:

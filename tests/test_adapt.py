@@ -9,7 +9,6 @@ from sfda2.adapt import (
     iterations_per_epoch,
     metrics_from_confusion,
     pretrain_source,
-    pseudo_label,
     validate_config,
 )
 from sfda2.data import Dataset, ShiftSpec, default_shift_spec, gen_synthetic
@@ -34,28 +33,6 @@ def blob_pair(n=100, seed=0, gap=3.0):
 def toy_target(samples_per_class=20, seed=0):
     _, target = gen_synthetic(default_shift_spec(samples_per_class), seed)
     return target
-
-
-class TestPseudoLabel:
-    def test_argmax(self):
-        assert pseudo_label(np.array([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_picks_lowest_index(self):
-        assert pseudo_label(np.array([0.5, 0.5])) == 0
-
-    def test_one_hot(self):
-        for c in range(4):
-            p = np.zeros(4)
-            p[c] = 1.0
-            assert pseudo_label(p) == c
-
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pseudo_label(np.array([0.9, 0.3]))
-        with pytest.raises(InvalidInputError):
-            pseudo_label(np.array([1.5, -0.5]))
-        with pytest.raises(InvalidInputError):
-            pseudo_label(np.array([np.nan, 1.0]))
 
 
 class TestMetrics:
@@ -245,6 +222,14 @@ class TestAdapt:
         tiny = Dataset(inputs=target.inputs[:5], labels=None, n_classes=3)
         with pytest.raises(InvalidInputError):
             adapt(AdaptConfig(k=5), model, tiny)
+
+    def test_undersized_bank_rejected_before_training(self):
+        model, target = self.pretrained()  # M = 60; capacity ceil(0.05 * 60) = 3
+        config = AdaptConfig(k=5, bank_fraction=0.05)
+        with pytest.raises(InvalidInputError, match="bank_fraction=0.05") as err:
+            adapt(config, model, target.unlabeled())
+        assert "capacity of 3 rows" in str(err.value)
+        assert "k=5" in str(err.value)
 
     def test_width_mismatch_rejected(self):
         model, _ = self.pretrained()

@@ -21,11 +21,16 @@ def banks_from_rows(rows, **kwargs):
     return init_banks(passthrough_model(rows.shape[1]), rows, **kwargs)
 
 
+def distances(fbank, query, indices):
+    """Cosine distances from the query row to the given bank rows."""
+    return 1.0 - fbank.normalized[indices] @ fbank.normalized[query]
+
+
 class TestInitBanks:
     def test_single_sample(self):
-        fbank, sbank = banks_from_rows([[1.0, 2.0]])
+        fbank, scores = banks_from_rows([[1.0, 2.0]])
         assert fbank.size == 1
-        assert sbank.size == 1
+        assert scores.shape == (1, 2)
 
     def test_zero_model_scores_uniform(self):
         model = Model(
@@ -33,20 +38,18 @@ class TestInitBanks:
             clf_weights=np.zeros((4, 3)),
             clf_bias=np.zeros(4),
         )
-        _, sbank = init_banks(model, np.random.default_rng(0).standard_normal((6, 2)))
-        assert_allclose(sbank.probs, np.full((6, 4), 0.25), atol=1e-15)
+        _, scores = init_banks(model, np.random.default_rng(0).standard_normal((6, 2)))
+        assert_allclose(scores, np.full((6, 4), 0.25), atol=1e-15)
 
     def test_normalized_rows_unit_norm(self):
         rows = np.random.default_rng(1).standard_normal((40, 5))
         fbank, _ = banks_from_rows(rows)
         assert_allclose(np.linalg.norm(fbank.normalized, axis=1), np.ones(40), atol=1e-9)
-        assert_array_equal(fbank.raw, rows)
 
     def test_zero_feature_row_flagged(self):
         fbank, _ = banks_from_rows([[0.0, 0.0], [1.0, 0.0]])
-        assert fbank.zero_rows[0]
-        assert not fbank.zero_rows[1]
         assert_array_equal(fbank.normalized[0], np.zeros(2))
+        assert_array_equal(fbank.normalized[1], [1.0, 0.0])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -55,55 +58,55 @@ class TestInitBanks:
 
 class TestUpdateBanks:
     def test_empty_index_list_is_noop(self):
-        fbank, sbank = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        raw, probs = fbank.raw.copy(), sbank.probs.copy()
-        update_banks(fbank, sbank, [], np.zeros((0, 2)), np.zeros((0, 2)))
-        assert_array_equal(fbank.raw, raw)
-        assert_array_equal(sbank.probs, probs)
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        normalized, probs = fbank.normalized.copy(), scores.copy()
+        update_banks(fbank, scores, [], np.zeros((0, 2)), np.zeros((0, 2)))
+        assert_array_equal(fbank.normalized, normalized)
+        assert_array_equal(scores, probs)
 
     def test_read_your_write(self):
         rows = np.random.default_rng(2).standard_normal((5, 3))
-        fbank, sbank = banks_from_rows(rows)
+        fbank, scores = banks_from_rows(rows)
+        untouched = fbank.normalized[0].copy()
         new_feat = np.array([[3.0, 4.0, 0.0]])
         new_prob = np.array([[0.25, 0.75]])
-        update_banks(fbank, sbank, [3], new_feat, new_prob)
-        assert_array_equal(fbank.raw[3], new_feat[0])
+        update_banks(fbank, scores, [3], new_feat, new_prob)
         assert_allclose(fbank.normalized[3], [0.6, 0.8, 0.0], atol=1e-9)
-        assert_array_equal(sbank.probs[3], new_prob[0])
+        assert_array_equal(scores[3], new_prob[0])
         # other rows untouched
-        assert_array_equal(fbank.raw[0], rows[0])
+        assert_array_equal(fbank.normalized[0], untouched)
 
     def test_duplicate_index_last_write_wins(self):
-        fbank, sbank = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         feats = np.array([[5.0, 0.0], [0.0, 7.0]])
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        update_banks(fbank, sbank, [2, 2], feats, probs)
-        assert_array_equal(fbank.raw[2], [0.0, 7.0])
-        assert_array_equal(sbank.probs[2], [0.0, 1.0])
+        update_banks(fbank, scores, [2, 2], feats, probs)
+        assert_array_equal(fbank.normalized[2], [0.0, 1.0])
+        assert_array_equal(scores[2], [0.0, 1.0])
 
     def test_out_of_range_index_rejected(self):
-        fbank, sbank = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
-            update_banks(fbank, sbank, [2], np.ones((1, 2)), np.array([[0.5, 0.5]]))
+            update_banks(fbank, scores, [2], np.ones((1, 2)), np.array([[0.5, 0.5]]))
 
     def test_invalid_distribution_rejected(self):
-        fbank, sbank = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
-            update_banks(fbank, sbank, [0], np.ones((1, 2)), np.array([[0.9, 0.3]]))
+            update_banks(fbank, scores, [0], np.ones((1, 2)), np.array([[0.9, 0.3]]))
 
 
 class TestKnn:
     def test_duplicate_direction_is_nearest(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         res = knn(fbank, 0, 1)
-        assert_array_equal(res.indices, [1])
-        assert_allclose(res.distances, [0.0], atol=1e-12)
+        assert_array_equal(res, [1])
+        assert_allclose(distances(fbank, 0, res), [0.0], atol=1e-12)
 
     def test_orthogonal_and_antipodal_distances(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         res = knn(fbank, 0, 2)
-        assert_array_equal(res.indices, [1, 2])
-        assert_allclose(res.distances, [1.0, 2.0], atol=1e-12)
+        assert_array_equal(res, [1, 2])
+        assert_allclose(distances(fbank, 0, res), [1.0, 2.0], atol=1e-12)
 
     def test_k_too_large_rejected(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -116,9 +119,9 @@ class TestKnn:
         for q in range(0, 30, 7):
             for k in (1, 4, 9):
                 res = knn(fbank, q, k)
-                assert res.indices.shape == (k,)
-                assert q not in res.indices
-                assert np.all(np.diff(res.distances) >= 0)
+                assert res.shape == (k,)
+                assert q not in res
+                assert np.all(np.diff(distances(fbank, q, res)) >= 0)
 
     def test_matches_exhaustive_oracle(self):
         rows = np.random.default_rng(4).standard_normal((80, 6))
@@ -132,16 +135,17 @@ class TestKnn:
             ]
             expect = [j for _, j in sorted(dists)[:5]]
             res = knn(fbank, q, 5)
-            assert list(res.indices) == expect
+            assert list(res) == expect
 
     def test_invariant_to_positive_rescaling(self):
         rows = np.random.default_rng(5).standard_normal((20, 3))
-        fbank, sbank = banks_from_rows(rows)
+        fbank, scores = banks_from_rows(rows)
         before = knn(fbank, 4, 6)
-        update_banks(fbank, sbank, [9], 17.0 * rows[9:10], sbank.probs[9:10])
+        before_dist = distances(fbank, 4, before)
+        update_banks(fbank, scores, [9], 17.0 * rows[9:10], scores[9:10])
         after = knn(fbank, 4, 6)
-        assert_array_equal(before.indices, after.indices)
-        assert_allclose(before.distances, after.distances, atol=1e-12)
+        assert_array_equal(before, after)
+        assert_allclose(distances(fbank, 4, after), before_dist, atol=1e-12)
 
     def test_far_update_leaves_answers_unchanged(self):
         # two tight clusters; rewriting one cluster cannot disturb queries
@@ -149,25 +153,25 @@ class TestKnn:
         rng = np.random.default_rng(6)
         a = np.array([10.0, 0.0, 0.0]) + 0.01 * rng.standard_normal((8, 3))
         b = np.array([0.0, 10.0, 0.0]) + 0.01 * rng.standard_normal((8, 3))
-        fbank, sbank = banks_from_rows(np.vstack([a, b]))
+        fbank, scores = banks_from_rows(np.vstack([a, b]))
         before = knn(fbank, 2, 5)
-        assert np.all(before.indices < 8)
+        before_dist = distances(fbank, 2, before)
+        assert np.all(before < 8)
         newb = np.array([0.0, 0.0, 10.0]) + 0.01 * rng.standard_normal((8, 3))
         update_banks(
-            fbank, sbank, list(range(8, 16)), newb, sbank.probs[8:16].copy()
+            fbank, scores, list(range(8, 16)), newb, scores[8:16].copy()
         )
         after = knn(fbank, 2, 5)
-        assert_array_equal(before.indices, after.indices)
-        assert_allclose(before.distances, after.distances, atol=1e-12)
+        assert_array_equal(before, after)
+        assert_allclose(distances(fbank, 2, after), before_dist, atol=1e-12)
 
     def test_deterministic_including_tie_order(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         fbank, _ = banks_from_rows(rows)
         first = knn(fbank, 0, 3)
         second = knn(fbank, 0, 3)
-        assert_array_equal(first.indices, [1, 2, 3])  # tie broken by index
-        assert_array_equal(first.indices, second.indices)
-        assert_array_equal(first.distances, second.distances)
+        assert_array_equal(first, [1, 2, 3])  # tie broken by index
+        assert_array_equal(first, second)
 
 
 class TestCapacityEviction:
@@ -177,25 +181,83 @@ class TestCapacityEviction:
         assert_array_equal(fbank.valid, [False, False, True, True])
 
     def test_fifo_eviction_on_update(self):
-        fbank, sbank = banks_from_rows(np.eye(4), capacity_fraction=0.5)
-        update_banks(fbank, sbank, [0], np.ones((1, 4)), sbank.probs[:1].copy())
+        fbank, scores = banks_from_rows(np.eye(4), capacity_fraction=0.5)
+        update_banks(fbank, scores, [0], np.ones((1, 4)), scores[:1].copy())
         # 2 was the least recently written live row
         assert_array_equal(fbank.valid, [True, False, False, True])
 
     def test_rewrite_refreshes_queue_position(self):
-        fbank, sbank = banks_from_rows(np.eye(4), capacity_fraction=0.5)
-        update_banks(fbank, sbank, [2], np.ones((1, 4)), sbank.probs[2:3].copy())
-        update_banks(fbank, sbank, [0], np.ones((1, 4)), sbank.probs[:1].copy())
+        fbank, scores = banks_from_rows(np.eye(4), capacity_fraction=0.5)
+        update_banks(fbank, scores, [2], np.ones((1, 4)), scores[2:3].copy())
+        update_banks(fbank, scores, [0], np.ones((1, 4)), scores[:1].copy())
         # rewriting 2 moved it behind 3, so 3 was evicted first
         assert_array_equal(fbank.valid, [True, False, True, False])
 
     def test_evicted_rows_not_searchable(self):
         fbank, _ = banks_from_rows(np.eye(4), capacity_fraction=0.5)
-        res = knn(fbank, 2, 1)
-        assert_array_equal(res.indices, [3])
+        assert_array_equal(knn(fbank, 2, 1), [3])
         with pytest.raises(InvalidInputError):
             knn(fbank, 2, 2)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvalidInputError):
             banks_from_rows(np.eye(3), capacity_fraction=0.0)
+
+
+class ListFifo:
+    """Reference model of bank validity: a list of live rows, oldest first.
+
+    A write moves its row to the back of the queue (appending it when it was
+    not live), and the front row is evicted while the queue exceeds capacity.
+    """
+
+    def __init__(self, m, capacity):
+        self.m = m
+        self.capacity = capacity
+        self.queue = list(range(m))[m - capacity:]
+
+    def write(self, indices):
+        for i in indices:
+            if self.capacity >= self.m:
+                continue
+            if i in self.queue:
+                self.queue.remove(i)
+            self.queue.append(i)
+            while len(self.queue) > self.capacity:
+                self.queue.pop(0)
+
+    def valid(self):
+        mask = np.zeros(self.m, dtype=bool)
+        mask[self.queue] = True
+        return mask
+
+
+class TestStampsMatchFifoReference:
+    @pytest.mark.parametrize(
+        "m, fraction, batch, seed",
+        [
+            (12, 0.5, 4, 0),  # batches smaller than the capacity
+            (12, 0.25, 5, 1),  # capacity 3, smaller than every batch
+            (7, 1.0 / 7.0, 3, 2),  # capacity 1
+            (10, 1.0, 6, 3),  # capacity = M never evicts
+            (30, 0.4, 9, 4),
+        ],
+    )
+    def test_valid_masks_agree_after_every_call(self, m, fraction, batch, seed):
+        rng = np.random.default_rng(seed)
+        fbank, scores = banks_from_rows(rng.standard_normal((m, 3)), capacity_fraction=fraction)
+        fifo = ListFifo(m, fbank.capacity)
+        assert_array_equal(fbank.valid, fifo.valid())
+        for call in range(40):
+            if call % 3 == 0:
+                # rewrite rows that are live now, duplicates included
+                live = np.flatnonzero(fbank.valid)
+                idx = rng.choice(live, size=batch, replace=True)
+            else:
+                idx = rng.integers(0, m, size=batch)  # may repeat an index
+            update_banks(
+                fbank, scores, idx, rng.standard_normal((batch, 3)), np.full((batch, 2), 0.5)
+            )
+            fifo.write(idx.tolist())
+            assert_array_equal(fbank.valid, fifo.valid(), err_msg=f"call {call}")
+            assert fbank.valid.sum() == fbank.capacity

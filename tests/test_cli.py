@@ -98,10 +98,9 @@ class TestGenData:
 class TestPretrain:
     def test_outputs_checkpoint_and_metrics(self, workspace):
         _, _, pre_dir = workspace
-        model, state = load_checkpoint(str(pre_dir / "source.ckpt"))
+        model = load_checkpoint(str(pre_dir / "source.ckpt"))
         assert model.n_classes == 2
         assert model.input_dim == 2
-        assert state.lr == 0.1
         metrics = json.loads((pre_dir / "metrics.json").read_text())
         assert metrics["source_eval"]["accuracy"] >= 0.9  # well-separated blobs
 
@@ -159,7 +158,7 @@ class TestAdapt:
         lines = (out / "losses.csv").read_text().splitlines()
         assert lines[0] == "iteration,snc,ifa,fd,total,decay,lambda"
         assert len(lines) == 3  # 24 rows, batch 64: one batch per epoch
-        model, _ = load_checkpoint(str(out / "adapted.ckpt"))
+        model = load_checkpoint(str(out / "adapted.ckpt"))
         assert model.n_classes == 2
 
     def test_zero_weights_zero_loss_columns(self, tmp_path, workspace):
@@ -189,6 +188,16 @@ class TestAdapt:
         payload = json.loads((out / "metrics.json").read_text())
         assert len(payload["epoch_eval"]) == 2
         assert all(0.0 <= e["accuracy"] <= 1.0 for e in payload["epoch_eval"])
+
+    def test_undersized_bank_exits_one(self, tmp_path, workspace, capsys):
+        # 24 target rows at fraction 0.1 leave 3 searchable rows for k=3
+        out = tmp_path / "run"
+        code = run_cli(self.adapt_args(workspace, out, ("--bank-fraction", "0.1")))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bank_fraction=0.1" in err
+        assert "capacity of 3 rows" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_rejected(self, tmp_path, workspace):
         _, data_dir, _ = workspace

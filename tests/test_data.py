@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,7 +16,7 @@ from sfda2.data import (
     validate_shift_spec,
 )
 from sfda2.errors import CheckpointError, DatasetFormatError, InvalidInputError
-from sfda2.model import init_model, init_optimizer, parameter_arrays, gradient_arrays
+from sfda2.model import init_model, parameter_arrays
 from sfda2.numerics import RngState
 
 
@@ -180,56 +182,56 @@ class TestDatasetFiles:
 
 class TestCheckpoints:
     def build(self):
-        model = init_model(2, (5, 4), 3, 3, RngState(11))
-        state = init_optimizer(model, 0.9, 0.05)
-        # dirty the buffers so the round trip is not trivially zeros
-        for arr in gradient_arrays(state.buffers):
-            arr += np.random.default_rng(12).standard_normal(arr.shape)
-        return model, state
+        return init_model(2, (5, 4), 3, 3, RngState(11))
 
     def test_round_trip_bitwise_equal(self, tmp_path):
-        model, state = self.build()
+        model = self.build()
         path = str(tmp_path / "ck.json")
-        save_checkpoint(model, state, path)
-        loaded_model, loaded_state = load_checkpoint(path)
+        save_checkpoint(model, path)
+        loaded_model = load_checkpoint(path)
         for a, b in zip(parameter_arrays(model), parameter_arrays(loaded_model)):
             assert_array_equal(a, b)
-        for a, b in zip(gradient_arrays(state.buffers), gradient_arrays(loaded_state.buffers)):
-            assert_array_equal(a, b)
-        assert loaded_state.momentum == state.momentum
-        assert loaded_state.lr == state.lr
         assert [l.activation for l in loaded_model.layers] == [l.activation for l in model.layers]
+        payload = json.loads((tmp_path / "ck.json").read_text())
+        assert payload["format_version"] == 2
+        assert sorted(payload) == ["classifier", "extractor_layers", "format_version"]
 
     def test_truncated_file_rejected(self, tmp_path):
-        model, state = self.build()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, state, str(path))
+        save_checkpoint(self.build(), str(path))
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
     def test_version_bump_rejected(self, tmp_path):
-        model, state = self.build()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, state, str(path))
-        text = path.read_text().replace('"format_version":1', '"format_version":2', 1)
+        save_checkpoint(self.build(), str(path))
+        text = path.read_text().replace('"format_version":2', '"format_version":3', 1)
         path.write_text(text)
         with pytest.raises(CheckpointError, match="format_version"):
             load_checkpoint(str(path))
 
+    def test_v1_file_rejected_with_rerun_hint(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(self.build(), str(path))
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        payload["optimizer"] = {"momentum": 0.9, "lr": 0.05, "buffers": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="v1 checkpoint") as err:
+            load_checkpoint(str(path))
+        assert "re-run `sfda2 pretrain`" in str(err.value)
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text('{"format_version":1,"extractor_layers":[]}')
+        path.write_text('{"format_version":2,"extractor_layers":[]}')
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
     def test_inconsistent_shapes_rejected(self, tmp_path):
-        model, state = self.build()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, state, str(path))
-        import json
-
+        save_checkpoint(self.build(), str(path))
         payload = json.loads(path.read_text())
         payload["classifier"]["bias"] = [0.0, 0.0]  # model has 3 classes
         path.write_text(json.dumps(payload))

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sfda2.banks import ScoreBank
 from sfda2.errors import InvalidInputError
 from sfda2.losses import (
-    AffinityWeights,
     affinity_weights,
     decay_factor,
     efa_mc_estimate,
@@ -269,91 +267,85 @@ class TestEfaMcEstimate:
 class TestAffinityWeights:
     def test_single_class_one_hot(self):
         probs = np.tile(np.array([1.0, 0.0, 0.0]), (5, 1))
-        aff = affinity_weights(ScoreBank(probs=probs), [0] * 5)
+        aff = affinity_weights(probs, [0] * 5)
         expect = np.zeros((3, 3))
         expect[0, 0] = 1.0
-        assert_allclose(aff.matrix, expect, atol=1e-15)
-        assert_array_equal(aff.mean_preds[0], [1.0, 0.0, 0.0])
+        assert_allclose(aff, expect, atol=1e-15)
 
     def test_all_uniform_all_classes(self):
         c = 4
         probs = np.full((8, c), 1.0 / c)
-        aff = affinity_weights(ScoreBank(probs=probs), [0, 1, 2, 3, 0, 1, 2, 3])
-        assert_allclose(aff.matrix, np.full((c, c), 1.0 / c), atol=1e-15)
+        aff = affinity_weights(probs, [0, 1, 2, 3, 0, 1, 2, 3])
+        assert_allclose(aff, np.full((c, c), 1.0 / c), atol=1e-15)
 
     def test_unpopulated_class_zeroed(self):
         probs = row_softmax(np.random.default_rng(3).standard_normal((6, 3)))
-        aff = affinity_weights(ScoreBank(probs=probs), [0, 0, 2, 2, 0, 2])
-        assert_array_equal(aff.matrix[1], np.zeros(3))
-        assert_array_equal(aff.matrix[:, 1], np.zeros(3))
+        aff = affinity_weights(probs, [0, 0, 2, 2, 0, 2])
+        assert_array_equal(aff[1], np.zeros(3))
+        assert_array_equal(aff[:, 1], np.zeros(3))
 
     def test_symmetric_unit_interval(self):
         rng = np.random.default_rng(4)
         probs = row_softmax(rng.standard_normal((40, 5)))
-        aff = affinity_weights(ScoreBank(probs=probs), rng.integers(0, 5, size=40))
-        assert_allclose(aff.matrix, aff.matrix.T, atol=1e-15)
-        assert aff.matrix.min() >= 0.0
-        assert aff.matrix.max() <= 1.0 + 1e-12
+        aff = affinity_weights(probs, rng.integers(0, 5, size=40))
+        assert_allclose(aff, aff.T, atol=1e-15)
+        assert aff.min() >= 0.0
+        assert aff.max() <= 1.0 + 1e-12
 
     def test_misaligned_labels_rejected(self):
         probs = np.full((4, 2), 0.5)
         with pytest.raises(InvalidInputError):
-            affinity_weights(ScoreBank(probs=probs), [0, 1])
+            affinity_weights(probs, [0, 1])
         with pytest.raises(InvalidInputError):
-            affinity_weights(ScoreBank(probs=probs), [0, 1, 0, 2])
+            affinity_weights(probs, [0, 1, 0, 2])
 
 
 def uniform_affinity(c, value=1.0):
-    return AffinityWeights(matrix=np.full((c, c), value), mean_preds=np.zeros((c, c)))
+    return np.full((c, c), value)
 
 
 class TestFdLoss:
     def test_identical_covariances_cost_nothing(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 0.0], [7.0, 0.0]])
-        value, grad, degenerate = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+        value, grad = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
         assert_allclose(value, 0.0, atol=1e-12)
-        assert not degenerate
         assert_allclose(grad, np.zeros_like(feats), atol=1e-9)
 
     def test_orthogonal_covariances_hand_value(self):
         # class covariances diag(1,0) and diag(0,1); both ordered pairs
         # contribute -(1/2) * 0.5 * (1 - 0)
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        value, _, degenerate = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2, 0.5))
+        value, _ = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2, 0.5))
         assert_allclose(value, -0.5, atol=1e-12)
-        assert not degenerate
 
     def test_single_populated_class_is_zero(self):
         feats = np.random.default_rng(5).standard_normal((4, 3))
-        value, grad, degenerate = fd_loss(feats, [1, 1, 1, 1], uniform_affinity(2))
+        value, grad = fd_loss(feats, [1, 1, 1, 1], uniform_affinity(2))
         assert value == 0.0
         assert_array_equal(grad, np.zeros_like(feats))
-        assert not degenerate
 
     def test_no_pairable_class_flags_degenerate(self):
         feats = np.random.default_rng(6).standard_normal((3, 2))
-        value, grad, degenerate = fd_loss(feats, [0, 1, 2], uniform_affinity(3))
-        assert degenerate
+        value, grad = fd_loss(feats, [0, 1, 2], uniform_affinity(3))
         assert value == 0.0
         assert_array_equal(grad, np.zeros_like(feats))
 
     def test_zero_norm_covariance_pairs_skipped(self):
         # class 1's rows coincide, so its covariance is exactly zero
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 3.0], [3.0, 3.0]])
-        value, grad, degenerate = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+        value, grad = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
         assert value == 0.0
         assert np.isfinite(grad).all()
-        assert not degenerate
 
     def test_value_range(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             feats = rng.standard_normal((12, 3))
             labels = rng.integers(0, 3, size=12)
-            mean_preds = row_softmax(rng.standard_normal((3, 3)))
-            aff = AffinityWeights(matrix=mean_preds @ mean_preds.T, mean_preds=mean_preds)
-            value, _, _ = fd_loss(feats, labels, aff)
-            off_diag = aff.matrix.sum() - np.trace(aff.matrix)
+            class_means = row_softmax(rng.standard_normal((3, 3)))
+            aff = class_means @ class_means.T
+            value, _ = fd_loss(feats, labels, aff)
+            off_diag = aff.sum() - np.trace(aff)
             assert -0.5 * off_diag - 1e-12 <= value <= 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -361,13 +353,13 @@ class TestFdLoss:
         feats = rng.standard_normal((7, 3))
         labels = np.array([0, 0, 0, 1, 1, 1, 0])
         aff = uniform_affinity(2, 0.8)
-        _, grad, _ = fd_loss(feats, labels, aff)
+        _, grad = fd_loss(feats, labels, aff)
         h = 1e-5
         for r, c in ((0, 0), (2, 1), (5, 2), (6, 0)):
             step = np.zeros_like(feats)
             step[r, c] = h
-            up, _, _ = fd_loss(feats + step, labels, aff)
-            down, _, _ = fd_loss(feats - step, labels, aff)
+            up, _ = fd_loss(feats + step, labels, aff)
+            down, _ = fd_loss(feats - step, labels, aff)
             assert_allclose(grad[r, c], (up - down) / (2 * h), rtol=1e-4, atol=1e-8)
 
     def test_label_out_of_range_rejected(self):
