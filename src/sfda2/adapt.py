@@ -19,9 +19,9 @@ from .losses import (
     affinity_weights,
     decay_factor,
     fd_loss,
-    ifa_loss,
+    ifa_loss_batch,
     lambda_schedule,
-    snc_loss,
+    snc_loss_batch,
     softmax_vjp,
 )
 from .model import (
@@ -172,6 +172,18 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _guarded_forward(model: Model, x: np.ndarray, epoch: int, iteration: int):
+    """Forward pass of a training step. Diverged parameters overflow it
+    before any loss can go non-finite, so there its input errors are
+    numerical failures, reported with the step's position."""
+    try:
+        return forward(model, x)
+    except InvalidInputError as exc:
+        raise NumericalError(
+            f"non-finite forward pass at epoch {epoch}, iteration {iteration}: {exc}"
+        ) from exc
+
+
 def pretrain_source(
     config: AdaptConfig,
     source,
@@ -179,7 +191,9 @@ def pretrain_source(
     feature_dim: int = 8,
 ) -> Model:
     """Supervised pretraining on the labeled source domain (cross-entropy,
-    momentum SGD). Returns the trained model; the caller keeps the config."""
+    momentum SGD). Returns the trained model; the caller keeps the config.
+    Raises NumericalError naming the epoch and iteration if the forward
+    pass stops being finite."""
     if source.labels is None:
         raise InvalidInputError("pretraining requires labels")
     if source.n_classes is None or source.n_classes < 2:
@@ -196,24 +210,26 @@ def pretrain_source(
     model = init_model(source.dim, hidden_dims, feature_dim, source.n_classes, init_rng)
     opt = init_optimizer(model, config.momentum, config.lr)
     m = source.size
-    for _ in range(config.epochs):
+    t = 0
+    for epoch in range(config.epochs):
         perm = order_rng.generator.permutation(m)
         for batch in _batches(perm, config.batch_size):
             x = source.inputs[batch]
             y = labels[batch]
-            _, _, probs = forward(model, x)
+            _, _, probs = _guarded_forward(model, x, epoch, t)
             dlogits = probs.copy()
             dlogits[np.arange(batch.size), y] -= 1.0
             dlogits /= batch.size
             grads = grad_params(model, x, dlogits, np.zeros((batch.size, model.feature_dim)))
             model, opt = sgd_step(model, grads, opt)
+            t += 1
     return model
 
 
 def batch_objective(
     model: Model,
     batch_inputs: np.ndarray,
-    neighbor_probs: list[np.ndarray],
+    neighbor_probs: np.ndarray,
     bank_batch_probs: np.ndarray,
     batch_pseudo_labels: np.ndarray,
     stats: ClassStatistics,
@@ -225,7 +241,8 @@ def batch_objective(
 ) -> tuple[LossBreakdown, GradientSet]:
     """One batch's loss breakdown and full parameter gradient.
 
-    `bank_batch_probs[i]` is the stored score-bank row for batch sample i;
+    `neighbor_probs` is the (B, K, C) stack of each sample's neighbor rows
+    and `bank_batch_probs[i]` the stored score-bank row for batch sample i;
     only row i's self term is differentiated through the live network.
     Feature-alignment and dispersal terms are skipped (reported as 0) when
     their weight is exactly 0.
@@ -233,37 +250,31 @@ def batch_objective(
     b = batch_inputs.shape[0]
     if b < 2:
         raise InvalidInputError("batch must contain at least 2 samples")
-    if len(neighbor_probs) != b or bank_batch_probs.shape[0] != b:
-        raise InvalidInputError("neighbor and bank rows must match the batch")
     features, _, probs = forward(model, batch_inputs)
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64)
 
-    dlogits = np.zeros((b, model.n_classes))
+    snc_values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_batch_probs, decay)
+    dlogits = softmax_vjp(probs, dprobs) / b
     dfeatures = np.zeros((b, model.feature_dim))
     clf_w_extra = np.zeros_like(model.clf_weights)
     clf_b_extra = np.zeros_like(model.clf_bias)
 
-    snc_sum = 0.0
-    ifa_sum = 0.0
-    for i in range(b):
-        value, dprob = snc_loss(probs[i], neighbor_probs[i], bank_batch_probs, i, decay)
-        snc_sum += value
-        dlogits[i] += softmax_vjp(probs[i], dprob) / b
-        if alpha1 != 0.0:
-            cov = stats.covs[labels[i]]
-            iv, dz, dw, db = ifa_loss(features[i], cov, model.clf_weights, model.clf_bias, lam)
-            ifa_sum += iv
-            dfeatures[i] += (alpha1 / b) * dz
-            clf_w_extra += (alpha1 / b) * dw
-            clf_b_extra += (alpha1 / b) * db
+    ifa_mean = 0.0
+    if alpha1 != 0.0:
+        ifa_values, dz, dw, db = ifa_loss_batch(
+            features, labels, stats.covs, model.clf_weights, model.clf_bias, lam
+        )
+        ifa_mean = float(ifa_values.sum()) / b
+        dfeatures += (alpha1 / b) * dz
+        clf_w_extra += (alpha1 / b) * dw
+        clf_b_extra += (alpha1 / b) * db
 
     fd_value = 0.0
     if alpha2 != 0.0:
         fd_value, fd_grad = fd_loss(features, labels, affinity)
         dfeatures += alpha2 * fd_grad
 
-    snc_mean = snc_sum / b
-    ifa_mean = ifa_sum / b
+    snc_mean = float(snc_values.sum()) / b
     total = snc_mean + alpha1 * ifa_mean + alpha2 * fd_value
     grads = grad_params(model, batch_inputs, dlogits, dfeatures)
     grads.clf_weights += clf_w_extra
@@ -323,7 +334,7 @@ def adapt(
     t = 0
     current = model
     opt = init_optimizer(current, config.momentum, config.lr)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         bank_labels = np.argmax(score_bank, axis=1)
         affinity = affinity_weights(score_bank, bank_labels)
         perm = order_rng.generator.permutation(m)
@@ -331,16 +342,9 @@ def adapt(
             if batch.size < 2:
                 continue
             x = target.inputs[batch]
-            try:
-                features, _, probs = forward(current, x)
-            except InvalidInputError as exc:
-                # Diverged parameters overflow the forward pass before the
-                # objective itself can go non-finite; same failure class.
-                raise NumericalError(
-                    f"non-finite forward pass at iteration {t}: {exc}"
-                ) from exc
+            features, _, probs = _guarded_forward(current, x, epoch, t)
             update_banks(fbank, score_bank, batch, features, probs)
-            neighbor_probs = [score_bank[knn(fbank, int(idx), config.k)] for idx in batch]
+            neighbor_probs = score_bank[knn(fbank, batch, config.k)]
             labels = np.argmax(probs, axis=1)
             stats = update_class_stats(stats, features, labels)
 

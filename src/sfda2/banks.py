@@ -89,21 +89,35 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
     fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
 
 
-def knn(fbank: FeatureBank, query_index: int, k: int) -> np.ndarray:
-    """Indices of the K nearest searchable rows by cosine distance
-    (1 - cosine similarity) on the normalized copies, ordered by
-    (distance, index); self excluded."""
-    m = fbank.size
-    if not 0 <= query_index < m:
+def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
+    """(B, K) indices of each query's K nearest searchable rows by cosine
+    distance (1 - cosine similarity) on the normalized copies, ordered by
+    (distance, index); the query's own row is excluded.
+
+    Per query: one mat-vec over the searchable rows, a partition at the
+    K-th distance, then a stable sort of only the rows at or below it.
+    The rows are gathered in ascending index order, so stable sorting
+    breaks distance ties by index.
+    """
+    queries = np.asarray(query_indices, dtype=np.int64).ravel()
+    if queries.size and (queries.min() < 0 or queries.max() >= fbank.size):
         raise InvalidInputError("query index out of range")
     if k < 1:
         raise InvalidInputError("K must be >= 1")
-    candidates = int(fbank.valid.sum()) - (1 if fbank.valid[query_index] else 0)
-    if k > candidates:
-        raise InvalidInputError(f"K={k} exceeds the {candidates} searchable rows")
+    rows = np.flatnonzero(fbank.valid)
+    self_valid = fbank.valid[queries]
+    candidates = rows.size - self_valid
+    if queries.size and k > candidates.min():
+        raise InvalidInputError(f"K={k} exceeds the {candidates.min()} searchable rows")
 
-    sims = fbank.normalized @ fbank.normalized[query_index]
-    dist = 1.0 - sims
-    dist[query_index] = np.inf
-    dist[~fbank.valid] = np.inf
-    return np.lexsort((np.arange(m), dist))[:k]
+    searchable = fbank.normalized[rows]
+    self_pos = np.searchsorted(rows, queries)
+    out = np.empty((queries.size, k), dtype=np.int64)
+    for b, q in enumerate(queries):
+        dist = 1.0 - searchable @ fbank.normalized[q]
+        if self_valid[b]:
+            dist[self_pos[b]] = np.inf
+        kth = np.partition(dist, k - 1)[k - 1]
+        near = np.flatnonzero(dist <= kth)
+        out[b] = rows[near[np.argsort(dist[near], kind="stable")[:k]]]
+    return out

@@ -3,8 +3,10 @@ with its decay schedule, the closed-form augmentation alignment bound with
 its Monte Carlo oracle, the between-class dispersal penalty with affinity
 weights, and the schedule helpers.
 
-Every loss returns its value together with exact analytic gradients with
-respect to its live inputs. Rows fetched from memory banks and the running
+The adaptation loop evaluates a whole batch with `snc_loss_batch` and
+`ifa_loss_batch`; the per-sample `snc_loss` and `ifa_loss` are their
+reference forms. Every loss returns its value together with exact analytic
+gradients with respect to its live inputs. Rows fetched from memory banks and the running
 class covariances are constants by contract; only the quantities produced
 by the current forward pass carry gradient.
 """
@@ -61,8 +63,9 @@ def _check_distribution_rows(rows: np.ndarray, name: str) -> np.ndarray:
 
 
 def softmax_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. softmax outputs back to the logits."""
-    inner = float(np.dot(upstream, probs))
+    """Pull a gradient w.r.t. softmax outputs back to the logits; rows of a
+    2-D batch are independent."""
+    inner = (upstream * probs).sum(axis=-1, keepdims=True)
     return probs * (upstream - inner)
 
 
@@ -107,6 +110,47 @@ def snc_loss(
     return value, grad
 
 
+def snc_loss_batch(
+    probs,
+    neighbor_probs,
+    bank_probs,
+    decay: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of `snc_loss`: row i equals
+    snc_loss(probs[i], neighbor_probs[i], bank_probs, i, decay).
+
+    With D = P B^T over the (B, C) live rows P and stored bank rows B, and
+    D's diagonal replaced by the self-dots p_i . p_i:
+
+        value_i = -(2/K) * sum_j p_i . neighbor_ij + decay * sum_k D_ik^2
+
+    `neighbor_probs` is (B, K, C). Returns (values (B,), grads (B, C))
+    w.r.t. the live rows.
+    """
+    p = _check_distribution_rows(probs, "probs")
+    bank = _check_distribution_rows(bank_probs, "bank_probs")
+    neighbors = np.asarray(neighbor_probs, dtype=np.float64)
+    if neighbors.ndim != 3 or neighbors.shape[0] != p.shape[0] or neighbors.shape[1] == 0:
+        raise InvalidInputError("neighbor_probs must be (B, K, C) with K >= 1")
+    _check_distribution_rows(neighbors.reshape(-1, neighbors.shape[2]), "neighbor_probs")
+    if neighbors.shape[2] != p.shape[1] or bank.shape != p.shape:
+        raise InvalidInputError("batch, bank and neighbor rows disagree in shape")
+    if not np.isfinite(decay) or decay < 0.0:
+        raise InvalidInputError("decay must be finite and >= 0")
+
+    k = neighbors.shape[1]
+    neighbor_sum = neighbors.sum(axis=1)
+    self_dots = (p * p).sum(axis=1)
+    dots = p @ bank.T
+    np.fill_diagonal(dots, self_dots)
+    values = -(2.0 / k) * (neighbor_sum * p).sum(axis=1) + decay * (dots**2).sum(axis=1)
+
+    np.fill_diagonal(dots, 0.0)
+    grad_quad = 2.0 * dots @ bank + 4.0 * self_dots[:, None] * p
+    grads = -(2.0 / k) * neighbor_sum + decay * grad_quad
+    return values, grads
+
+
 def ifa_loss(
     feature,
     cov,
@@ -133,7 +177,7 @@ def ifa_loss(
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError("lambda must be finite and >= 0")
     sigma = check_symmetric(cov, "cov")
-    if sigma.shape[0] != z.size:
+    if sigma.shape != (z.size, z.size):
         raise InvalidInputError("cov dimension does not match the feature")
 
     logits = weights @ z + bias
@@ -154,6 +198,64 @@ def ifa_loss(
         row = t.sum(axis=1)
         d_weights = d_weights + 2.0 * (((col + row)[:, None] * weights - (t + t.T) @ weights) @ sigma)
     return value, d_feature, d_weights, d_bias
+
+
+def ifa_loss_batch(
+    features,
+    labels,
+    covs,
+    clf_weights,
+    clf_bias,
+    lam: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch form of `ifa_loss`: sample i uses the covariance
+    covs[labels[i]].
+
+    The per-class grams W cov_c W^T are built once, giving a (B, C, C)
+    shifted-logit tensor. For the lambda term of d_weights the
+    responsibilities are pooled per class, so each class covariance
+    multiplies once. Returns (values (B,), d_features (B, d),
+    d_clf_weights, d_clf_bias), the last two summed over the batch.
+    """
+    z = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    weights = np.asarray(clf_weights, dtype=np.float64)
+    bias = np.asarray(clf_bias, dtype=np.float64)
+    if z.ndim != 2 or weights.ndim != 2 or weights.shape[1] != z.shape[1]:
+        raise InvalidInputError("feature/classifier shapes disagree")
+    if bias.shape != (weights.shape[0],):
+        raise InvalidInputError("classifier bias shape mismatch")
+    if labels.shape != (z.shape[0],):
+        raise InvalidInputError("labels must align with the feature rows")
+    if not np.isfinite(lam) or lam < 0.0:
+        raise InvalidInputError("lambda must be finite and >= 0")
+    sigma = check_symmetric(covs, "covs")
+    if sigma.ndim != 3 or sigma.shape[1] != z.shape[1]:
+        raise InvalidInputError("covs must be one (d, d) matrix per class")
+    if labels.size and (labels.min() < 0 or labels.max() >= sigma.shape[0]):
+        raise InvalidInputError("label out of range for the covariances")
+
+    b, c = z.shape[0], weights.shape[0]
+    logits = z @ weights.T + bias
+    grams = weights @ sigma @ weights.T  # (classes, C, C)
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    quad = diag[:, None, :] - 2.0 * grams + diag[:, :, None]
+    shifted = (logits[:, None, :] + 0.5 * lam * quad[labels]).reshape(b * c, c)
+    values = -2.0 * (logits.sum(axis=1) - row_logsumexp(shifted).reshape(b, c).sum(axis=1))
+
+    resp = row_softmax(shifted).reshape(b, c, c)  # resp[i, c, c']
+    d_logits = -2.0 * (1.0 - resp.sum(axis=1))
+    d_features = d_logits @ weights
+    d_weights = d_logits.T @ z
+    d_bias = d_logits.sum(axis=0)
+    if lam > 0.0:
+        pooled = np.zeros((sigma.shape[0], c, c))
+        np.add.at(pooled, labels, lam * resp)
+        col = pooled.sum(axis=1)
+        row = pooled.sum(axis=2)
+        per_class = (col + row)[:, :, None] * weights - (pooled + pooled.transpose(0, 2, 1)) @ weights
+        d_weights = d_weights + 2.0 * (per_class @ sigma).sum(axis=0)
+    return values, d_features, d_weights, d_bias
 
 
 def efa_mc_estimate(

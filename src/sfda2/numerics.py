@@ -91,14 +91,17 @@ def row_logsumexp(m: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
+    """Validate a square matrix, or a stack of them along the leading axes,
+    and return its exact symmetrization."""
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise InvalidInputError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if np.abs(arr - arr.T).max() > tol:
+    transposed = np.swapaxes(arr, -1, -2)
+    if np.abs(arr - transposed).max() > tol:
         raise InvalidInputError(f"{name} is not symmetric within {tol}")
-    return (arr + arr.T) / 2.0
+    return (arr + transposed) / 2.0
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -146,7 +149,7 @@ def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
     """
     mean_arr = _as_vector(mean, "mean")
     cov_arr = check_symmetric(cov, "cov")
-    if cov_arr.shape[0] != mean_arr.size:
+    if cov_arr.shape != (mean_arr.size, mean_arr.size):
         raise InvalidInputError("mean and cov dimensions disagree")
     if n < 1:
         raise InvalidInputError("sample count must be >= 1")

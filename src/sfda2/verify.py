@@ -24,7 +24,9 @@ from .losses import (
     efa_mc_estimate,
     fd_loss,
     ifa_loss,
+    ifa_loss_batch,
     snc_loss,
+    snc_loss_batch,
     softmax_vjp,
 )
 from .model import (
@@ -247,8 +249,7 @@ def verify_snc_factorization(
             pts = _plant_points(n_points, k, g)
             bank = FeatureBank.from_rows(pts, n_points)
             cand = np.zeros((n_points, n_points))
-            for i in range(n_points):
-                cand[i, knn(bank, i, k)] = 1.0
+            cand[np.arange(n_points)[:, None], knn(bank, np.arange(n_points), k)] = 1.0
             if np.array_equal(cand, cand.T):
                 adjacency = cand
                 break
@@ -306,6 +307,57 @@ def _scaled_gradients(closure, factor: float):
     return wrapped
 
 
+# (classes, feature dim, batch, K) of the batched-vs-reference instances:
+# the adaptation default shape and two wider ones.
+_BATCHED_SHAPES = ((3, 8, 64, 5), (10, 16, 32, 5), (31, 32, 16, 3))
+
+
+def _batched_vs_reference(rng: RngState, shape, negative_control: bool) -> float:
+    """Largest floored relative difference between the batch kernels and
+    the per-sample reference losses on one random instance, over values,
+    per-sample gradients and the batch-summed classifier gradients. The
+    negative control plants an off-by-one: batch row i is compared with
+    the reference of sample i+1."""
+    n_classes, dim, batch, k = shape
+    g = rng.generator
+    probs = row_softmax(1.5 * g.standard_normal((batch, n_classes)))
+    neighbors = row_softmax(1.5 * g.standard_normal((batch * k, n_classes)))
+    neighbors = neighbors.reshape(batch, k, n_classes)
+    bank_rows = row_softmax(1.5 * g.standard_normal((batch, n_classes)))
+    features = g.standard_normal((batch, dim))
+    labels = g.integers(0, n_classes, batch)
+    a = g.standard_normal((n_classes, dim, dim))
+    covs = a @ a.transpose(0, 2, 1)
+    covs *= dim / np.trace(covs, axis1=1, axis2=2)[:, None, None]
+    weights = g.standard_normal((n_classes, dim))
+    bias = g.standard_normal(n_classes)
+    decay = float(0.25 + g.random())
+    lam = float(2.0 * (1.0 - g.random()))
+
+    batched = snc_loss_batch(probs, neighbors, bank_rows, decay) + ifa_loss_batch(
+        features, labels, covs, weights, bias, lam
+    )
+    reference = [
+        np.zeros(batch),
+        np.zeros((batch, n_classes)),
+        np.zeros(batch),
+        np.zeros((batch, dim)),
+        np.zeros_like(weights),
+        np.zeros_like(bias),
+    ]
+    for i in range(batch):
+        j = (i + 1) % batch if negative_control else i
+        reference[0][i], reference[1][i] = snc_loss(probs[j], neighbors[j], bank_rows, j, decay)
+        value, d_feature, d_weights, d_bias = ifa_loss(features[j], covs[labels[j]], weights, bias, lam)
+        reference[2][i], reference[3][i] = value, d_feature
+        reference[4] += d_weights
+        reference[5] += d_bias
+    return max(
+        float(np.abs(got - ref).max() / max(1.0, np.abs(ref).max()))
+        for got, ref in zip(batched, reference)
+    )
+
+
 def verify_gradients(
     seed: int = 0,
     n_instances: int = 20,
@@ -317,10 +369,13 @@ def verify_gradients(
 
     Two calibration controls run first: a constant loss (error must be 0)
     and a pure quadratic in the parameters (central differences are exact,
-    error < 1e-9). Then each random instance checks the neighborhood,
-    alignment, and dispersal losses in isolation plus the weighted
-    composite objective. The negative control scales every analytic
-    gradient by 1.01.
+    error < 1e-9). Then each random instance checks the batch
+    neighborhood and alignment kernels and the dispersal loss in isolation
+    plus the weighted composite objective. A few wider instances then
+    check the batch kernels against the per-sample reference losses
+    (values and gradients, floored relative error < 1e-10). The negative
+    control scales every analytic gradient by 1.01 and compares each batch
+    row with the reference of the next sample.
 
     The step default balances truncation against the rounding noise that
     parameters with exactly-zero gradients (the dispersal loss is
@@ -329,12 +384,12 @@ def verify_gradients(
     """
     if n_instances < 1:
         raise InvalidInputError("n_instances must be >= 1")
-    rngs = RngState(seed).split(n_instances + 1)
+    rngs = RngState(seed).split(n_instances + 2)
     failures: list[dict] = []
     worst = 0.0
-    per_check_max = {"snc": 0.0, "ifa": 0.0, "fd": 0.0, "composite": 0.0}
+    per_check_max = {"snc": 0.0, "ifa": 0.0, "fd": 0.0, "composite": 0.0, "batched": 0.0}
 
-    cal_model = init_model(3, (4,), 3, 3, rngs[-1])
+    cal_model = init_model(3, (4,), 3, 3, rngs[n_instances])
 
     def constant_closure(m):
         return 1.0, zero_gradients(m)
@@ -368,7 +423,9 @@ def verify_gradients(
         model = init_model(d_in, hidden, d_feat, n_classes, model_rng)
         x = g.standard_normal((batch, d_in))
         k = int(g.integers(1, 4))
-        neighbor_probs = [row_softmax(1.5 * g.standard_normal((k, n_classes))) for _ in range(batch)]
+        neighbor_probs = np.stack(
+            [row_softmax(1.5 * g.standard_normal((k, n_classes))) for _ in range(batch)]
+        )
         bank_rows = row_softmax(1.5 * g.standard_normal((batch, n_classes)))
         while True:
             labels = g.integers(0, n_classes, batch).astype(np.int64)
@@ -392,30 +449,17 @@ def verify_gradients(
 
         def snc_closure(m):
             _, _, probs = forward(m, x)
-            dlogits = np.zeros((batch, n_classes))
-            value = 0.0
-            for i in range(batch):
-                v, dprob = snc_loss(probs[i], neighbor_probs[i], bank_rows, i, decay)
-                value += v
-                dlogits[i] = softmax_vjp(probs[i], dprob) / batch
-            return value / batch, grad_params(m, x, dlogits, np.zeros((batch, d_feat)))
+            values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
+            dlogits = softmax_vjp(probs, dprobs) / batch
+            return float(values.sum()) / batch, grad_params(m, x, dlogits, np.zeros((batch, d_feat)))
 
         def ifa_closure(m):
             feats, _, _ = forward(m, x)
-            value = 0.0
-            dfeats = np.zeros((batch, d_feat))
-            dw = np.zeros_like(m.clf_weights)
-            db = np.zeros_like(m.clf_bias)
-            for i in range(batch):
-                v, dz, dw_i, db_i = ifa_loss(feats[i], covs[labels[i]], m.clf_weights, m.clf_bias, lam)
-                value += v
-                dfeats[i] = dz / batch
-                dw += dw_i / batch
-                db += db_i / batch
-            grads = grad_params(m, x, np.zeros((batch, n_classes)), dfeats)
-            grads.clf_weights += dw
-            grads.clf_bias += db
-            return value / batch, grads
+            values, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)
+            grads = grad_params(m, x, np.zeros((batch, n_classes)), dfeats / batch)
+            grads.clf_weights += dw / batch
+            grads.clf_bias += db / batch
+            return float(values.sum()) / batch, grads
 
         def fd_closure(m):
             feats, _, _ = forward(m, x)
@@ -452,6 +496,22 @@ def verify_gradients(
                         "k": k,
                     }
                 )
+
+    for shape_rng, shape in zip(rngs[n_instances + 1].split(len(_BATCHED_SHAPES)), _BATCHED_SHAPES):
+        err = _batched_vs_reference(shape_rng, shape, negative_control)
+        per_check_max["batched"] = max(per_check_max["batched"], err)
+        if err > 1e-10:
+            n_classes, d_feat, batch, k = shape
+            failures.append(
+                {
+                    "check": "batched-vs-reference",
+                    "error": err,
+                    "batch": batch,
+                    "n_classes": n_classes,
+                    "feature_dim": d_feat,
+                    "k": k,
+                }
+            )
 
     details = {
         "seed": seed,
@@ -604,7 +664,8 @@ def verify_oracles(
     # Oracle scan; the negative control plants the bug of skipping row
     # normalization in the scanned distances.
     scan_rows = rows if negative_control else bank.normalized
-    for q in queries:
+    found = {k: knn(bank, queries, k) for k in ks}
+    for row, q in enumerate(queries):
         q = int(q)
         ranked = sorted(
             (float(1.0 - np.dot(scan_rows[i], scan_rows[q])), i)
@@ -613,7 +674,7 @@ def verify_oracles(
         )
         for k in ks:
             expected = [idx for _, idx in ranked[:k]]
-            got = knn(bank, q, k).tolist()
+            got = found[k][row].tolist()
             if got != expected:
                 knn_mismatches += 1
                 if knn_mismatches <= 10:

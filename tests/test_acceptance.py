@@ -16,7 +16,6 @@ import pytest
 from sfda2.adapt import AdaptConfig, adapt, evaluate, metrics_from_confusion, pretrain_source
 from sfda2.data import default_shift_spec, gen_synthetic, save_checkpoint
 from sfda2.losses import decay_factor, ifa_loss, lambda_schedule
-from sfda2.model import init_optimizer
 from sfda2.verify import (
     verify_gradients,
     verify_ifa_bound,

@@ -115,6 +115,13 @@ class TestPretrainSource:
         for a, b in zip(parameter_arrays(first), parameter_arrays(second)):
             assert_array_equal(a, b)
 
+    def test_divergence_names_epoch_and_iteration(self):
+        # README-sized benchmark source; lr 50 overflows the forward pass
+        source, _ = gen_synthetic(default_shift_spec(), 0)
+        config = AdaptConfig(seed=0, epochs=15, lr=50.0)
+        with pytest.raises(NumericalError, match=r"at epoch 0, iteration \d+: "):
+            pretrain_source(config, source)
+
     def test_bad_source_rejected(self):
         source, _ = blob_pair(n=10, seed=6)
         with pytest.raises(InvalidInputError):

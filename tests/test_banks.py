@@ -98,27 +98,27 @@ class TestUpdateBanks:
 class TestKnn:
     def test_duplicate_direction_is_nearest(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        res = knn(fbank, 0, 1)
+        res = knn(fbank, [0], 1)[0]
         assert_array_equal(res, [1])
         assert_allclose(distances(fbank, 0, res), [0.0], atol=1e-12)
 
     def test_orthogonal_and_antipodal_distances(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        res = knn(fbank, 0, 2)
+        res = knn(fbank, [0], 2)[0]
         assert_array_equal(res, [1, 2])
         assert_allclose(distances(fbank, 0, res), [1.0, 2.0], atol=1e-12)
 
     def test_k_too_large_rejected(self):
         fbank, _ = banks_from_rows([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            knn(fbank, 0, 3)
+            knn(fbank, [0], 3)
 
     def test_self_never_included_and_size_k(self):
         rows = np.random.default_rng(3).standard_normal((30, 4))
         fbank, _ = banks_from_rows(rows)
         for q in range(0, 30, 7):
             for k in (1, 4, 9):
-                res = knn(fbank, q, k)
+                res = knn(fbank, [q], k)[0]
                 assert res.shape == (k,)
                 assert q not in res
                 assert np.all(np.diff(distances(fbank, q, res)) >= 0)
@@ -134,16 +134,16 @@ class TestKnn:
                 (1.0 - float(unit[j] @ unit[q]), j) for j in range(80) if j != q
             ]
             expect = [j for _, j in sorted(dists)[:5]]
-            res = knn(fbank, q, 5)
+            res = knn(fbank, [q], 5)[0]
             assert list(res) == expect
 
     def test_invariant_to_positive_rescaling(self):
         rows = np.random.default_rng(5).standard_normal((20, 3))
         fbank, scores = banks_from_rows(rows)
-        before = knn(fbank, 4, 6)
+        before = knn(fbank, [4], 6)[0]
         before_dist = distances(fbank, 4, before)
         update_banks(fbank, scores, [9], 17.0 * rows[9:10], scores[9:10])
-        after = knn(fbank, 4, 6)
+        after = knn(fbank, [4], 6)[0]
         assert_array_equal(before, after)
         assert_allclose(distances(fbank, 4, after), before_dist, atol=1e-12)
 
@@ -154,24 +154,130 @@ class TestKnn:
         a = np.array([10.0, 0.0, 0.0]) + 0.01 * rng.standard_normal((8, 3))
         b = np.array([0.0, 10.0, 0.0]) + 0.01 * rng.standard_normal((8, 3))
         fbank, scores = banks_from_rows(np.vstack([a, b]))
-        before = knn(fbank, 2, 5)
+        before = knn(fbank, [2], 5)[0]
         before_dist = distances(fbank, 2, before)
         assert np.all(before < 8)
         newb = np.array([0.0, 0.0, 10.0]) + 0.01 * rng.standard_normal((8, 3))
         update_banks(
             fbank, scores, list(range(8, 16)), newb, scores[8:16].copy()
         )
-        after = knn(fbank, 2, 5)
+        after = knn(fbank, [2], 5)[0]
         assert_array_equal(before, after)
         assert_allclose(distances(fbank, 2, after), before_dist, atol=1e-12)
 
     def test_deterministic_including_tie_order(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         fbank, _ = banks_from_rows(rows)
-        first = knn(fbank, 0, 3)
-        second = knn(fbank, 0, 3)
+        first = knn(fbank, [0], 3)[0]
+        second = knn(fbank, [0], 3)[0]
         assert_array_equal(first, [1, 2, 3])  # tie broken by index
         assert_array_equal(first, second)
+
+
+def lexsort_reference(fbank, q, k):
+    """One query by a full-bank two-key sort: the form `knn` replaced."""
+    dist = 1.0 - fbank.normalized @ fbank.normalized[q]
+    dist[q] = np.inf
+    dist[~fbank.valid] = np.inf
+    return np.lexsort((np.arange(fbank.size), dist))[:k]
+
+
+def scan_oracle(fbank, q, k):
+    """Exhaustive scan of the searchable rows, ranked by (distance, index)."""
+    ranked = sorted(
+        (1.0 - float(np.dot(fbank.normalized[j], fbank.normalized[q])), int(j))
+        for j in np.flatnonzero(fbank.valid)
+        if j != q
+    )
+    return [j for _, j in ranked[:k]]
+
+
+def assert_matches_references(fbank, queries, k):
+    got = knn(fbank, queries, k)
+    assert got.shape == (len(queries), k)
+    for row, q in enumerate(queries):
+        assert_array_equal(got[row], lexsort_reference(fbank, q, k), err_msg=f"query {q}")
+        assert got[row].tolist() == scan_oracle(fbank, q, k), f"query {q}"
+
+
+def axis_rows(axes, dim=4):
+    """Signed unit axis vectors: every cosine distance between them is
+    exactly 0, 1 or 2, whatever the summation order, so ties are exact."""
+    rows = np.zeros((len(axes), dim))
+    for i, a in enumerate(axes):
+        rows[i, abs(a) - 1] = np.sign(a)
+    return rows
+
+
+class TestKnnBatch:
+    def test_stamp_written_half_capacity_bank(self):
+        rng = np.random.default_rng(7)
+        fbank, scores = banks_from_rows(rng.standard_normal((40, 5)), capacity_fraction=0.5)
+        for _ in range(6):
+            idx = rng.integers(0, 40, size=9)
+            update_banks(fbank, scores, idx, rng.standard_normal((9, 5)), np.full((9, 2), 0.5))
+            assert not fbank.valid.all() and fbank.valid.any()
+            for k in (1, 3, 7):
+                assert_matches_references(fbank, np.arange(40), k)
+
+    def test_duplicate_rows_tie_at_kth_boundary(self):
+        axes = [1, 2, 2, 1, 2, 3, 2, 1, -1, 2]
+        fbank, _ = banks_from_rows(axis_rows(axes))
+        # from row 0: rows 3 and 7 at distance 0, six rows tied at 1
+        assert_array_equal(knn(fbank, [0], 4)[0], [3, 7, 1, 2])
+        for k in range(1, 10):
+            assert_matches_references(fbank, np.arange(10), k)
+
+    def test_wide_tie_keeps_index_order(self):
+        # 50 duplicates straddle the K-th distance; only a stable sort of the
+        # candidates keeps them in index order
+        rng = np.random.default_rng(8)
+        axes = rng.permutation([2] * 50 + [1] * 8 + [-1] * 6)
+        fbank, _ = banks_from_rows(axis_rows(axes))
+        queries = np.flatnonzero(axes == 1)
+        got = knn(fbank, queries, 30)
+        for row, q in enumerate(queries):
+            same = [j for j in np.flatnonzero(axes == 1) if j != q]
+            assert got[row].tolist() == same + np.flatnonzero(axes == 2)[: 30 - len(same)].tolist()
+        assert_matches_references(fbank, queries, 30)
+
+    def test_query_row_valid_and_evicted(self):
+        rng = np.random.default_rng(9)
+        fbank, _ = banks_from_rows(rng.standard_normal((20, 3)), capacity_fraction=0.5)
+        evicted, live = 3, 15
+        assert not fbank.valid[evicted] and fbank.valid[live]
+        got = knn(fbank, [live, evicted], 9)
+        assert live not in got[0]
+        assert np.all(fbank.valid[got])
+        assert_matches_references(fbank, [live, evicted], 9)
+
+    def test_k_equal_to_searchable_rows(self):
+        rng = np.random.default_rng(10)
+        fbank, _ = banks_from_rows(rng.standard_normal((20, 3)), capacity_fraction=0.5)
+        evicted, live = 0, 19
+        # an evicted query may rank every searchable row, a live one all but itself
+        assert sorted(knn(fbank, [evicted], 10)[0]) == list(range(10, 20))
+        assert sorted(knn(fbank, [live], 9)[0]) == list(range(10, 19))
+        assert_matches_references(fbank, [live], 9)
+        assert_matches_references(fbank, [evicted], 10)
+        with pytest.raises(InvalidInputError, match="exceeds the 9 searchable rows"):
+            knn(fbank, [evicted, live], 10)
+
+    def test_batch_rows_equal_single_queries(self):
+        rng = np.random.default_rng(11)
+        fbank, _ = banks_from_rows(rng.standard_normal((30, 4)))
+        queries = [5, 0, 5, 29]
+        got = knn(fbank, queries, 4)
+        for row, q in enumerate(queries):
+            assert_array_equal(got[row], knn(fbank, [q], 4)[0])
+        assert knn(fbank, [], 4).shape == (0, 4)
+
+    def test_query_out_of_range_rejected(self):
+        fbank, _ = banks_from_rows(np.eye(3))
+        with pytest.raises(InvalidInputError):
+            knn(fbank, [0, 3], 1)
+        with pytest.raises(InvalidInputError):
+            knn(fbank, [-1], 1)
 
 
 class TestCapacityEviction:
@@ -195,9 +301,9 @@ class TestCapacityEviction:
 
     def test_evicted_rows_not_searchable(self):
         fbank, _ = banks_from_rows(np.eye(4), capacity_fraction=0.5)
-        assert_array_equal(knn(fbank, 2, 1), [3])
+        assert_array_equal(knn(fbank, [2], 1)[0], [3])
         with pytest.raises(InvalidInputError):
-            knn(fbank, 2, 2)
+            knn(fbank, [2], 2)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import sfda2
 from sfda2.cli import run_cli
 from sfda2.data import load_checkpoint, load_dataset
 
@@ -124,6 +126,24 @@ class TestPretrain:
         )
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_divergence_reported_as_numerical_failure(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen-data", "--seed", "0", "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "pretrain",
+                "--source", str(data_dir / "source.csv"),
+                "--seed", "0",
+                "--lr", "50",
+                "--out", str(tmp_path / "pre"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite forward pass at epoch 0, iteration ")
+        assert not (tmp_path / "pre" / "source.ckpt").exists()
 
     def test_invalid_config_value_rejected(self, tmp_path, workspace):
         _, data_dir, _ = workspace
@@ -286,6 +306,25 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(["gen-data", "--out", "x", "--frob", "1"]) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_sfda2_runs_a_command(self, tmp_path):
+        # `python3 -m sfda2` needs no installed console script
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "data"
+        result = subprocess.run(
+            [sys.executable, "-m", "sfda2", "gen-data", "--seed", "0", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert load_dataset(str(out / "source.csv")).size == 600
+        assert load_dataset(str(out / "target.csv")).size == 600
 
 
 class TestConsoleScript:

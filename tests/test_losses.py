@@ -11,8 +11,11 @@ from sfda2.losses import (
     efa_mc_estimate,
     fd_loss,
     ifa_loss,
+    ifa_loss_batch,
     lambda_schedule,
     snc_loss,
+    snc_loss_batch,
+    softmax_vjp,
 )
 from sfda2.numerics import RngState, row_softmax, softmax
 
@@ -231,6 +234,90 @@ class TestIfaLoss:
             ifa_loss(z, np.eye(2), w, b, -1.0)
         with pytest.raises(InvalidInputError):
             ifa_loss(z, np.eye(3), w, b, 1.0)
+
+
+def batch_instance(seed, n_classes, dim, batch, k):
+    rng = np.random.default_rng(seed)
+    covs = np.stack([random_psd(rng, dim) for _ in range(n_classes)])
+    return dict(
+        probs=row_softmax(1.5 * rng.standard_normal((batch, n_classes))),
+        neighbors=row_softmax(rng.standard_normal((batch * k, n_classes))).reshape(batch, k, n_classes),
+        bank=row_softmax(rng.standard_normal((batch, n_classes))),
+        features=rng.standard_normal((batch, dim)),
+        labels=rng.integers(0, n_classes, batch),
+        covs=covs,
+        weights=rng.standard_normal((n_classes, dim)),
+        bias=rng.standard_normal(n_classes),
+    )
+
+
+SHAPES = [(3, 8, 64, 5), (10, 16, 32, 5), (4, 3, 2, 1)]
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_snc_rows_match_per_sample_form(self, shape):
+        inst = batch_instance(0, *shape)
+        values, grads = snc_loss_batch(inst["probs"], inst["neighbors"], inst["bank"], 0.7)
+        for i in range(shape[2]):
+            v, g = snc_loss(inst["probs"][i], inst["neighbors"][i], inst["bank"], i, 0.7)
+            assert_allclose(values[i], v, rtol=1e-12, atol=1e-14)
+            assert_allclose(grads[i], g, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    def test_ifa_rows_match_per_sample_form(self, shape, lam):
+        inst = batch_instance(1, *shape)
+        values, d_feat, d_w, d_b = ifa_loss_batch(
+            inst["features"], inst["labels"], inst["covs"], inst["weights"], inst["bias"], lam
+        )
+        sum_w = np.zeros_like(inst["weights"])
+        sum_b = np.zeros_like(inst["bias"])
+        for i in range(shape[2]):
+            cov = inst["covs"][inst["labels"][i]]
+            v, dz, dw, db = ifa_loss(inst["features"][i], cov, inst["weights"], inst["bias"], lam)
+            assert_allclose(values[i], v, rtol=1e-12)
+            assert_allclose(d_feat[i], dz, rtol=1e-11, atol=1e-12)
+            sum_w += dw
+            sum_b += db
+        assert_allclose(d_w, sum_w, rtol=1e-11, atol=1e-12)
+        assert_allclose(d_b, sum_b, rtol=1e-11, atol=1e-12)
+
+    def test_softmax_vjp_rows_independent(self):
+        rng = np.random.default_rng(2)
+        probs = row_softmax(rng.standard_normal((5, 4)))
+        upstream = rng.standard_normal((5, 4))
+        batched = softmax_vjp(probs, upstream)
+        for i in range(5):
+            assert_allclose(batched[i], softmax_vjp(probs[i], upstream[i]), rtol=1e-14, atol=1e-16)
+
+    def test_snc_invalid_rows_rejected(self):
+        inst = batch_instance(3, 3, 4, 6, 2)
+        bad = inst["neighbors"].copy()
+        bad[4, 1] = [0.9, 0.3, 0.0]
+        with pytest.raises(InvalidInputError, match="neighbor_probs"):
+            snc_loss_batch(inst["probs"], bad, inst["bank"], 1.0)
+        with pytest.raises(InvalidInputError):
+            snc_loss_batch(inst["probs"], inst["neighbors"][:5], inst["bank"], 1.0)
+        with pytest.raises(InvalidInputError):
+            snc_loss_batch(inst["probs"], inst["neighbors"], inst["bank"], np.nan)
+
+    def test_ifa_bad_covariances_rejected(self):
+        inst = batch_instance(4, 3, 4, 6, 2)
+        args = (inst["features"], inst["labels"])
+        tail = (inst["weights"], inst["bias"], 1.0)
+        covs = inst["covs"].copy()
+        covs[2, 0, 1] += 1e-3  # asymmetric
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            ifa_loss_batch(*args, covs, *tail)
+        covs = inst["covs"].copy()
+        covs[1, 2, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ifa_loss_batch(*args, covs, *tail)
+        with pytest.raises(InvalidInputError):
+            ifa_loss_batch(*args, inst["covs"][0], *tail)  # one matrix, not one per class
+        with pytest.raises(InvalidInputError):
+            ifa_loss_batch(inst["features"], np.full(6, 3), inst["covs"], *tail)
 
 
 class TestEfaMcEstimate:

@@ -134,6 +134,13 @@ class TestVerifyGradients:
         checks = {f["check"] for f in report.failures}
         assert checks & {"snc", "ifa", "fd", "composite"}
 
+    def test_batched_kernels_match_reference_and_control_fails(self):
+        report = verify_gradients(seed=2, n_instances=1)
+        assert report.details["max_error_per_check"]["batched"] < 1e-10
+        control = verify_gradients(seed=2, n_instances=1, negative_control=True)
+        batched = [f for f in control.failures if f["check"] == "batched-vs-reference"]
+        assert len(batched) == 3  # every batched instance catches the misalignment
+
     def test_deterministic_per_seed(self):
         a = verify_gradients(seed=6, n_instances=2)
         b = verify_gradients(seed=6, n_instances=2)
