@@ -175,9 +175,11 @@ def _batches(order: np.ndarray, batch_size: int):
 def _guarded_forward(model: Model, x: np.ndarray, epoch: int, iteration: int):
     """Forward pass of a training step. Diverged parameters overflow it
     before any loss can go non-finite, so there its input errors are
-    numerical failures, reported with the step's position."""
+    numerical failures, reported with the step's position. NumPy's overflow
+    warnings are silenced here, since the guard reports the failure."""
     try:
-        return forward(model, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward(model, x)
     except InvalidInputError as exc:
         raise NumericalError(
             f"non-finite forward pass at epoch {epoch}, iteration {iteration}: {exc}"

@@ -18,7 +18,6 @@ import sys
 
 from .adapt import AdaptConfig, adapt, evaluate, pretrain_source, validate_config
 from .data import (
-    Dataset,
     ShiftSpec,
     _format_float,
     default_shift_spec,

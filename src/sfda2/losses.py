@@ -269,9 +269,14 @@ def efa_mc_estimate(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected augmented-pair loss.
 
-    Draws n_pairs independent pairs from N(feature, lam*cov) and averages
-    -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns (mean, standard
-    error), stderr = sample stdev / sqrt(n_pairs).
+    Draws n_pairs independent pairs of features from N(feature, lam*cov)
+    and averages -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns
+    (mean, standard error), stderr = sample stdev / sqrt(n_pairs).
+
+    The logits are a class-major, C-contiguous (C, 2n) array, so softmax and
+    pair dots reduce over C long rows. For C <= 7 this adds in the same order
+    as sample-major (2n, C) logits, bit for bit; for C >= 8 NumPy sums those
+    rows pairwise and the two differ by up to about 1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
@@ -281,7 +286,7 @@ def efa_mc_estimate(
     weights = np.asarray(clf_weights, dtype=np.float64)
     bias = np.asarray(clf_bias, dtype=np.float64)
     draws = sample_gaussian(feature, lam * sigma, 2 * n_pairs, rng)
-    probs = row_softmax(draws @ weights.T + bias)
+    probs = row_softmax((weights @ draws.T + bias[:, None]).T)
     dots = (probs[:n_pairs] * probs[n_pairs:]).sum(axis=1)
     values = -np.log(dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
     mean = float(values.mean())

@@ -140,12 +140,14 @@ def psd_repair(matrix: np.ndarray) -> np.ndarray:
 
 
 def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
-    """Draw n samples from N(mean, cov) as rows of an (n, d) array.
+    """Draw n samples from N(mean, cov) as rows of a C-contiguous (n, d) array.
 
     Coordinates whose covariance diagonal is exactly zero are deterministic
-    (for a PSD matrix the whole row/column is zero), so they are copied from
-    the mean untouched; the factorization policy applies to the active block
-    only. This keeps degenerate directions exactly noise-free.
+    (for a PSD matrix the whole row/column is zero) and equal the mean bit
+    for bit, signed zero included; the factorization policy applies to the
+    active block only. One GEMM lifts the (n, k) noise of the k active
+    coordinates by a (d, k) matrix with the factor in the active rows and
+    zeros elsewhere, instead of scattering into the active output columns.
     """
     mean_arr = _as_vector(mean, "mean")
     cov_arr = check_symmetric(cov, "cov")
@@ -155,13 +157,15 @@ def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
         raise InvalidInputError("sample count must be >= 1")
 
     active = np.diagonal(cov_arr) != 0.0
-    samples = np.tile(mean_arr, (n, 1))
     k = int(active.sum())
     if k == 0:
-        return samples
-    factor = psd_factor(cov_arr[np.ix_(active, active)])
-    noise = rng.generator.standard_normal((n, k))
-    samples[:, active] += noise @ factor.T
+        return np.tile(mean_arr, (n, 1))
+    lift = np.zeros((mean_arr.size, k))
+    lift[active] = psd_factor(cov_arr[np.ix_(active, active)])
+    samples = rng.generator.standard_normal((n, k)) @ lift.T
+    samples += mean_arr
+    # +-0.0 + m == m for every m except +0.0 + -0.0, so pin -0.0 means.
+    samples[:, ~active & (mean_arr == 0.0) & np.signbit(mean_arr)] = -0.0
     if not np.all(np.isfinite(samples)):
         raise NumericalError("gaussian sampling produced non-finite values")
     return samples

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -121,6 +123,15 @@ class TestPretrainSource:
         config = AdaptConfig(seed=0, epochs=15, lr=50.0)
         with pytest.raises(NumericalError, match=r"at epoch 0, iteration \d+: "):
             pretrain_source(config, source)
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        # The guard reports the overflow; NumPy must not warn about it first
+        source, _ = gen_synthetic(default_shift_spec(), 0)
+        config = AdaptConfig(seed=0, epochs=15, lr=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"at epoch 0, iteration \d+: "):
+                pretrain_source(config, source)
 
     def test_bad_source_rejected(self):
         source, _ = blob_pair(n=10, seed=6)

@@ -326,6 +326,30 @@ class TestModuleEntryPoint:
         assert load_dataset(str(out / "source.csv")).size == 600
         assert load_dataset(str(out / "target.csv")).size == 600
 
+    def test_diverging_pretrain_prints_one_stderr_line(self, tmp_path):
+        # NumPy's overflow warnings must not precede the failure line
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "sfda2", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+                cwd=tmp_path,
+            )
+
+        assert run("gen-data", "--seed", "0", "--out", "data").returncode == 0
+        result = run(
+            "pretrain", "--source", "data/source.csv", "--seed", "0", "--lr", "50", "--out", "pre"
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("numerical failure: non-finite forward pass at epoch 0")
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

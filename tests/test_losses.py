@@ -17,7 +17,7 @@ from sfda2.losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from sfda2.numerics import RngState, row_softmax, softmax
+from sfda2.numerics import RngState, check_symmetric, row_softmax, sample_gaussian, softmax
 
 
 def random_psd(rng, d):
@@ -349,6 +349,44 @@ class TestEfaMcEstimate:
     def test_needs_two_pairs(self):
         with pytest.raises(InvalidInputError):
             efa_mc_estimate(np.zeros(2), np.eye(2), np.eye(2), np.zeros(2), 1.0, 1, RngState(0))
+
+
+def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
+    """efa_mc_estimate with sample-major (2n, C) logits, the layout the
+    class-major form must reproduce."""
+    draws = sample_gaussian(feature, lam * check_symmetric(cov, "cov"), 2 * n_pairs, rng)
+    probs = row_softmax(draws @ clf_weights.T + clf_bias)
+    dots = (probs[:n_pairs] * probs[n_pairs:]).sum(axis=1)
+    values = -np.log(dots)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
+
+
+class TestEfaMcEstimateMatchesRowMajor:
+    def instance(self, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 7
+        return (
+            rng.standard_normal(dim),
+            random_psd(rng, dim),
+            rng.standard_normal((n_classes, dim)),
+            rng.standard_normal(n_classes),
+            5.0 * rng.random(),
+            3000,
+        )
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5, 6, 7])
+    def test_equal_up_to_seven_classes(self, n_classes):
+        for seed in range(3):
+            args = self.instance(n_classes, seed)
+            expected = row_major_efa_mc_estimate(*args, RngState(seed))
+            assert efa_mc_estimate(*args, RngState(seed)) == expected
+
+    @pytest.mark.parametrize("n_classes", [8, 10])
+    def test_close_from_eight_classes(self, n_classes):
+        for seed in range(3):
+            args = self.instance(n_classes, seed)
+            expected = row_major_efa_mc_estimate(*args, RngState(seed))
+            assert_allclose(efa_mc_estimate(*args, RngState(seed)), expected, rtol=1e-14, atol=0)
 
 
 class TestAffinityWeights:

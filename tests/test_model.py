@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.model import (
-    GradientSet,
     Layer,
     Model,
     clone_model,

@@ -11,6 +11,7 @@ from sfda2.numerics import (
     RngState,
     check_symmetric,
     logsumexp,
+    psd_factor,
     psd_repair,
     row_logsumexp,
     row_softmax,
@@ -153,6 +154,66 @@ class TestSampleGaussian:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             sample_gaussian(np.zeros(3), np.eye(2), 1, RngState(0))
+
+
+def scatter_sample_gaussian(mean, cov, n, rng):
+    """Tile-and-scatter form of sample_gaussian: the mean tiled to (n, d),
+    the active columns gathered by a boolean mask and the noise added in
+    place. The lift-matrix form must match it bit for bit."""
+    mean = np.asarray(mean, dtype=np.float64)
+    cov = check_symmetric(cov, "cov")
+    active = np.diagonal(cov) != 0.0
+    samples = np.tile(mean, (n, 1))
+    k = int(active.sum())
+    if k == 0:
+        return samples
+    factor = psd_factor(cov[np.ix_(active, active)])
+    noise = rng.generator.standard_normal((n, k))
+    samples[:, active] += noise @ factor.T
+    return samples
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def gaussian_cases():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((5, 5))
+    full = a @ a.T
+    one_dead = full.copy()
+    one_dead[1] = 0.0
+    one_dead[:, 1] = 0.0
+    u = rng.standard_normal(4)
+    return {
+        "full-rank": (rng.standard_normal(5), full),
+        "one-zero-diagonal": (rng.standard_normal(5), one_dead),
+        "rank-one": (rng.standard_normal(4), np.outer(u, u)),
+        "all-zero": (rng.standard_normal(3), np.zeros((3, 3))),
+        "d=1": (np.array([-2.5]), np.array([[0.7]])),
+        "negative-zero-mean": (np.array([-0.0, 1.5, 0.0, -0.0]), np.diag([0.0, 2.0, 0.0, 0.5])),
+    }
+
+
+GAUSSIAN_CASES = gaussian_cases()
+
+
+class TestSampleGaussianMatchesScatterReference:
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    @pytest.mark.parametrize("name", sorted(GAUSSIAN_CASES))
+    def test_bitwise_equal(self, name, n):
+        mean, cov = GAUSSIAN_CASES[name]
+        expected = scatter_sample_gaussian(mean, cov, n, RngState(5))
+        actual = sample_gaussian(mean, cov, n, RngState(5))
+        assert_bitwise_equal(actual, expected)
+        assert actual.flags.c_contiguous
+
+    def test_all_degenerate_call_draws_nothing(self):
+        state = RngState(8)
+        sample_gaussian(np.ones(3), np.zeros((3, 3)), 10, state)
+        assert state.generator.standard_normal() == RngState(8).generator.standard_normal()
 
 
 class TestRngState:
