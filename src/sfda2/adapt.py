@@ -8,6 +8,7 @@ and applied with momentum SGD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,17 +56,17 @@ class AdaptConfig:
     bank_fraction: float = 1.0
 
 
+def _check_finite_nonnegative(config: AdaptConfig, name: str) -> None:
+    value = getattr(config, name)
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def validate_config(config: AdaptConfig) -> None:
     if config.k < 1:
         raise InvalidInputError("k must be >= 1")
-    if config.alpha1 < 0 or config.alpha2 < 0:
-        raise InvalidInputError("loss weights must be >= 0")
-    if config.beta < 0:
-        raise InvalidInputError("beta must be >= 0")
-    if config.lambda0 < 0:
-        raise InvalidInputError("lambda0 must be >= 0")
-    if config.lr < 0:
-        raise InvalidInputError("learning rate must be >= 0")
+    for name in ("alpha1", "alpha2", "beta", "lambda0", "lr"):
+        _check_finite_nonnegative(config, name)
     if not 0.0 <= config.momentum < 1.0:
         raise InvalidInputError("momentum must lie in [0, 1)")
     if config.batch_size < 2:
@@ -203,8 +204,9 @@ def pretrain_source(
     labels = np.asarray(source.labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= source.n_classes:
         raise InvalidInputError("source labels out of range")
-    if config.lr < 0 or not 0.0 <= config.momentum < 1.0:
-        raise InvalidInputError("invalid optimizer settings")
+    _check_finite_nonnegative(config, "lr")
+    if not 0.0 <= config.momentum < 1.0:
+        raise InvalidInputError("momentum must lie in [0, 1)")
     if config.batch_size < 1 or config.epochs < 0:
         raise InvalidInputError("invalid pretraining schedule")
 
@@ -353,19 +355,22 @@ def adapt(
             decay = decay_factor(t, denom, config.beta)
             lam = lambda_schedule(t, denom, config.lambda0)
             try:
-                breakdown, grads = batch_objective(
-                    current,
-                    x,
-                    neighbor_probs,
-                    score_bank[batch],
-                    labels,
-                    stats,
-                    affinity,
-                    decay,
-                    lam,
-                    config.alpha1,
-                    config.alpha2,
-                )
+                # Diverged parameters overflow inside the loss kernels; the
+                # checks below report that, so NumPy's warnings are silenced.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    breakdown, grads = batch_objective(
+                        current,
+                        x,
+                        neighbor_probs,
+                        score_bank[batch],
+                        labels,
+                        stats,
+                        affinity,
+                        decay,
+                        lam,
+                        config.alpha1,
+                        config.alpha2,
+                    )
             except InvalidInputError as exc:
                 # Every argument was produced by this loop, so a precondition
                 # trip here means diverged parameters or statistics overflowed

@@ -7,6 +7,11 @@ configured, arrays keep their full size and each feature-bank row carries a
 write stamp that grows with every write; a row is searchable exactly when
 its stamp is among the `capacity` largest. So the least recently written
 row is evicted first, and rewriting a live row refreshes it.
+
+`knn` is an exact blocked scan: queries are taken in blocks of about
+`_BLOCK_ENTRIES` distances (256 KB of float64, so a block's distance matrix
+stays in cache), each with one GEMM against the searchable rows and a
+row-wise partition at the K-th distance.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import Model, forward
+
+# Distances per query block in `knn`: the block has max(1, this // N) rows.
+_BLOCK_ENTRIES = 32768
 
 
 @dataclass
@@ -31,12 +39,10 @@ class FeatureBank:
     def from_rows(cls, rows: np.ndarray, capacity: int) -> "FeatureBank":
         """Bank whose rows were written in index order, so the last
         `capacity` rows are the searchable ones."""
-        norms = np.linalg.norm(rows, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
         m = rows.shape[0]
         stamps = np.arange(m, dtype=np.int64)
         return cls(
-            normalized=rows / safe[:, None],
+            normalized=_unit_rows(rows),
             valid=stamps >= m - capacity,
             capacity=capacity,
             stamps=stamps,
@@ -45,6 +51,12 @@ class FeatureBank:
     @property
     def size(self) -> int:
         return self.normalized.shape[0]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows divided by their Euclidean norms; zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
 def init_banks(
@@ -78,13 +90,13 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
     if np.abs(prob_rows.sum(axis=1) - 1.0).max() > 1e-9 or prob_rows.min() < 0.0:
         raise InvalidInputError("probability rows are not valid distributions")
 
-    first_stamp = fbank.stamps.max() + 1
-    for pos, i in enumerate(idx):
-        row = feats[pos]
-        norm = np.linalg.norm(row)
-        fbank.normalized[i] = row / norm if norm != 0.0 else 0.0
-        score_bank[i] = prob_rows[pos]
-        fbank.stamps[i] = first_stamp + pos
+    # Fancy assignment leaves repeated indices unspecified, so keep each
+    # index's last occurrence explicitly.
+    reversed_unique, reversed_pos = np.unique(idx[::-1], return_index=True)
+    last = idx.size - 1 - reversed_pos
+    fbank.normalized[reversed_unique] = _unit_rows(feats[last])
+    score_bank[reversed_unique] = prob_rows[last]
+    fbank.stamps[reversed_unique] = fbank.stamps.max() + 1 + last
     evicted = fbank.size - fbank.capacity
     fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
 
@@ -94,10 +106,12 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     distance (1 - cosine similarity) on the normalized copies, ordered by
     (distance, index); the query's own row is excluded.
 
-    Per query: one mat-vec over the searchable rows, a partition at the
-    K-th distance, then a stable sort of only the rows at or below it.
-    The rows are gathered in ascending index order, so stable sorting
-    breaks distance ties by index.
+    The searchable rows are gathered once, as a contiguous (d, N)
+    transpose. The queries are then scanned in blocks of
+    max(1, _BLOCK_ENTRIES // N) rows; a block never holds more than about
+    _BLOCK_ENTRIES distances, so no (B, N) matrix is built. Per block: one
+    GEMM, a row-wise partition at the K-th distance, and one lexsort by
+    (query, distance, index) of only the entries at or below it.
     """
     queries = np.asarray(query_indices, dtype=np.int64).ravel()
     if queries.size and (queries.min() < 0 or queries.max() >= fbank.size):
@@ -110,14 +124,24 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     if queries.size and k > candidates.min():
         raise InvalidInputError(f"K={k} exceeds the {candidates.min()} searchable rows")
 
-    searchable = fbank.normalized[rows]
+    n = rows.size
+    searchable_t = np.ascontiguousarray(fbank.normalized[rows].T)
     self_pos = np.searchsorted(rows, queries)
+    block = max(1, _BLOCK_ENTRIES // max(n, 1))
     out = np.empty((queries.size, k), dtype=np.int64)
-    for b, q in enumerate(queries):
-        dist = 1.0 - searchable @ fbank.normalized[q]
-        if self_valid[b]:
-            dist[self_pos[b]] = np.inf
-        kth = np.partition(dist, k - 1)[k - 1]
-        near = np.flatnonzero(dist <= kth)
-        out[b] = rows[near[np.argsort(dist[near], kind="stable")[:k]]]
+    for start in range(0, queries.size, block):
+        stop = min(start + block, queries.size)
+        dist = fbank.normalized[queries[start:stop]] @ searchable_t
+        np.subtract(1.0, dist, out=dist)
+        live = np.flatnonzero(self_valid[start:stop])
+        dist[live, self_pos[start + live]] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        near = np.flatnonzero(dist <= kth[:, None])
+        query, col = np.divmod(near, n)
+        order = np.lexsort((col, dist.ravel()[near], query))
+        # Every query has at least k survivors; its first k follow the
+        # survivors of the queries before it.
+        first = np.searchsorted(query, np.arange(stop - start))
+        picks = order[first[:, None] + np.arange(k)]
+        out[start:stop] = rows[col[picks]]
     return out

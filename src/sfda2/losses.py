@@ -375,4 +375,4 @@ def fd_loss(
         rows = feats[member]
         mu = rows.mean(axis=0)
         grad[member] = (2.0 / rows.shape[0]) * (rows - mu) @ dcov[c]
-    return value, grad
+    return float(value), grad

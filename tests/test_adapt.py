@@ -1,3 +1,5 @@
+import importlib
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +19,9 @@ from sfda2.data import Dataset, ShiftSpec, default_shift_spec, gen_synthetic
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.model import Layer, Model, init_model, parameter_arrays
 from sfda2.numerics import RngState
+
+# The package exports the `adapt` function under the submodule's name.
+adapt_module = importlib.import_module("sfda2.adapt")
 
 
 def blob_pair(n=100, seed=0, gap=3.0):
@@ -169,6 +174,17 @@ class TestValidateConfig:
             with pytest.raises(InvalidInputError):
                 validate_config(bad)
 
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta", "lambda0", "lr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_names_the_field(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            validate_config(AdaptConfig(**{name: value}))
+
+    def test_pretrain_rejects_non_finite_lr(self):
+        source, _ = blob_pair(n=10, seed=6)
+        with pytest.raises(InvalidInputError, match="^lr must be finite"):
+            pretrain_source(AdaptConfig(lr=float("nan")), source)
+
 
 class TestAdapt:
     def pretrained(self, seed=0):
@@ -254,6 +270,25 @@ class TestAdapt:
         wrong = Dataset(inputs=np.zeros((40, 3)), labels=None, n_classes=3)
         with pytest.raises(InvalidInputError):
             adapt(AdaptConfig(), model, wrong)
+
+    def test_non_finite_objective_message_shows_plain_floats(self, monkeypatch):
+        real_snc = adapt_module.snc_loss_batch
+
+        def infinite_snc(*args):
+            values, dprobs = real_snc(*args)
+            return np.full_like(values, np.inf), dprobs
+
+        monkeypatch.setattr(adapt_module, "snc_loss_batch", infinite_snc)
+        model, target = self.pretrained()
+        with pytest.raises(NumericalError) as info:
+            adapt(AdaptConfig(seed=0, epochs=1), model, target.unlabeled())
+        message = str(info.value)
+        assert "np.float64" not in message
+        assert re.fullmatch(
+            r"non-finite objective at iteration 0: snc=inf ifa=\S+ "
+            r"fd=-?\d\.\d+(e-\d+)? decay=1\.0 lambda=0\.0",
+            message,
+        ), message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_numerical_error(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sfda2.banks import init_banks, knn, update_banks
+from sfda2.banks import _BLOCK_ENTRIES, init_banks, knn, update_banks
 from sfda2.errors import InvalidInputError
 from sfda2.model import Layer, Model
 
@@ -278,6 +278,100 @@ class TestKnnBatch:
             knn(fbank, [0, 3], 1)
         with pytest.raises(InvalidInputError):
             knn(fbank, [-1], 1)
+
+
+def block_rows(fbank):
+    """Queries per block that `knn` takes for this bank."""
+    return max(1, _BLOCK_ENTRIES // int(fbank.valid.sum()))
+
+
+class TestKnnBlocks:
+    def test_batch_sizes_around_the_block(self):
+        rng = np.random.default_rng(12)
+        fbank, _ = banks_from_rows(rng.standard_normal((1200, 4)), capacity_fraction=0.5)
+        block = block_rows(fbank)
+        assert block == 54  # 600 searchable rows
+        for size in (0, 1, block - 1, block, block + 1, 64, 65):
+            queries = rng.integers(0, 1200, size=size)
+            assert knn(fbank, queries, 5).shape == (size, 5)
+            assert_matches_references(fbank, queries, 5)
+
+    def test_wide_tie_inside_a_later_block(self):
+        # 3000 searchable rows make blocks of 10 queries. From an axis-1 row,
+        # the other axis-1 rows are at distance 0, the 50 axis-2 rows tie at
+        # distance 1 across the K-th distance, and the rest are at 2.
+        rng = np.random.default_rng(13)
+        axes = rng.permutation([1] * 8 + [2] * 50 + [-1] * 2942)
+        fbank, _ = banks_from_rows(axis_rows(axes))
+        assert block_rows(fbank) == 10
+        tied = np.flatnonzero(axes == 1)
+        filler = np.flatnonzero(axes == -1)[:23]
+        queries = np.concatenate([filler, tied])  # tied queries in blocks 3 and 4
+        got = knn(fbank, queries, 30)
+        for row, q in zip(got[23:], tied):
+            same = [j for j in tied if j != q]
+            assert row.tolist() == same + np.flatnonzero(axes == 2)[: 30 - len(same)].tolist()
+        assert_matches_references(fbank, queries[20:], 30)
+
+    @pytest.mark.parametrize("live_at_edges", [True, False])
+    def test_own_row_at_block_edges(self, live_at_edges):
+        rng = np.random.default_rng(14)
+        fbank, scores = banks_from_rows(rng.standard_normal((2000, 3)), capacity_fraction=0.5)
+        update_banks(fbank, scores, rng.integers(0, 2000, 300), rng.standard_normal((300, 3)),
+                     np.full((300, 2), 0.5))
+        block = block_rows(fbank)
+        assert block == 32  # 1000 searchable rows
+        live, evicted = np.flatnonzero(fbank.valid), np.flatnonzero(~fbank.valid)
+        edge_rows, other_rows = (live, evicted) if live_at_edges else (evicted, live)
+        queries = rng.choice(other_rows, size=3 * block - 1)
+        edges = [0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 2]
+        queries[edges] = rng.choice(edge_rows, size=len(edges), replace=False)
+        got = knn(fbank, queries, 6)
+        for row, q in zip(got, queries):
+            assert q not in row
+        assert np.all(fbank.valid[got])
+        assert_matches_references(fbank, queries, 6)
+
+
+def update_banks_row_loop(fbank, score_bank, indices, features, probs):
+    """Per-row form of `update_banks`: rows are written in order, so the last
+    of repeated indices wins. Norms are taken as in `FeatureBank.from_rows`."""
+    first_stamp = fbank.stamps.max() + 1
+    for pos, i in enumerate(indices):
+        row = features[pos]
+        norm = np.linalg.norm(row[None, :], axis=1)[0]
+        fbank.normalized[i] = row / norm if norm != 0.0 else row
+        score_bank[i] = probs[pos]
+        fbank.stamps[i] = first_stamp + pos
+    evicted = fbank.size - fbank.capacity
+    fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
+
+
+class TestUpdateBanksMatchesRowLoop:
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    def test_bitwise_equal_with_duplicates_and_zero_rows(self, fraction):
+        rng = np.random.default_rng(15)
+        rows = rng.standard_normal((50, 6))
+        fbank, _ = banks_from_rows(rows, capacity_fraction=fraction)
+        ref_bank, _ = banks_from_rows(rows, capacity_fraction=fraction)
+        scores, ref_scores = np.zeros((50, 3)), np.zeros((50, 3))
+        for call in range(30):
+            batch = int(rng.integers(1, 40))
+            idx = rng.integers(0, 50, size=batch)  # repeats are common
+            feats = rng.standard_normal((batch, 6)) * rng.uniform(1e-3, 1e3, (batch, 1))
+            feats[rng.random(batch) < 0.2] = 0.0
+            if call % 5 == 0:
+                feats[0] = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
+            probs = rng.dirichlet(np.ones(3), size=batch)
+            update_banks(fbank, scores, idx, feats, probs)
+            update_banks_row_loop(ref_bank, ref_scores, idx, feats, probs)
+            for got, want in (
+                (fbank.normalized, ref_bank.normalized),
+                (scores, ref_scores),
+                (fbank.stamps, ref_bank.stamps),
+                (fbank.valid, ref_bank.valid),
+            ):
+                assert got.tobytes() == want.tobytes(), f"call {call}"
 
 
 class TestCapacityEviction:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ class TestPretrain:
         assert err.startswith("numerical failure: non-finite forward pass at epoch 0, iteration ")
         assert not (tmp_path / "pre" / "source.ckpt").exists()
 
+    def test_non_finite_lr_rejected_before_training(self, tmp_path, workspace, capsys):
+        _, data_dir, _ = workspace
+        capsys.readouterr()
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                ["pretrain", "--source", str(data_dir / "source.csv"), "--lr", "nan", "--out", str(out)]
+            )
+        assert code == 1
+        assert capsys.readouterr().err == "error: lr must be finite and >= 0, got nan\n"
+        assert not out.exists()
+
     def test_invalid_config_value_rejected(self, tmp_path, workspace):
         _, data_dir, _ = workspace
         code = run_cli(
@@ -217,6 +231,30 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert "bank_fraction=0.1" in err
         assert "capacity of 3 rows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, config, field, value",
+        [
+            (("--lr", "nan"), None, "lr", "nan"),
+            (("--alpha2", "inf"), None, "alpha2", "inf"),
+            ((), '{"beta": NaN}', "beta", "nan"),  # Python's json accepts NaN
+        ],
+    )
+    def test_non_finite_hyperparameter_rejected_before_training(
+        self, tmp_path, workspace, capsys, extra, config, field, value
+    ):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config)
+            extra = ("--config", str(path))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(self.adapt_args(workspace, out, extra))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite and >= 0, got {value}\n"
         assert not out.exists()
 
     def test_missing_checkpoint_rejected(self, tmp_path, workspace):
@@ -349,6 +387,38 @@ class TestModuleEntryPoint:
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("numerical failure: non-finite forward pass at epoch 0")
+
+
+    def test_diverging_adapt_prints_one_stderr_line(self, tmp_path):
+        # README data and pretraining; lr 1e3 overflows the loss kernels
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "sfda2", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+                cwd=tmp_path,
+            )
+
+        assert run("gen-data", "--seed", "0", "--out", "data").returncode == 0
+        pretrain = run(
+            "pretrain", "--source", "data/source.csv", "--seed", "0", "--epochs", "15",
+            "--lr", "0.1", "--out", "pre",
+        )
+        assert pretrain.returncode == 0, pretrain.stderr
+        result = run(
+            "adapt", "--model", "pre/source.ckpt", "--target", "data/target.csv",
+            "--seed", "0", "--lr", "1e3", "--epochs", "2", "--out", "run",
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("numerical failure: non-finite ")
+        assert not (tmp_path / "run").exists()
 
 
 class TestConsoleScript:

@@ -443,6 +443,13 @@ class TestFdLoss:
         value, _ = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2, 0.5))
         assert_allclose(value, -0.5, atol=1e-12)
 
+    def test_value_is_a_python_float(self):
+        feats = np.random.default_rng(7).standard_normal((8, 3))
+        labels = [0, 0, 0, 1, 1, 1, 2, 2]
+        value, _ = fd_loss(feats, labels, uniform_affinity(3, 0.5))
+        assert type(value) is float
+        assert value < 0.0
+
     def test_single_populated_class_is_zero(self):
         feats = np.random.default_rng(5).standard_normal((4, 3))
         value, grad = fd_loss(feats, [1, 1, 1, 1], uniform_affinity(2))
