@@ -26,7 +26,6 @@ from .losses import (
     softmax_vjp,
 )
 from .model import (
-    GradientSet,
     Model,
     forward,
     grad_params,
@@ -225,7 +224,7 @@ def pretrain_source(
             dlogits[np.arange(batch.size), y] -= 1.0
             dlogits /= batch.size
             grads = grad_params(model, x, dlogits, np.zeros((batch.size, model.feature_dim)))
-            model, opt = sgd_step(model, grads, opt)
+            sgd_step(model, grads, opt)
             t += 1
     return model
 
@@ -242,7 +241,7 @@ def batch_objective(
     lam: float,
     alpha1: float,
     alpha2: float,
-) -> tuple[LossBreakdown, GradientSet]:
+) -> tuple[LossBreakdown, Model]:
     """One batch's loss breakdown and full parameter gradient.
 
     `neighbor_probs` is the (B, K, C) stack of each sample's neighbor rows
@@ -302,6 +301,7 @@ def adapt(
     eval_data=None,
 ) -> tuple[Model, MetricsTrace]:
     """Label-free adaptation of a pretrained model to the target domain.
+    Trains and returns a copy; `model` itself is not changed.
 
     `target` must be the unlabeled view; pass `eval_data` (labeled, for
     diagnostics only) to record per-epoch metrics. Raises NumericalError
@@ -336,7 +336,7 @@ def adapt(
     trace = MetricsTrace()
 
     t = 0
-    current = model
+    current = model.with_params(model.params.copy())
     opt = init_optimizer(current, config.momentum, config.lr)
     for epoch in range(config.epochs):
         bank_labels = np.argmax(score_bank, axis=1)
@@ -376,15 +376,15 @@ def adapt(
                 # trip here means diverged parameters or statistics overflowed
                 # inside a loss term.
                 raise NumericalError(
-                    f"non-finite loss evaluation at iteration {t}: {exc}"
+                    f"non-finite loss evaluation at epoch {epoch}, iteration {t}: {exc}"
                 ) from exc
             if not np.isfinite(breakdown.total):
                 raise NumericalError(
-                    f"non-finite objective at iteration {t}: "
+                    f"non-finite objective at epoch {epoch}, iteration {t}: "
                     f"snc={breakdown.snc!r} ifa={breakdown.ifa!r} fd={breakdown.fd!r} "
                     f"decay={decay!r} lambda={lam!r}"
                 )
-            current, opt = sgd_step(current, grads, opt)
+            sgd_step(current, grads, opt)
             trace.iterations.append(breakdown)
             t += 1
         if eval_data is not None:

@@ -193,24 +193,6 @@ def _write_losses_csv(path: str, trace) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _trace_payload(trace) -> dict:
-    return {
-        "iterations": [
-            {
-                "iteration": i,
-                "snc": row.snc,
-                "ifa": row.ifa,
-                "fd": row.fd,
-                "total": row.total,
-                "decay": row.decay,
-                "lambda": row.lam,
-            }
-            for i, row in enumerate(trace.iterations)
-        ],
-        "epoch_eval": [m.to_dict() for m in trace.epoch_metrics],
-    }
-
-
 def _cmd_gen_data(args) -> int:
     spec = _load_shift_spec(args.spec) if args.spec else default_shift_spec()
     seed = _resolve_seed(args.seed)
@@ -252,7 +234,8 @@ def _cmd_adapt(args) -> int:
     ckpt_path = os.path.join(args.out, "adapted.ckpt")
     save_checkpoint(adapted, ckpt_path)
     _write_losses_csv(os.path.join(args.out, "losses.csv"), trace)
-    _write_text(os.path.join(args.out, "metrics.json"), dumps_17g(_trace_payload(trace)) + "\n")
+    epoch_eval = [m.to_dict() for m in trace.epoch_metrics]
+    _write_text(os.path.join(args.out, "metrics.json"), dumps_17g({"epoch_eval": epoch_eval}) + "\n")
     print(f"wrote {ckpt_path} after {len(trace.iterations)} iterations")
     return 0
 

@@ -5,11 +5,19 @@ The extractor is a stack of affine layers with relu or identity
 activations; features are the last extractor output, logits come from a
 linear classifier (weights shaped classes x feature_dim, rows are the
 per-class weight vectors).
+
+Every parameter of a model lives in one contiguous float64 vector,
+`Model.params`, in the canonical order (W, b) per layer, then the
+classifier W, b. The named arrays are reshaped views into it, so the
+optimizer and the finite-difference checker work on that vector alone.
+A gradient is a Model of the same structure whose vector holds the
+derivatives, the way `jax.grad` returns the pytree type of its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +27,61 @@ from .numerics import RngState, row_softmax
 _ACTIVATIONS = ("relu", "identity")
 
 
+class _BoundOnce:
+    """Fields are bound once. Assigning to an array field afterwards copies
+    into it, so a parameter array never detaches from its model's vector."""
+
+    def __setattr__(self, name, value):
+        if name not in self.__dict__:
+            return super().__setattr__(name, value)
+        current = self.__dict__[name]
+        if not isinstance(current, np.ndarray) or np.shape(value) != current.shape:
+            raise InvalidInputError(f"{name} is bound once; only same-shape values can be copied in")
+        if value is not current:
+            current[...] = value
+
+
 @dataclass
-class Layer:
+class Layer(_BoundOnce):
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
     activation: str
 
 
-@dataclass
-class Model:
-    layers: list[Layer]
-    clf_weights: np.ndarray  # (n_classes, feature_dim)
-    clf_bias: np.ndarray  # (n_classes,)
+class Model(_BoundOnce):
+    """Extractor layers plus a linear classifier, `clf_weights`
+    (n_classes, feature_dim) and `clf_bias` (n_classes,), all views into
+    the parameter vector `params`."""
+
+    def __init__(
+        self,
+        layers: list[Layer],
+        clf_weights: np.ndarray,
+        clf_bias: np.ndarray,
+        *,
+        params: np.ndarray | None = None,
+    ):
+        """Packs copies of the given arrays into a new vector, or, when
+        `params` is given, takes only their shapes and views into it."""
+        arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays + [clf_weights, clf_bias]]
+        if params is None:
+            params = np.concatenate([a.ravel() for a in arrays])
+        elif params.dtype != np.float64 or params.shape != (sum(a.size for a in arrays),):
+            raise InvalidInputError("parameter vector does not match the model's layout")
+        self.params = params
+        views, end = [], 0
+        for a in arrays:
+            views.append(params[end : end + a.size].reshape(a.shape))
+            end += a.size
+        self.layers = tuple(
+            Layer(w, b, layer.activation) for layer, w, b in zip(layers, views[0::2], views[1::2])
+        )
+        self.clf_weights, self.clf_bias = views[-2:]
+
+    def with_params(self, params: np.ndarray) -> Model:
+        """A model of the same structure viewing `params`, which is not copied."""
+        return Model(self.layers, self.clf_weights, self.clf_bias, params=params)
 
     @property
     def input_dim(self) -> int:
@@ -48,20 +99,10 @@ class Model:
 
 
 @dataclass
-class GradientSet:
-    """One array per parameter array, shape-congruent with the model."""
-
-    layer_weights: list[np.ndarray] = field(default_factory=list)
-    layer_biases: list[np.ndarray] = field(default_factory=list)
-    clf_weights: np.ndarray = None
-    clf_bias: np.ndarray = None
-
-
-@dataclass
 class OptimizerState:
     momentum: float
     lr: float
-    buffers: GradientSet
+    buffer: np.ndarray  # laid out like Model.params
 
 
 def validate_model(model: Model) -> None:
@@ -147,44 +188,10 @@ def forward(model: Model, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return features, logits, probs
 
 
-def zero_gradients(model: Model) -> GradientSet:
-    return GradientSet(
-        layer_weights=[np.zeros_like(l.weights) for l in model.layers],
-        layer_biases=[np.zeros_like(l.bias) for l in model.layers],
-        clf_weights=np.zeros_like(model.clf_weights),
-        clf_bias=np.zeros_like(model.clf_bias),
-    )
-
-
-def gradient_arrays(grads: GradientSet) -> list[np.ndarray]:
-    """Canonical flat ordering: (W, b) per layer, then classifier W, b."""
-    arrays: list[np.ndarray] = []
-    for w, b in zip(grads.layer_weights, grads.layer_biases):
-        arrays.extend((w, b))
-    arrays.extend((grads.clf_weights, grads.clf_bias))
-    return arrays
-
-
-def parameter_arrays(model: Model) -> list[np.ndarray]:
-    """Live parameter references in the same canonical ordering as gradients."""
-    arrays: list[np.ndarray] = []
-    for layer in model.layers:
-        arrays.extend((layer.weights, layer.bias))
-    arrays.extend((model.clf_weights, model.clf_bias))
-    return arrays
-
-
-def clone_model(model: Model) -> Model:
-    return Model(
-        [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in model.layers],
-        model.clf_weights.copy(),
-        model.clf_bias.copy(),
-    )
-
-
-def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> GradientSet:
+def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> Model:
     """Exact parameter gradients for a loss entering at the logits and/or
-    directly at the features; either upstream may be all-zero."""
+    directly at the features; either upstream may be all-zero. Returned as
+    a Model of the same layout whose vector holds the gradient."""
     arr = _check_inputs(model, inputs)
     dlog = np.asarray(dL_dlogits, dtype=np.float64)
     dfeat = np.asarray(dL_dfeatures, dtype=np.float64)
@@ -195,19 +202,18 @@ def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> GradientSet:
         raise InvalidInputError("dL_dfeatures shape mismatch")
 
     posts, pres = _forward_cache(model, arr)
-    features = posts[-1]
-    grads = zero_gradients(model)
-    grads.clf_weights = dlog.T @ features
-    grads.clf_bias = dlog.sum(axis=0)
+    grads = model.with_params(np.empty_like(model.params))  # every slot is written below
+    grads.clf_weights[...] = dlog.T @ posts[-1]
+    grads.clf_bias[...] = dlog.sum(axis=0)
 
     # Sensitivity entering the extractor: the logits path plus the direct
     # feature path (used by losses defined on features themselves).
     dh = dlog @ model.clf_weights + dfeat
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
+        layer, slot = model.layers[idx], grads.layers[idx]
         da = dh * (pres[idx] > 0.0) if layer.activation == "relu" else dh
-        grads.layer_weights[idx] = da.T @ posts[idx]
-        grads.layer_biases[idx] = da.sum(axis=0)
+        slot.weights[...] = da.T @ posts[idx]
+        slot.bias[...] = da.sum(axis=0)
         dh = da @ layer.weights
     return grads
 
@@ -215,43 +221,31 @@ def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> GradientSet:
 def init_optimizer(model: Model, momentum: float, lr: float) -> OptimizerState:
     if not (0.0 <= momentum < 1.0):
         raise InvalidInputError("momentum must be in [0, 1)")
-    if lr < 0.0:
-        raise InvalidInputError("learning rate must be >= 0")
-    return OptimizerState(momentum=momentum, lr=lr, buffers=zero_gradients(model))
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise InvalidInputError(f"lr must be finite and >= 0, got {lr!r}")
+    return OptimizerState(momentum=momentum, lr=lr, buffer=np.zeros_like(model.params))
 
 
-def sgd_step(model: Model, grads: GradientSet, state: OptimizerState) -> tuple[Model, OptimizerState]:
-    """buffer <- momentum*buffer + grad; param <- param - lr*buffer.
+def sgd_step(model: Model, grads: Model, state: OptimizerState) -> None:
+    """In place: buffer <- momentum*buffer + grad; params <- params - lr*buffer.
 
-    Returns fresh Model/OptimizerState; refuses the step on non-finite
-    gradients.
+    Refuses the step on non-finite gradients before changing anything.
     """
-    grad_list = gradient_arrays(grads)
-    param_list = parameter_arrays(model)
-    buffer_list = gradient_arrays(state.buffers)
-    if len(grad_list) != len(param_list):
-        raise InvalidInputError("gradient set does not match model parameters")
-    for g, p in zip(grad_list, param_list):
-        if g.shape != p.shape:
-            raise InvalidInputError("gradient shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("non-finite gradient entry; step refused")
-
-    new_model = clone_model(model)
-    new_state = OptimizerState(state.momentum, state.lr, zero_gradients(model))
-    new_params = parameter_arrays(new_model)
-    new_buffers = gradient_arrays(new_state.buffers)
-    for p, g, buf_old, buf_new in zip(new_params, grad_list, buffer_list, new_buffers):
-        buf_new[...] = state.momentum * buf_old + g
-        p -= state.lr * buf_new
-    return new_model, new_state
+    g = grads.params
+    if g.shape != model.params.shape:
+        raise InvalidInputError("gradient does not match the model parameters")
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("non-finite gradient entry; step refused")
+    state.buffer *= state.momentum
+    state.buffer += g
+    model.params -= state.lr * state.buffer
 
 
 def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
     """Max over parameters of |analytic - central difference| relative error.
 
-    loss_and_grad maps a Model to (scalar value, GradientSet). The relative
-    error denominator is max(1e-8, |central difference|).
+    loss_and_grad maps a Model to (scalar value, gradient Model). The
+    relative error denominator is max(1e-8, |central difference|).
     """
     if h <= 0.0:
         raise InvalidInputError("step size must be positive")
@@ -259,23 +253,19 @@ def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
     if not np.isfinite(value):
         raise NumericalError("loss is non-finite at the base point")
 
-    probe = clone_model(model)
-    probe_params = parameter_arrays(probe)
-    grad_list = gradient_arrays(grads)
+    probe = model.with_params(model.params.copy())
+    params = probe.params
     worst = 0.0
-    for p_arr, g_arr in zip(probe_params, grad_list):
-        flat_p = p_arr.reshape(-1)
-        flat_g = g_arr.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + h
-            up, _ = loss_and_grad(probe)
-            flat_p[j] = orig - h
-            down, _ = loss_and_grad(probe)
-            flat_p[j] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericalError("loss is non-finite at a perturbed point")
-            numeric = (up - down) / (2.0 * h)
-            rel = abs(flat_g[j] - numeric) / max(1e-8, abs(numeric))
-            worst = max(worst, rel)
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + h
+        up, _ = loss_and_grad(probe)
+        params[j] = orig - h
+        down, _ = loss_and_grad(probe)
+        params[j] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise NumericalError("loss is non-finite at a perturbed point")
+        numeric = (up - down) / (2.0 * h)
+        rel = abs(grads.params[j] - numeric) / max(1e-8, abs(numeric))
+        worst = max(worst, rel)
     return worst

@@ -29,15 +29,7 @@ from .losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from .model import (
-    finite_diff_check,
-    forward,
-    grad_params,
-    gradient_arrays,
-    init_model,
-    parameter_arrays,
-    zero_gradients,
-)
+from .model import finite_diff_check, forward, grad_params, init_model
 from .numerics import RngState, logsumexp, row_logsumexp, row_softmax, softmax
 from .stats import ClassStatistics, update_class_stats
 
@@ -300,8 +292,7 @@ def verify_snc_factorization(
 def _scaled_gradients(closure, factor: float):
     def wrapped(m):
         value, grads = closure(m)
-        for arr in gradient_arrays(grads):
-            arr *= factor
+        grads.params *= factor
         return value, grads
 
     return wrapped
@@ -392,15 +383,14 @@ def verify_gradients(
     cal_model = init_model(3, (4,), 3, 3, rngs[n_instances])
 
     def constant_closure(m):
-        return 1.0, zero_gradients(m)
+        return 1.0, m.with_params(np.zeros_like(m.params))
 
     def quadratic_closure(m):
-        params = parameter_arrays(m)
-        value = 0.5 * sum(float((arr * arr).sum()) for arr in params)
-        grads = zero_gradients(m)
-        for slot, arr in zip(gradient_arrays(grads), params):
-            slot[...] = arr
-        return value, grads
+        # Summed array by array: the value's rounding, and so the reported
+        # control error, depends on the summation order.
+        arrays = [a for layer in m.layers for a in (layer.weights, layer.bias)]
+        value = 0.5 * sum(float((arr * arr).sum()) for arr in arrays + [m.clf_weights, m.clf_bias])
+        return value, m.with_params(m.params.copy())
 
     # Both calibration losses have zero truncation error under central
     # differences, so a wide step only shrinks the 1/step rounding noise.

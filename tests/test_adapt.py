@@ -17,7 +17,7 @@ from sfda2.adapt import (
 )
 from sfda2.data import Dataset, ShiftSpec, default_shift_spec, gen_synthetic
 from sfda2.errors import InvalidInputError, NumericalError
-from sfda2.model import Layer, Model, init_model, parameter_arrays
+from sfda2.model import Layer, Model, init_model
 from sfda2.numerics import RngState
 
 # The package exports the `adapt` function under the submodule's name.
@@ -111,16 +111,14 @@ class TestPretrainSource:
         model = pretrain_source(config, source)
         init_rng, _ = RngState(3).split(2)
         reference = init_model(source.dim, (16,), 8, source.n_classes, init_rng)
-        for a, b in zip(parameter_arrays(model), parameter_arrays(reference)):
-            assert_array_equal(a, b)
+        assert_array_equal(model.params, reference.params)
 
     def test_deterministic_per_seed(self):
         source, _ = blob_pair(n=30, seed=4)
         config = AdaptConfig(seed=5, epochs=3)
         first = pretrain_source(config, source)
         second = pretrain_source(config, source)
-        for a, b in zip(parameter_arrays(first), parameter_arrays(second)):
-            assert_array_equal(a, b)
+        assert_array_equal(first.params, second.params)
 
     def test_divergence_names_epoch_and_iteration(self):
         # README-sized benchmark source; lr 50 overflows the forward pass
@@ -207,16 +205,23 @@ class TestAdapt:
         config = AdaptConfig(seed=2, epochs=1, batch_size=64, lr=0.0)
         adapted, trace = adapt(config, model, target.unlabeled())
         assert len(trace.iterations) == 1
-        for a, b in zip(parameter_arrays(model), parameter_arrays(adapted)):
-            assert_array_equal(a, b)
+        assert_array_equal(model.params, adapted.params)
+
+    def test_caller_model_left_untouched(self):
+        model, target = self.pretrained()
+        before = model.params.tobytes()
+        config = AdaptConfig(seed=2, epochs=1, batch_size=16, lr=0.05, momentum=0.9)
+        adapted, _ = adapt(config, model, target.unlabeled())
+        assert model.params.tobytes() == before
+        assert not np.shares_memory(adapted.params, model.params)
+        assert adapted.params.tobytes() != before
 
     def test_reproducible_per_seed(self):
         model, target = self.pretrained()
         config = AdaptConfig(seed=3, epochs=2, batch_size=16)
         first_model, first_trace = adapt(config, model, target.unlabeled())
         second_model, second_trace = adapt(config, model, target.unlabeled())
-        for a, b in zip(parameter_arrays(first_model), parameter_arrays(second_model)):
-            assert_array_equal(a, b)
+        assert_array_equal(first_model.params, second_model.params)
         for s1, s2 in zip(first_trace.iterations, second_trace.iterations):
             assert s1 == s2
 
@@ -285,10 +290,20 @@ class TestAdapt:
         message = str(info.value)
         assert "np.float64" not in message
         assert re.fullmatch(
-            r"non-finite objective at iteration 0: snc=inf ifa=\S+ "
+            r"non-finite objective at epoch 0, iteration 0: snc=inf ifa=\S+ "
             r"fd=-?\d\.\d+(e-\d+)? decay=1\.0 lambda=0\.0",
             message,
         ), message
+
+    def test_loss_evaluation_error_names_epoch_and_iteration(self, monkeypatch):
+        def failing_fd(*args):
+            raise InvalidInputError("planted")
+
+        monkeypatch.setattr(adapt_module, "fd_loss", failing_fd)
+        model, target = self.pretrained()
+        with pytest.raises(NumericalError) as info:
+            adapt(AdaptConfig(seed=0, epochs=1), model, target.unlabeled())
+        assert str(info.value) == "non-finite loss evaluation at epoch 0, iteration 0: planted"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_numerical_error(self):

@@ -1,4 +1,5 @@
 import sfda2
+import sfda2.model
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +12,8 @@ def test_removed_names_not_exported():
     for name in removed:
         assert name not in sfda2.__all__
         assert not hasattr(sfda2, name)
+
+
+def test_per_array_model_helpers_removed():
+    for name in ("clone_model", "parameter_arrays", "gradient_arrays", "zero_gradients", "GradientSet"):
+        assert not hasattr(sfda2.model, name), name

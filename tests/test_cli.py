@@ -200,12 +200,15 @@ class TestAdapt:
         assert run_cli(
             self.adapt_args(workspace, out, ("--alpha1", "0", "--alpha2", "0"))
         ) == 0
-        payload = json.loads((out / "metrics.json").read_text())
-        assert payload["iterations"]
-        for row in payload["iterations"]:
+        header, *rows = (out / "losses.csv").read_text().splitlines()
+        assert rows
+        for line in rows:
+            row = dict(zip(header.split(","), map(float, line.split(","))))
             assert row["ifa"] == 0.0
             assert row["fd"] == 0.0
             assert row["total"] == row["snc"]
+        # the loss table lives only in losses.csv
+        assert json.loads((out / "metrics.json").read_text()) == {"epoch_eval": []}
 
     def test_reruns_are_byte_identical(self, tmp_path, workspace):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

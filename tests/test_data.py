@@ -16,7 +16,7 @@ from sfda2.data import (
     validate_shift_spec,
 )
 from sfda2.errors import CheckpointError, DatasetFormatError, InvalidInputError
-from sfda2.model import init_model, parameter_arrays
+from sfda2.model import init_model
 from sfda2.numerics import RngState
 
 
@@ -189,12 +189,22 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.json")
         save_checkpoint(model, path)
         loaded_model = load_checkpoint(path)
-        for a, b in zip(parameter_arrays(model), parameter_arrays(loaded_model)):
-            assert_array_equal(a, b)
+        assert_array_equal(model.params, loaded_model.params)
         assert [l.activation for l in loaded_model.layers] == [l.activation for l in model.layers]
         payload = json.loads((tmp_path / "ck.json").read_text())
         assert payload["format_version"] == 2
         assert sorted(payload) == ["classifier", "extractor_layers", "format_version"]
+
+    def test_loaded_model_is_view_backed(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(self.build(), path)
+        loaded = load_checkpoint(path)
+        arrays = [a for layer in loaded.layers for a in (layer.weights, layer.bias)]
+        arrays += [loaded.clf_weights, loaded.clf_bias]
+        assert [a.shape for a in arrays] == [(5, 2), (5,), (4, 5), (4,), (3, 4), (3,), (3, 3), (3,)]
+        assert all(np.shares_memory(a, loaded.params) for a in arrays)
+        loaded.params[-1] = 7.0
+        assert loaded.clf_bias[-1] == 7.0
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "ck.json"

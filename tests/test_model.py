@@ -6,19 +6,19 @@ from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.model import (
     Layer,
     Model,
-    clone_model,
     finite_diff_check,
     forward,
     grad_params,
-    gradient_arrays,
     init_model,
     init_optimizer,
-    parameter_arrays,
     sgd_step,
     validate_model,
-    zero_gradients,
 )
 from sfda2.numerics import RngState
+
+
+def zero_grads(model):
+    return model.with_params(np.zeros_like(model.params))
 
 
 def identity_model(dim, n_classes=None):
@@ -74,8 +74,7 @@ class TestGradParams:
         model = init_model(2, (3,), 2, 2, RngState(1))
         x = np.ones((4, 2))
         grads = grad_params(model, x, np.zeros((4, 2)), np.zeros((4, 2)))
-        for arr in gradient_arrays(grads):
-            assert_array_equal(arr, np.zeros_like(arr))
+        assert_array_equal(grads.params, np.zeros_like(model.params))
 
     def test_linear_case_bias_gradient(self):
         # L = sum of all logits; d/db_c = batch size
@@ -106,48 +105,68 @@ class TestSgdStep:
     def test_zero_gradient_zero_buffer_is_identity(self):
         model = init_model(2, (3,), 2, 3, RngState(7))
         state = init_optimizer(model, 0.9, 0.1)
-        before = [a.copy() for a in parameter_arrays(model)]
-        new_model, _ = sgd_step(model, zero_gradients(model), state)
-        for prev, cur in zip(before, parameter_arrays(new_model)):
-            assert_array_equal(prev, cur)
+        before = model.params.copy()
+        sgd_step(model, zero_grads(model), state)
+        assert_array_equal(model.params, before)
 
     def test_plain_sgd_subtracts_gradient(self):
         model = identity_model(2)
         state = init_optimizer(model, 0.0, 1.0)
-        grads = zero_gradients(model)
+        grads = zero_grads(model)
         grads.clf_bias = np.array([0.5, -2.0])
-        new_model, _ = sgd_step(model, grads, state)
-        assert_allclose(new_model.clf_bias, np.array([-0.5, 2.0]), atol=1e-15)
+        sgd_step(model, grads, state)
+        assert_allclose(model.clf_bias, np.array([-0.5, 2.0]), atol=1e-15)
 
     def test_momentum_recurrence(self):
         # constant gradient g: step one moves lr*g, step two moves lr*(1+m)*g
         model = identity_model(2)
         state = init_optimizer(model, 0.9, 0.1)
         g = np.array([1.0, -1.0])
-        grads = zero_gradients(model)
-        grads.clf_bias = g.copy()
-        m1, state = sgd_step(model, grads, state)
-        assert_allclose(model.clf_bias - m1.clf_bias, 0.1 * g, atol=1e-15)
-        m2, state = sgd_step(m1, grads, state)
-        assert_allclose(m1.clf_bias - m2.clf_bias, 0.1 * 1.9 * g, atol=1e-15)
+        grads = zero_grads(model)
+        grads.clf_bias = g
+        start = model.clf_bias.copy()
+        sgd_step(model, grads, state)
+        after_one = model.clf_bias.copy()
+        assert_allclose(start - after_one, 0.1 * g, atol=1e-15)
+        sgd_step(model, grads, state)
+        assert_allclose(after_one - model.clf_bias, 0.1 * 1.9 * g, atol=1e-15)
 
     def test_non_finite_gradient_refused(self):
         model = identity_model(2)
         state = init_optimizer(model, 0.9, 0.1)
-        grads = zero_gradients(model)
+        grads = zero_grads(model)
         grads.clf_bias = np.array([np.nan, 0.0])
         with pytest.raises(NumericalError):
             sgd_step(model, grads, state)
 
-    def test_step_returns_new_objects(self):
+    def test_refused_step_leaves_parameters_and_buffer_untouched(self):
+        model = init_model(2, (3,), 2, 3, RngState(9))
+        state = init_optimizer(model, 0.9, 0.1)
+        grads = zero_grads(model)
+        grads.params = np.linspace(-1.0, 1.0, model.params.size)
+        sgd_step(model, grads, state)  # a nonzero buffer to protect
+        params, buffer = model.params.tobytes(), state.buffer.tobytes()
+        grads.layers[0].weights[1, 0] = np.nan  # finite entries before and after it
+        with pytest.raises(NumericalError):
+            sgd_step(model, grads, state)
+        assert model.params.tobytes() == params
+        assert state.buffer.tobytes() == buffer
+
+    def test_step_updates_in_place(self):
         model = identity_model(2)
         state = init_optimizer(model, 0.5, 0.1)
-        grads = zero_gradients(model)
+        params, buffer, bias = model.params, state.buffer, model.clf_bias
+        grads = zero_grads(model)
         grads.clf_bias = np.ones(2)
-        new_model, new_state = sgd_step(model, grads, state)
-        assert new_model is not model
-        assert_array_equal(model.clf_bias, np.zeros(2))  # input untouched
-        assert new_state.buffers.clf_bias is not state.buffers.clf_bias
+        assert sgd_step(model, grads, state) is None
+        assert model.params is params and state.buffer is buffer
+        assert_allclose(bias, np.full(2, -0.1), atol=1e-15)  # the old view sees the step
+        assert_array_equal(buffer[-2:], np.ones(2))
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(InvalidInputError, match=f"^lr must be finite and >= 0, got {lr!r}$"):
+            init_optimizer(identity_model(2), 0.9, lr)
 
 
 class TestFiniteDiffCheck:
@@ -155,7 +174,7 @@ class TestFiniteDiffCheck:
         model = identity_model(2)
 
         def loss_and_grad(m):
-            return 3.25, zero_gradients(m)
+            return 3.25, zero_grads(m)
 
         assert finite_diff_check(model, loss_and_grad, 1e-5) == 0.0
 
@@ -163,11 +182,7 @@ class TestFiniteDiffCheck:
         model = init_model(2, (3,), 2, 2, RngState(8))
 
         def loss_and_grad(m):
-            value = 0.5 * sum(float((a**2).sum()) for a in parameter_arrays(m))
-            grads = zero_gradients(m)
-            for garr, parr in zip(gradient_arrays(grads), parameter_arrays(m)):
-                garr[...] = parr
-            return value, grads
+            return 0.5 * float(m.params @ m.params), m.with_params(m.params.copy())
 
         # zero truncation error for a quadratic, so a wide step leaves
         # only rounding noise
@@ -177,7 +192,7 @@ class TestFiniteDiffCheck:
         model = identity_model(2)
 
         def loss_and_grad(m):
-            return float("nan"), zero_gradients(m)
+            return float("nan"), zero_grads(m)
 
         with pytest.raises(NumericalError):
             finite_diff_check(model, loss_and_grad, 1e-5)
@@ -185,19 +200,18 @@ class TestFiniteDiffCheck:
     def test_step_must_be_positive(self):
         model = identity_model(2)
         with pytest.raises(InvalidInputError):
-            finite_diff_check(model, lambda m: (0.0, zero_gradients(m)), 0.0)
+            finite_diff_check(model, lambda m: (0.0, zero_grads(m)), 0.0)
 
 
 class TestModelPlumbing:
     def test_init_model_deterministic(self):
         a = init_model(3, (5,), 4, 3, RngState(21))
         b = init_model(3, (5,), 4, 3, RngState(21))
-        for x, y in zip(parameter_arrays(a), parameter_arrays(b)):
-            assert_array_equal(x, y)
+        assert_array_equal(a.params, b.params)
 
-    def test_clone_is_deep(self):
+    def test_copy_is_deep(self):
         model = init_model(2, (3,), 2, 2, RngState(0))
-        cl = clone_model(model)
+        cl = model.with_params(model.params.copy())
         cl.clf_bias[0] = 99.0
         assert model.clf_bias[0] == 0.0
 
@@ -228,3 +242,54 @@ class TestModelPlumbing:
         model.clf_weights[0, 0] = np.inf
         with pytest.raises(InvalidInputError):
             validate_model(model)
+
+
+class TestFlatLayout:
+    def named_arrays(self, model):
+        arrays = [a for layer in model.layers for a in (layer.weights, layer.bias)]
+        return arrays + [model.clf_weights, model.clf_bias]
+
+    def test_views_share_the_vector_in_canonical_order(self):
+        model = init_model(3, (4, 5), 2, 3, RngState(4))
+        arrays = self.named_arrays(model)
+        assert_array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
+        model.params[...] = np.arange(model.params.size)
+        assert_array_equal(np.concatenate([a.ravel() for a in arrays]), np.arange(model.params.size))
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+        assert [a.shape for a in arrays] == [(4, 3), (4,), (5, 4), (5,), (2, 5), (2,), (3, 2), (3,)]
+
+    def test_gradient_has_the_model_layout(self):
+        model = init_model(3, (4,), 2, 3, RngState(5))
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        grads = grad_params(model, x, np.ones((6, 3)), np.ones((6, 2)))
+        assert grads.params.shape == model.params.shape
+        assert all(np.shares_memory(a, grads.params) for a in self.named_arrays(grads))
+        assert_array_equal(grads.clf_bias, np.full(3, 6.0))
+        assert_array_equal(grads.params[-3:], grads.clf_bias)
+
+    def test_constructor_copies_separate_arrays(self):
+        weights = np.eye(2)
+        model = Model([Layer(weights, np.zeros(2), "identity")], np.eye(2), np.zeros(2))
+        model.layers[0].weights[0, 0] = 5.0
+        assert weights[0, 0] == 1.0
+        assert model.params[0] == 5.0
+
+    def test_reassigned_field_stays_in_the_vector(self):
+        model = identity_model(2)
+        model.clf_bias = np.array([1.0, 2.0])
+        model.layers[0].weights = np.full((2, 2), 3.0)
+        assert_array_equal(model.params[-2:], [1.0, 2.0])
+        assert_array_equal(model.params[:4], np.full(4, 3.0))
+        with pytest.raises(InvalidInputError):
+            model.clf_weights = np.zeros((3, 2))
+        with pytest.raises(InvalidInputError):
+            model.params = np.zeros(3)
+        with pytest.raises(InvalidInputError):
+            model.layers = ()
+
+    def test_with_params_checks_the_layout(self):
+        model = identity_model(2)
+        with pytest.raises(InvalidInputError):
+            model.with_params(np.zeros(model.params.size + 1))
+        shared = np.zeros_like(model.params)
+        assert model.with_params(shared).params is shared
