@@ -9,7 +9,7 @@ and applied with momentum SGD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,15 +87,7 @@ class EvalMetrics:
     absent_classes: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class_accuracy": [float(v) for v in self.per_class_accuracy],
-            "per_class_mean": self.per_class_mean,
-            "harmonic_mean": self.harmonic_mean,
-            "macro_f1": self.macro_f1,
-            "present_classes": list(self.present_classes),
-            "absent_classes": list(self.absent_classes),
-        }
+        return {**asdict(self), "per_class_accuracy": [float(v) for v in self.per_class_accuracy]}
 
 
 @dataclass
@@ -232,6 +224,8 @@ def pretrain_source(
 def batch_objective(
     model: Model,
     batch_inputs: np.ndarray,
+    features: np.ndarray,
+    probs: np.ndarray,
     neighbor_probs: np.ndarray,
     bank_batch_probs: np.ndarray,
     batch_pseudo_labels: np.ndarray,
@@ -244,6 +238,7 @@ def batch_objective(
 ) -> tuple[LossBreakdown, Model]:
     """One batch's loss breakdown and full parameter gradient.
 
+    `features` and `probs` are the model's forward pass on `batch_inputs`.
     `neighbor_probs` is the (B, K, C) stack of each sample's neighbor rows
     and `bank_batch_probs[i]` the stored score-bank row for batch sample i;
     only row i's self term is differentiated through the live network.
@@ -253,7 +248,6 @@ def batch_objective(
     b = batch_inputs.shape[0]
     if b < 2:
         raise InvalidInputError("batch must contain at least 2 samples")
-    features, _, probs = forward(model, batch_inputs)
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64)
 
     snc_values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_batch_probs, decay)
@@ -361,6 +355,8 @@ def adapt(
                     breakdown, grads = batch_objective(
                         current,
                         x,
+                        features,
+                        probs,
                         neighbor_probs,
                         score_bank[batch],
                         labels,

@@ -10,8 +10,8 @@ row is evicted first, and rewriting a live row refreshes it.
 
 `knn` is an exact blocked scan: queries are taken in blocks of about
 `_BLOCK_ENTRIES` distances (256 KB of float64, so a block's distance matrix
-stays in cache), each with one GEMM against the searchable rows and a
-row-wise partition at the K-th distance.
+stays in cache), each with one GEMM against the searchable rows. The K-th
+smallest minimum of about `_GROUPS` column groups bounds each row's K-th distance.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .model import Model, forward
 
 # Distances per query block in `knn`: the block has max(1, this // N) rows.
 _BLOCK_ENTRIES = 32768
+# Column groups per row for `knn`'s bound, raised to K and capped at N.
+_GROUPS = 64
 
 
 @dataclass
@@ -110,8 +112,10 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     transpose. The queries are then scanned in blocks of
     max(1, _BLOCK_ENTRIES // N) rows; a block never holds more than about
     _BLOCK_ENTRIES distances, so no (B, N) matrix is built. Per block: one
-    GEMM, a row-wise partition at the K-th distance, and one lexsort by
-    (query, distance, index) of only the entries at or below it.
+    GEMM; the minima of min(N, max(K, _GROUPS)) contiguous column groups,
+    whose K-th smallest bounds the K-th distance from above (K distinct
+    groups each hold an entry at or below it); and one lexsort by (query,
+    distance, index) of only the entries at or below that bound.
     """
     queries = np.asarray(query_indices, dtype=np.int64).ravel()
     if queries.size and (queries.min() < 0 or queries.max() >= fbank.size):
@@ -128,6 +132,8 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     searchable_t = np.ascontiguousarray(fbank.normalized[rows].T)
     self_pos = np.searchsorted(rows, queries)
     block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    groups = min(n, max(k, _GROUPS))
+    starts = np.arange(groups) * n // max(groups, 1)  # groups <= n: none empty
     out = np.empty((queries.size, k), dtype=np.int64)
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
@@ -135,8 +141,9 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
         np.subtract(1.0, dist, out=dist)
         live = np.flatnonzero(self_valid[start:stop])
         dist[live, self_pos[start + live]] = np.inf
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        near = np.flatnonzero(dist <= kth[:, None])
+        group_min = np.minimum.reduceat(dist, starts, axis=1)
+        bound = np.partition(group_min, k - 1, axis=1)[:, k - 1]
+        near = np.flatnonzero(dist <= bound[:, None])
         query, col = np.divmod(near, n)
         order = np.lexsort((col, dist.ravel()[near], query))
         # Every query has at least k survivors; its first k follow the

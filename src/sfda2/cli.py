@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .adapt import AdaptConfig, adapt, evaluate, pretrain_source, validate_config
 from .data import (
@@ -65,18 +66,9 @@ def _resolve_seed(flag_value: int | None, config_value: int | None = None, defau
     return default
 
 
+# Every AdaptConfig field, typed by its default, plus the model shape.
 _CONFIG_SCHEMA: dict[str, type] = {
-    "k": int,
-    "alpha1": float,
-    "alpha2": float,
-    "beta": float,
-    "lambda0": float,
-    "lr": float,
-    "momentum": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "bank_fraction": float,
+    **{f.name: type(f.default) for f in fields(AdaptConfig)},
     "hidden_dims": list,
     "feature_dim": int,
 }
@@ -119,10 +111,7 @@ def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ..
                 raise InvalidInputError(f"unknown config field {key!r}")
             values[key] = _check_config_value(key, value)
 
-    for flag in (
-        "k", "alpha1", "alpha2", "beta", "lambda0", "lr", "momentum",
-        "batch_size", "epochs", "bank_fraction", "feature_dim",
-    ):
+    for flag in [key for key in _CONFIG_SCHEMA if key not in ("seed", "hidden_dims")]:
         flag_value = getattr(args, flag, None)
         if flag_value is not None:
             values[flag] = flag_value
@@ -139,15 +128,7 @@ def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ..
     return config, tuple(hidden_dims), feature_dim
 
 
-_SPEC_FIELDS = (
-    "means",
-    "covariances",
-    "source_counts",
-    "target_counts",
-    "angle_degrees",
-    "translation",
-    "noise_scale",
-)
+_SPEC_FIELDS = tuple(f.name for f in fields(ShiftSpec))
 
 
 def _load_shift_spec(path: str) -> ShiftSpec:

@@ -160,7 +160,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str, n_classes: int | None = None) -> Dataset:
-    """Parse a dataset CSV; errors carry the 1-based line number."""
+    """Parse a dataset CSV; errors carry the 1-based line number. All cells
+    are parsed in one flat pass; only if that fails does a per-line scan run
+    to name the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().split("\n")
     if raw_lines and raw_lines[-1] == "":
@@ -174,38 +176,51 @@ def load_dataset(path: str, n_classes: int | None = None) -> Dataset:
     if not feature_cols or feature_cols != [f"f{j}" for j in range(len(feature_cols))]:
         raise DatasetFormatError(1, f"malformed header {raw_lines[0]!r}")
     width = len(header)
+    lines = raw_lines[1:]
+    if not lines:
+        raise DatasetFormatError(2, "no data rows")
+    try:
+        if any(line.count(",") != width - 1 for line in lines):
+            raise ValueError("wrong cell count")
+        cells = ",".join(lines).split(",")
+        label_arr = np.fromiter(map(int, cells[width - 1 :: width]), np.int64) if has_label else None
+        if has_label:
+            del cells[width - 1 :: width]
+        inputs = np.fromiter(map(float, cells), np.float64).reshape(len(lines), -1)
+        if not np.isfinite(inputs).all() or has_label and (
+            label_arr.min() < 0 or n_classes is not None and label_arr.max() >= n_classes
+        ):
+            raise ValueError("value out of range")
+    except (ValueError, OverflowError) as exc:
+        # The scan passes every line only when a label overflows int64: re-raise that.
+        raise (_first_bad_line(lines, width, has_label, n_classes) or exc) from None
+    if has_label and n_classes is None:
+        n_classes = int(label_arr.max()) + 1
+    return Dataset(inputs=inputs, labels=label_arr, n_classes=n_classes)
 
-    rows = []
-    labels = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
+
+def _first_bad_line(lines: list[str], width: int, has_label: bool, n_classes: int | None):
+    """The DatasetFormatError of the first malformed data line, or None."""
+    for lineno, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != width:
-            raise DatasetFormatError(lineno, f"expected {width} cells, found {len(cells)}")
+            return DatasetFormatError(lineno, f"expected {width} cells, found {len(cells)}")
         try:
             values = [float(cell) for cell in (cells[:-1] if has_label else cells)]
         except ValueError:
-            raise DatasetFormatError(lineno, "non-numeric feature cell") from None
+            return DatasetFormatError(lineno, "non-numeric feature cell")
         if not all(math.isfinite(v) for v in values):
-            raise DatasetFormatError(lineno, "non-finite feature value")
-        rows.append(values)
+            return DatasetFormatError(lineno, "non-finite feature value")
         if has_label:
-            cell = cells[-1]
             try:
-                label = int(cell)
+                label = int(cells[-1])
             except ValueError:
-                raise DatasetFormatError(lineno, "non-integer label cell") from None
+                return DatasetFormatError(lineno, "non-integer label cell")
             if label < 0:
-                raise DatasetFormatError(lineno, "negative label")
+                return DatasetFormatError(lineno, "negative label")
             if n_classes is not None and label >= n_classes:
-                raise DatasetFormatError(lineno, f"label {label} out of range [0, {n_classes})")
-            labels.append(label)
-    if not rows:
-        raise DatasetFormatError(2, "no data rows")
-
-    label_arr = np.asarray(labels, dtype=np.int64) if has_label else None
-    if has_label and n_classes is None:
-        n_classes = int(label_arr.max()) + 1
-    return Dataset(inputs=np.asarray(rows, dtype=np.float64), labels=label_arr, n_classes=n_classes)
+                return DatasetFormatError(lineno, f"label {label} out of range [0, {n_classes})")
+    return None
 
 
 def _emit_json(obj, out: list[str]) -> None:

@@ -241,14 +241,16 @@ def sgd_step(model: Model, grads: Model, state: OptimizerState) -> None:
     model.params -= state.lr * state.buffer
 
 
-def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
+def finite_diff_check(model: Model, loss_and_grad, h: float, loss=None) -> float:
     """Max over parameters of |analytic - central difference| relative error.
 
     loss_and_grad maps a Model to (scalar value, gradient Model). The
-    relative error denominator is max(1e-8, |central difference|).
+    perturbed points need only values: `loss` (Model -> value) serves them
+    when given. The relative error denominator is max(1e-8, |central difference|).
     """
     if h <= 0.0:
         raise InvalidInputError("step size must be positive")
+    loss = loss or (lambda m: loss_and_grad(m)[0])
     value, grads = loss_and_grad(model)
     if not np.isfinite(value):
         raise NumericalError("loss is non-finite at the base point")
@@ -259,9 +261,9 @@ def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
     for j in range(params.size):
         orig = params[j]
         params[j] = orig + h
-        up, _ = loss_and_grad(probe)
+        up = loss(probe)
         params[j] = orig - h
-        down, _ = loss_and_grad(probe)
+        down = loss(probe)
         params[j] = orig
         if not (np.isfinite(up) and np.isfinite(down)):
             raise NumericalError("loss is non-finite at a perturbed point")

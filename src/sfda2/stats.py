@@ -7,9 +7,9 @@ ones:
     mu_new = (n*mu + m*mu') / n_new
     cov_new = (n*cov + m*cov') / n_new + n*m*(mu - mu')(mu - mu')^T / n_new^2
 
-followed by symmetrization. Covariances are clamped to PSD only when a
-negative eigenvalue actually appears, so the update stays bit-faithful to
-the pooled arithmetic on ordinary data.
+followed by symmetrization. One stacked `eigvalsh` call checks the updated
+classes, and `psd_repair` clamps only those with a negative eigenvalue, so
+the update stays bit-faithful to the pooled arithmetic on ordinary data.
 """
 
 from __future__ import annotations
@@ -72,16 +72,19 @@ def update_class_stats(stats: ClassStatistics, features, pseudo_labels) -> Class
     means = stats.means.copy()
     covs = stats.covs.copy()
     counts = stats.counts.copy()
-    for c in np.unique(labels):
+    updated = np.unique(labels)
+    for c in updated:
         rows = arr[labels == c]
         m = rows.shape[0]
         mu_batch, cov_batch = batch_covariance_oracle(rows)
         n = int(counts[c])
         total = n + m
         delta = means[c] - mu_batch
-        mu_new = (n * means[c] + m * mu_batch) / total
         cov_new = (n * covs[c] + m * cov_batch) / total + (n * m) * np.outer(delta, delta) / total**2
-        covs[c] = psd_repair(cov_new)
-        means[c] = mu_new
+        covs[c] = (cov_new + cov_new.T) / 2.0
+        means[c] = (n * means[c] + m * mu_batch) / total
         counts[c] = total
+    negative = np.linalg.eigvalsh(covs[updated]).min(axis=1) < 0.0
+    for c in updated[negative]:
+        covs[c] = psd_repair(covs[c])
     return ClassStatistics(means=means, covs=covs, counts=counts)

@@ -12,7 +12,7 @@ formula; a sensitive suite must then report failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,14 +44,7 @@ class VerifyReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "passed": self.passed,
-            "worst": self.worst,
-            "failures": self.failures,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return dumps_17g(self.to_dict())
@@ -457,20 +450,37 @@ def verify_gradients(
             return value, grad_params(m, x, np.zeros((batch, n_classes)), gfeat)
 
         def composite_closure(m):
+            feats, _, probs = forward(m, x)
             breakdown, grads = batch_objective(
-                m, x, neighbor_probs, bank_rows, labels, stats, affinity,
+                m, x, feats, probs, neighbor_probs, bank_rows, labels, stats, affinity,
                 decay, lam, alpha1, alpha2,
             )
             return breakdown.total, grads
 
-        for name, closure in (
-            ("snc", snc_closure),
-            ("ifa", ifa_closure),
-            ("fd", fd_closure),
-            ("composite", composite_closure),
+        # Value-only forms for the perturbed points, where no gradient is read.
+        def snc_value(m):
+            values, _ = snc_loss_batch(forward(m, x)[2], neighbor_probs, bank_rows, decay)
+            return float(values.sum()) / batch
+
+        def ifa_value(m):
+            values = ifa_loss_batch(forward(m, x)[0], labels, covs, m.clf_weights, m.clf_bias, lam)[0]
+            return float(values.sum()) / batch
+
+        def fd_value(m):
+            return fd_loss(forward(m, x)[0], labels, affinity)[0]
+
+        def composite_value(m):
+            # batch_objective's total, summed in the same order.
+            return snc_value(m) + alpha1 * ifa_value(m) + alpha2 * fd_value(m)
+
+        for name, closure, value in (
+            ("snc", snc_closure, snc_value),
+            ("ifa", ifa_closure, ifa_value),
+            ("fd", fd_closure, fd_value),
+            ("composite", composite_closure, composite_value),
         ):
             tested = _scaled_gradients(closure, 1.01) if negative_control else closure
-            err = finite_diff_check(model, tested, step)
+            err = finite_diff_check(model, tested, step, loss=value)
             per_check_max[name] = max(per_check_max[name], err)
             worst = max(worst, err)
             if err > tolerance:
@@ -560,6 +570,14 @@ def _stream_with_doubled_correction(feats, labels, sizes, n_classes, dim):
             means[c] = (n_a * means[c] + m * mu_b) / n
             counts[c] = n
     return means, covs, counts
+
+
+def _softmax_and_logsumexp(v: np.ndarray, negative_control: bool):
+    # The negative control plants shift-free naive exponentials.
+    if negative_control:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(v) / np.exp(v).sum(), float(np.log(np.exp(v).sum()))
+    return softmax(v), logsumexp(v)
 
 
 _EXTREME_LOGITS = (
@@ -679,13 +697,7 @@ def verify_oracles(
         scale = 10.0 ** g.uniform(-2.0, 2.0)
         v = g.standard_normal(width) * scale
         v = np.clip(v, v.max() - 200.0, None)  # keep exp() out of subnormals
-        if negative_control:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p = np.exp(v) / np.exp(v).sum()
-                lse = float(np.log(np.exp(v).sum()))
-        else:
-            p = softmax(v)
-            lse = logsumexp(v)
+        p, lse = _softmax_and_logsumexp(v, negative_control)
         if not (np.all(np.isfinite(p)) and np.isfinite(lse)):
             failures.append({"part": "log-softmax", "trial": t, "reason": "non-finite"})
             continue
@@ -704,13 +716,7 @@ def verify_oracles(
             )
     for case, raw in enumerate(_EXTREME_LOGITS):
         v = np.asarray(raw)
-        if negative_control:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p = np.exp(v) / np.exp(v).sum()
-                lse = float(np.log(np.exp(v).sum()))
-        else:
-            p = softmax(v)
-            lse = logsumexp(v)
+        p, lse = _softmax_and_logsumexp(v, negative_control)
         finite = bool(np.all(np.isfinite(p)) and np.isfinite(lse))
         sum_ok = finite and abs(float(p.sum()) - 1.0) <= 1e-12
         if not (finite and sum_ok):

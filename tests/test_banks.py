@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sfda2.banks import _BLOCK_ENTRIES, init_banks, knn, update_banks
+from sfda2.banks import _BLOCK_ENTRIES, _GROUPS, FeatureBank, init_banks, knn, update_banks
 from sfda2.errors import InvalidInputError
 from sfda2.model import Layer, Model
 
@@ -331,6 +331,104 @@ class TestKnnBlocks:
             assert q not in row
         assert np.all(fbank.valid[got])
         assert_matches_references(fbank, queries, 6)
+
+
+def group_starts(n, k):
+    """First searchable position of each column group behind `knn`'s bound."""
+    groups = min(n, max(k, _GROUPS))
+    return np.arange(groups) * n // groups
+
+
+def group_of(n, k, positions):
+    return np.searchsorted(group_starts(n, k), positions, side="right") - 1
+
+
+class TestKnnGroupBound:
+    def test_several_nearest_in_one_group(self):
+        # 2000 rows in 64 groups of 31-32. Rows 100-103 and 1500 are the
+        # query's five nearest; the first four share one group, so the K-th
+        # group minimum lies above the K-th distance and extra entries survive.
+        rng = np.random.default_rng(20)
+        rows = rng.standard_normal((2000, 3))
+        rows[:, 0] = np.abs(rows[:, 0]) * -1.0 - 0.5  # every row points away from +x
+        q = 7
+        rows[q] = [1.0, 0.0, 0.0]
+        for j, tilt in zip((100, 101, 102, 103, 1500), (0.01, 0.02, 0.03, 0.04, 0.05)):
+            rows[j] = [1.0, tilt, 0.0]
+        fbank, _ = banks_from_rows(rows)
+        nearest = scan_oracle(fbank, q, 5)
+        assert nearest == [100, 101, 102, 103, 1500]
+        groups = group_of(2000, 5, nearest)
+        assert len(set(groups.tolist())) < len(nearest)  # two of the K share a group
+        assert_matches_references(fbank, [q], 5)
+        assert_matches_references(fbank, rng.integers(0, 2000, size=40), 5)
+
+    def test_size_not_a_multiple_of_the_groups(self):
+        rng = np.random.default_rng(21)
+        fbank, scores = banks_from_rows(rng.standard_normal((2074, 4)), capacity_fraction=0.5)
+        update_banks(fbank, scores, rng.integers(0, 2074, 200), rng.standard_normal((200, 4)),
+                     np.full((200, 2), 0.5))
+        n = int(fbank.valid.sum())
+        assert n == 1037 and n % _GROUPS != 0
+        assert len(set(np.diff(np.append(group_starts(n, 5), n)).tolist())) == 2
+        for k in (1, 5, 17):
+            assert_matches_references(fbank, rng.integers(0, 2074, size=50), k)
+
+    def test_integer_ties_straddle_a_group_boundary(self):
+        # From an axis-1 query, the four axis-2 rows tie at distance exactly
+        # 1 and sit two on each side of a group start; every other row is
+        # at distance 2. K = 3 must take the first three by index.
+        n = 200
+        start = int(group_starts(n, 3)[10])
+        axes = np.full(n, -1)
+        axes[0] = 1
+        tied = [start - 2, start - 1, start, start + 1]
+        axes[tied] = 2
+        fbank, _ = banks_from_rows(axis_rows(axes))
+        assert group_of(n, 3, tied).tolist() == [9, 9, 10, 10]
+        assert knn(fbank, [0], 3)[0].tolist() == tied[:3]
+        for k in (1, 2, 3, 4, 5):
+            assert_matches_references(fbank, [0] + tied, k)
+
+    def test_own_row_alone_in_its_group(self):
+        # 100 searchable rows in 64 groups: sizes 1 and 2. A query whose
+        # group holds only its own row sees that group's minimum at inf.
+        rng = np.random.default_rng(22)
+        fbank, _ = banks_from_rows(rng.standard_normal((100, 3)))
+        sizes = np.diff(np.append(group_starts(100, 5), 100))
+        alone = group_starts(100, 5)[sizes == 1]
+        assert alone.size > 0
+        assert_matches_references(fbank, alone, 5)
+
+    def test_k_above_the_group_count(self):
+        rng = np.random.default_rng(23)
+        fbank, _ = banks_from_rows(rng.standard_normal((300, 4)))
+        assert group_starts(300, 100).size == 100
+        assert_matches_references(fbank, rng.integers(0, 300, size=20), 100)
+
+    @pytest.mark.parametrize("k", [1, 5, 64, 70])
+    def test_bank_of_k_plus_one_rows(self, k):
+        # Groups hold one or two rows. For k >= 64 there are only k groups,
+        # so for a query alone in its group the K-th group minimum is its
+        # own inf: the bound is inf and every entry survives.
+        rng = np.random.default_rng(24 + k)
+        fbank, _ = banks_from_rows(rng.standard_normal((k + 1, 3)))
+        got = knn(fbank, np.arange(k + 1), k)
+        for q, row in enumerate(got):
+            assert sorted(row.tolist()) == [j for j in range(k + 1) if j != q]
+        assert_matches_references(fbank, np.arange(k + 1), k)
+
+    def test_empty_queries_on_tiny_and_empty_banks(self):
+        fbank, _ = banks_from_rows(np.array([[1.0, 2.0]]))
+        assert knn(fbank, [], 1).shape == (0, 1)
+        assert knn(fbank, np.array([], dtype=np.int64), 3).shape == (0, 3)
+        empty = FeatureBank(
+            normalized=np.eye(3), valid=np.zeros(3, dtype=bool), capacity=1,
+            stamps=np.arange(3, dtype=np.int64),
+        )
+        assert knn(empty, [], 2).shape == (0, 2)
+        with pytest.raises(InvalidInputError, match="exceeds the 0 searchable rows"):
+            knn(empty, [0], 1)
 
 
 def update_banks_row_loop(fbank, score_bank, indices, features, probs):

@@ -180,6 +180,44 @@ class TestDatasetFiles:
             load_dataset(str(path))
 
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # one long and one short row: the total cell count still matches
+            ("f0,f1\n1,2\n3,4,5\n6\n", 3, "expected 2 cells, found 3"),
+            ("f0,label\n1,0\n2,x\n3\n", 3, "non-integer label cell"),
+            ("f0,label\n1,0\nnan,1\n2,-1\n", 3, "non-finite feature value"),
+            ("f0,label\n1,0\n2,-1\ninf,0\n", 3, "negative label"),
+            ("f0,label\n1,0\n1e400,0\n", 3, "non-finite feature value"),
+            ("f0,label\n1,0\n2,1\n3,2\n4,3\n", 5, "label 3 out of range [0, 3)"),
+            ("f0,f1,label\n1,2,0\n\n", 3, "expected 3 cells, found 1"),
+            ("f0\n1\n\n", 3, "non-numeric feature cell"),
+        ],
+    )
+    def test_first_bad_line_and_message(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path), n_classes=3)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_cells_follow_python_number_syntax(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text("f0,f1,label\n 1.5 ,1_000,+2\n-0,1E-3, 0\n")
+        ds = load_dataset(str(path))
+        assert ds.inputs.tobytes() == np.array([[1.5, 1000.0], [-0.0, 1e-3]]).tobytes()
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0]
+        assert ds.n_classes == 3
+
+    def test_label_beyond_int64(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"f0,label\n1,0\n2,{2**70}\n")
+        with pytest.raises(DatasetFormatError, match=f"line 3: label {2**70} out of range"):
+            load_dataset(str(path), n_classes=3)
+        with pytest.raises(OverflowError):
+            load_dataset(str(path))
+
+
 class TestCheckpoints:
     def build(self):
         return init_model(2, (5, 4), 3, 3, RngState(11))

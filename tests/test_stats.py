@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sfda2.errors import InvalidInputError
+from sfda2.numerics import psd_repair
 from sfda2.stats import ClassStatistics, batch_covariance_oracle, update_class_stats
 
 
@@ -121,3 +122,61 @@ class TestUpdateClassStats:
             ClassStatistics.empty(0, 2)
         with pytest.raises(InvalidInputError):
             ClassStatistics.empty(2, 0)
+
+
+def update_class_by_class(stats, features, labels):
+    """The pooled update with `psd_repair` applied to each class in turn:
+    the form the stacked eigenvalue check replaced."""
+    means, covs, counts = stats.means.copy(), stats.covs.copy(), stats.counts.copy()
+    for c in np.unique(labels):
+        rows = features[labels == c]
+        m = rows.shape[0]
+        mu_batch, cov_batch = batch_covariance_oracle(rows)
+        n = int(counts[c])
+        total = n + m
+        delta = means[c] - mu_batch
+        cov_new = (n * covs[c] + m * cov_batch) / total + (n * m) * np.outer(delta, delta) / total**2
+        covs[c] = psd_repair(cov_new)
+        means[c] = (n * means[c] + m * mu_batch) / total
+        counts[c] = total
+    return means, covs, counts
+
+
+class TestStackedPsdCheck:
+    def planted(self):
+        # Running statistics for 4 classes. Class 2's covariance has an
+        # eigenvalue of -0.5 that one small batch cannot lift, and every
+        # class carries a slight asymmetry for the update to remove.
+        rng = np.random.default_rng(30)
+        covs = np.stack([np.eye(3) * (1.0 + c) for c in range(4)])
+        covs[2] = np.diag([1.0, -0.5, 2.0])
+        covs[:, 0, 1] += 1e-3
+        stats = ClassStatistics(
+            means=rng.standard_normal((4, 3)), covs=covs, counts=np.array([5, 7, 9, 0])
+        )
+        rows = rng.standard_normal((12, 3))
+        labels = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 3, 3])
+        return stats, rows, labels
+
+    def test_equals_class_by_class_repair(self):
+        stats, rows, labels = self.planted()
+        out = update_class_stats(stats, rows, labels)
+        means, covs, counts = update_class_by_class(stats, rows, labels)
+        assert np.linalg.eigvalsh(stats.covs[2]).min() < 0.0
+        assert out.means.tobytes() == means.tobytes()
+        assert out.covs.tobytes() == covs.tobytes()
+        assert_array_equal(out.counts, counts)
+        assert np.linalg.eigvalsh(out.covs[2]).min() >= -1e-12
+
+    def test_psd_classes_exactly_symmetrized(self):
+        stats, rows, labels = self.planted()
+        out = update_class_stats(stats, rows, labels)
+        for c in (0, 1, 3):
+            n, m = int(stats.counts[c]), int((labels == c).sum())
+            mu_batch, cov_batch = batch_covariance_oracle(rows[labels == c])
+            delta = stats.means[c] - mu_batch
+            total = n + m
+            merged = (n * stats.covs[c] + m * cov_batch) / total + (n * m) * np.outer(delta, delta) / total**2
+            assert np.linalg.eigvalsh(merged).min() >= 0.0
+            assert out.covs[c].tobytes() == ((merged + merged.T) / 2.0).tobytes()
+            assert_array_equal(out.covs[c], out.covs[c].T)
