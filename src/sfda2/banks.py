@@ -11,7 +11,8 @@ row is evicted first, and rewriting a live row refreshes it.
 `knn` is an exact blocked scan: queries are taken in blocks of about
 `_BLOCK_ENTRIES` distances (256 KB of float64, so a block's distance matrix
 stays in cache), each with one GEMM against the searchable rows. The K-th
-smallest minimum of about `_GROUPS` column groups bounds each row's K-th distance.
+smallest minimum of max(`_GROUPS`, 4K) column groups (at most N) bounds each
+row's K-th distance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import Model, forward
 
 # Distances per query block in `knn`: the block has max(1, this // N) rows.
 _BLOCK_ENTRIES = 32768
-# Column groups per row for `knn`'s bound, raised to K and capped at N.
+# Column groups per row for `knn`'s bound, raised to 4K and capped at N.
 _GROUPS = 64
 
 
@@ -112,7 +113,7 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     transpose. The queries are then scanned in blocks of
     max(1, _BLOCK_ENTRIES // N) rows; a block never holds more than about
     _BLOCK_ENTRIES distances, so no (B, N) matrix is built. Per block: one
-    GEMM; the minima of min(N, max(K, _GROUPS)) contiguous column groups,
+    GEMM; the minima of min(N, max(_GROUPS, 4K)) contiguous column groups,
     whose K-th smallest bounds the K-th distance from above (K distinct
     groups each hold an entry at or below it); and one lexsort by (query,
     distance, index) of only the entries at or below that bound.
@@ -132,7 +133,7 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     searchable_t = np.ascontiguousarray(fbank.normalized[rows].T)
     self_pos = np.searchsorted(rows, queries)
     block = max(1, _BLOCK_ENTRIES // max(n, 1))
-    groups = min(n, max(k, _GROUPS))
+    groups = min(n, max(_GROUPS, 4 * k))
     starts = np.arange(groups) * n // max(groups, 1)  # groups <= n: none empty
     out = np.empty((queries.size, k), dtype=np.int64)
     for start in range(0, queries.size, block):

@@ -206,11 +206,13 @@ def _cmd_pretrain(args) -> int:
 def _cmd_adapt(args) -> int:
     config, _, _ = _load_run_config(args.config, args)
     model = load_checkpoint(args.model)
-    target = load_dataset(args.target, n_classes=model.n_classes).unlabeled()
+    target = load_dataset(args.target, n_classes=model.n_classes)
     eval_data = None
     if args.eval_data:
-        eval_data = load_dataset(args.eval_data, n_classes=model.n_classes)
-    adapted, trace = adapt(config, model, target, eval_data)
+        # One parse when the eval file is the target; a missing file fails in load_dataset.
+        same = os.path.exists(args.eval_data) and os.path.samefile(args.eval_data, args.target)
+        eval_data = target if same else load_dataset(args.eval_data, n_classes=model.n_classes)
+    adapted, trace = adapt(config, model, target.unlabeled(), eval_data)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "adapted.ckpt")
     save_checkpoint(adapted, ckpt_path)

@@ -20,6 +20,11 @@ import numpy as np
 from .errors import InvalidInputError
 from .numerics import RngState, check_symmetric, row_logsumexp, row_softmax, sample_gaussian
 
+# Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
+# verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
+# threading threshold, so concurrent trials do not oversubscribe the BLAS.
+_MC_ROWS = 6144
+
 
 @dataclass
 class LossBreakdown:
@@ -273,22 +278,34 @@ def efa_mc_estimate(
     and averages -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns
     (mean, standard error), stderr = sample stdev / sqrt(n_pairs).
 
-    The logits are a class-major, C-contiguous (C, 2n) array, so softmax and
-    pair dots reduce over C long rows. For C <= 7 this adds in the same order
-    as sample-major (2n, C) logits, bit for bit; for C >= 8 NumPy sums those
-    rows pairwise and the two differ by up to about 1e-15 absolute.
+    The 2n draws come from `rng` in chunks of _MC_ROWS rows, draw j paired
+    with draw n + j, so only the (n, C) first-half probabilities and one chunk
+    are held at a time. Every step is row-wise, so the result equals one
+    unchunked pass bit for bit. Each chunk's logits are a class-major,
+    C-contiguous (C, rows) array, so softmax and pair dots reduce over C long
+    rows. For C <= 7 this adds in the same order as sample-major (2n, C)
+    logits, bit for bit; for C >= 8 NumPy sums those rows pairwise and the two
+    differ by up to about 1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError("lambda must be finite and >= 0")
-    sigma = check_symmetric(cov, "cov")
+    sigma = lam * check_symmetric(cov, "cov")
     weights = np.asarray(clf_weights, dtype=np.float64)
     bias = np.asarray(clf_bias, dtype=np.float64)
-    draws = sample_gaussian(feature, lam * sigma, 2 * n_pairs, rng)
-    probs = row_softmax((weights @ draws.T + bias[:, None]).T)
-    dots = (probs[:n_pairs] * probs[n_pairs:]).sum(axis=1)
-    values = -np.log(dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
+
+    def chunk_probs(start: int) -> np.ndarray:
+        draws = sample_gaussian(feature, sigma, min(_MC_ROWS, n_pairs - start), rng)
+        return row_softmax((weights @ draws.T + bias[:, None]).T)
+
+    first = np.empty((weights.shape[0], n_pairs)).T  # class-major, like each chunk
+    for s in range(0, n_pairs, _MC_ROWS):
+        first[s : s + _MC_ROWS] = chunk_probs(s)
+    values = np.empty(n_pairs)
+    for s in range(0, n_pairs, _MC_ROWS):
+        dots = (first[s : s + _MC_ROWS] * chunk_probs(s)).sum(axis=1)
+        values[s : s + _MC_ROWS] = -np.log(dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n_pairs))
     return mean, stderr

@@ -335,7 +335,7 @@ class TestKnnBlocks:
 
 def group_starts(n, k):
     """First searchable position of each column group behind `knn`'s bound."""
-    groups = min(n, max(k, _GROUPS))
+    groups = min(n, max(_GROUPS, 4 * k))
     return np.arange(groups) * n // groups
 
 
@@ -401,22 +401,36 @@ class TestKnnGroupBound:
         assert_matches_references(fbank, alone, 5)
 
     def test_k_above_the_group_count(self):
+        # K above _GROUPS: 4K groups, capped at N = 300 (one row each).
         rng = np.random.default_rng(23)
         fbank, _ = banks_from_rows(rng.standard_normal((300, 4)))
-        assert group_starts(300, 100).size == 100
+        assert group_starts(300, 100).size == 300
         assert_matches_references(fbank, rng.integers(0, 300, size=20), 100)
 
     @pytest.mark.parametrize("k", [1, 5, 64, 70])
     def test_bank_of_k_plus_one_rows(self, k):
-        # Groups hold one or two rows. For k >= 64 there are only k groups,
-        # so for a query alone in its group the K-th group minimum is its
-        # own inf: the bound is inf and every entry survives.
+        # Every row is its own group. The query's own group minimum is inf,
+        # so the K-th group minimum is the largest other distance and every
+        # entry survives.
         rng = np.random.default_rng(24 + k)
         fbank, _ = banks_from_rows(rng.standard_normal((k + 1, 3)))
         got = knn(fbank, np.arange(k + 1), k)
         for q, row in enumerate(got):
             assert sorted(row.tolist()) == [j for j in range(k + 1) if j != q]
         assert_matches_references(fbank, np.arange(k + 1), k)
+
+    @pytest.mark.parametrize("k", [64, 100])
+    def test_large_k_on_a_half_capacity_bank(self, k):
+        # 2250 searchable rows in 4K groups: the bound stays near the K-th
+        # distance, and queries whose own row was evicted are covered too.
+        rng = np.random.default_rng(25)
+        fbank, _ = banks_from_rows(rng.standard_normal((4500, 8)), capacity_fraction=0.5)
+        assert group_starts(int(fbank.valid.sum()), k).size == 4 * k
+        queries = rng.integers(0, 4500, size=30)
+        assert not fbank.valid[queries].all() and fbank.valid[queries].any()
+        got = knn(fbank, queries, k)
+        for row, q in enumerate(queries):
+            assert_array_equal(got[row], lexsort_reference(fbank, q, k), err_msg=f"query {q}")
 
     def test_empty_queries_on_tiny_and_empty_banks(self):
         fbank, _ = banks_from_rows(np.array([[1.0, 2.0]]))

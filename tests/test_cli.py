@@ -226,6 +226,31 @@ class TestAdapt:
         assert len(payload["epoch_eval"]) == 2
         assert all(0.0 <= e["accuracy"] <= 1.0 for e in payload["epoch_eval"])
 
+    def test_eval_data_naming_the_target_is_parsed_once(self, tmp_path, workspace, monkeypatch):
+        _, data_dir, _ = workspace
+        target = data_dir / "target.csv"
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(target.read_bytes())
+        parsed = []
+        cli = sys.modules["sfda2.cli"]
+        monkeypatch.setattr(cli, "load_dataset", lambda path, **kw: parsed.append(path) or load_dataset(path, **kw))
+        # The same file by another path name is still one file.
+        same = tmp_path / "same"
+        assert run_cli(self.adapt_args(workspace, same, ("--eval-data", str(data_dir / ".." / "data" / "target.csv")))) == 0
+        assert parsed == [str(target)]
+        parsed.clear()
+        other = tmp_path / "other"
+        assert run_cli(self.adapt_args(workspace, other, ("--eval-data", str(copy)))) == 0
+        assert parsed == [str(target), str(copy)]
+        for name in ("adapted.ckpt", "losses.csv", "metrics.json"):
+            assert (same / name).read_bytes() == (other / name).read_bytes()
+
+    def test_missing_eval_data_is_an_io_error(self, tmp_path, workspace, capsys):
+        missing = tmp_path / "missing.csv"
+        code = run_cli(self.adapt_args(workspace, tmp_path / "run", ("--eval-data", str(missing))))
+        assert code == 1
+        assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_undersized_bank_exits_one(self, tmp_path, workspace, capsys):
         # 24 target rows at fraction 0.1 leave 3 searchable rows for k=3
         out = tmp_path / "run"
@@ -366,6 +391,21 @@ class TestModuleEntryPoint:
         assert result.returncode == 0, result.stderr
         assert load_dataset(str(out / "source.csv")).size == 600
         assert load_dataset(str(out / "target.csv")).size == 600
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        # `concurrent.futures` pulls in `logging`; only verify's ifa-bound
+        # suite imports it, so the CLI's start-up time does not pay for it.
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, sfda2.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('concurrent', 'logging')))"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_diverging_pretrain_prints_one_stderr_line(self, tmp_path):
         # NumPy's overflow warnings must not precede the failure line

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sfda2.errors import InvalidInputError
 from sfda2.losses import (
+    _MC_ROWS,
     affinity_weights,
     decay_factor,
     efa_mc_estimate,
@@ -362,7 +363,7 @@ def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs,
 
 
 class TestEfaMcEstimateMatchesRowMajor:
-    def instance(self, n_classes, seed):
+    def instance(self, n_classes, seed, n_pairs=3000):
         rng = np.random.default_rng(seed)
         dim = 2 + seed % 7
         return (
@@ -371,7 +372,7 @@ class TestEfaMcEstimateMatchesRowMajor:
             rng.standard_normal((n_classes, dim)),
             rng.standard_normal(n_classes),
             5.0 * rng.random(),
-            3000,
+            n_pairs,
         )
 
     @pytest.mark.parametrize("n_classes", [2, 3, 4, 5, 6, 7])
@@ -387,6 +388,15 @@ class TestEfaMcEstimateMatchesRowMajor:
             args = self.instance(n_classes, seed)
             expected = row_major_efa_mc_estimate(*args, RngState(seed))
             assert_allclose(efa_mc_estimate(*args, RngState(seed)), expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n_pairs", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
+    def test_streamed_chunks_equal_one_shot(self, n_pairs):
+        # The one-shot reference draws all 2n rows at once; the estimate
+        # streams each half in _MC_ROWS-row chunks, the last one short or full.
+        for n_classes in (2, 5, 7):
+            args = self.instance(n_classes, n_classes, n_pairs)
+            expected = row_major_efa_mc_estimate(*args, RngState(n_classes))
+            assert efa_mc_estimate(*args, RngState(n_classes)) == expected
 
 
 class TestAffinityWeights:
