@@ -55,17 +55,13 @@ class AdaptConfig:
     bank_fraction: float = 1.0
 
 
-def _check_finite_nonnegative(config: AdaptConfig, name: str) -> None:
-    value = getattr(config, name)
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 def validate_config(config: AdaptConfig) -> None:
     if config.k < 1:
         raise InvalidInputError("k must be >= 1")
     for name in ("alpha1", "alpha2", "beta", "lambda0", "lr"):
-        _check_finite_nonnegative(config, name)
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
     if not 0.0 <= config.momentum < 1.0:
         raise InvalidInputError("momentum must lie in [0, 1)")
     if config.batch_size < 2:
@@ -195,9 +191,6 @@ def pretrain_source(
     labels = np.asarray(source.labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= source.n_classes:
         raise InvalidInputError("source labels out of range")
-    _check_finite_nonnegative(config, "lr")
-    if not 0.0 <= config.momentum < 1.0:
-        raise InvalidInputError("momentum must lie in [0, 1)")
     if config.batch_size < 1 or config.epochs < 0:
         raise InvalidInputError("invalid pretraining schedule")
 

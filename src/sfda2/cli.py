@@ -52,7 +52,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_seed(flag_value: int | None, config_value: int | None = None, default: int = 0) -> int:
+def _resolve_seed(flag_value: int | None, config_value: int | None = None, default: int | None = 0) -> int | None:
     if flag_value is not None:
         return flag_value
     if config_value is not None:
@@ -236,38 +236,33 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_SUITE_ORDER = ("ifa-bound", "snc-factorization", "gradients", "oracles")
+# Suites in `--suite all` order, each with the keyword `--trials` sets.
+_SUITES = {
+    "ifa-bound": (verify_ifa_bound, "trials"),
+    "snc-factorization": (verify_snc_factorization, "trials"),
+    "gradients": (verify_gradients, "n_instances"),
+    "oracles": (verify_oracles, None),
+}
 
 
 def _run_suite(name: str, args) -> "object":
-    seed_flag = args.seed
-    negative = args.negative_control
-    if name == "ifa-bound":
-        return verify_ifa_bound(
-            trials=args.trials if args.trials is not None else 100,
-            n_pairs=args.pairs if args.pairs is not None else 200000,
-            seed=_resolve_seed(seed_flag, default=7),
-            negative_control=negative,
-        )
-    if name == "snc-factorization":
-        return verify_snc_factorization(
-            trials=args.trials if args.trials is not None else 10,
-            seed=_resolve_seed(seed_flag),
-            negative_control=negative,
-        )
-    if name == "gradients":
-        return verify_gradients(
-            seed=_resolve_seed(seed_flag),
-            n_instances=args.trials if args.trials is not None else 20,
-            negative_control=negative,
-        )
-    if name == "oracles":
-        return verify_oracles(seed=_resolve_seed(seed_flag), negative_control=negative)
-    raise InvalidInputError(f"unknown suite {name!r}")
+    """Run one suite with only the flags the user gave; everything else,
+    the seed included when neither --seed nor SFDA2_SEED sets it, keeps the
+    suite's own default."""
+    suite, trials_keyword = _SUITES[name]
+    kwargs = {"negative_control": args.negative_control}
+    seed = _resolve_seed(args.seed, default=None)
+    if seed is not None:
+        kwargs["seed"] = seed
+    if args.trials is not None and trials_keyword is not None:
+        kwargs[trials_keyword] = args.trials
+    if args.pairs is not None and name == "ifa-bound":
+        kwargs["n_pairs"] = args.pairs
+    return suite(**kwargs)
 
 
 def _cmd_verify(args) -> int:
-    names = _SUITE_ORDER if args.suite == "all" else (args.suite,)
+    names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     payload = {"suites": [r.to_dict() for r in reports], "passed": all(r.passed for r in reports)}
     text = dumps_17g(payload) + "\n"
@@ -331,7 +326,7 @@ def _build_parser() -> _ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("verify", help="run the property-verification suites")
-    p.add_argument("--suite", choices=_SUITE_ORDER + ("all",), default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--trials", type=int)
     p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int)

@@ -5,8 +5,11 @@ weights, and the schedule helpers.
 
 The adaptation loop evaluates a whole batch with `snc_loss_batch` and
 `ifa_loss_batch`; the per-sample `snc_loss` and `ifa_loss` are their
-reference forms. Every loss returns its value together with exact analytic
-gradients with respect to its live inputs. Rows fetched from memory banks and the running
+reference forms. `fd_loss` is one class-matrix kernel: the batch's class
+covariances, flattened and stacked, give every pair's trace in one Gram
+matrix, whose diagonal holds the squared norms. Every loss returns its
+value together with exact analytic gradients with respect to its live
+inputs. Rows fetched from memory banks and the running
 class covariances are constants by contract; only the quantities produced
 by the current forward pass carry gradient.
 """
@@ -348,7 +351,13 @@ def fd_loss(
     The covariances are population-normalized within the batch and carry
     gradient back into batch_features; a_ij are the entries of the (C, C)
     `affinity` matrix. Returns (value, grad); both are zero for a batch with
-    no class of >= 2 members.
+    fewer than two classes of >= 2 members.
+
+    Over the P such classes, F stacks the flattened covariances as rows and
+    T = F F^T holds every tr(cov_i cov_j), so with n = sqrt(diag T) and W
+    the affinities of the contributing pairs, value = -(1/2) sum W (1 -
+    T / n n^T) and, with G = (W + W^T) / (2 n n^T), the covariance
+    gradient is G F - (rowsum(G T) / n^2) F.
     """
     feats = np.asarray(batch_features, dtype=np.float64)
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64).ravel()
@@ -359,37 +368,27 @@ def fd_loss(
         raise InvalidInputError("pseudo-label out of range")
 
     grad = np.zeros_like(feats)
-    populated = [c for c in np.unique(labels) if (labels == c).sum() >= 2]
-    if not populated:
+    populated = np.flatnonzero(np.bincount(labels, minlength=aff.shape[0]) >= 2)
+    if populated.size < 2:
         return 0.0, grad
 
-    covs: dict[int, np.ndarray] = {}
-    norms: dict[int, float] = {}
-    for c in populated:
-        rows = feats[labels == c]
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        covs[c] = centered.T @ centered / rows.shape[0]
-        norms[c] = float(np.linalg.norm(covs[c]))
-
-    value = 0.0
-    dcov = {c: np.zeros_like(covs[c]) for c in populated}
-    for ci in populated:
-        for cj in populated:
-            if ci == cj or norms[ci] == 0.0 or norms[cj] == 0.0:
-                continue
-            trace = float((covs[ci] * covs[cj]).sum())
-            sim = trace / (norms[ci] * norms[cj])
-            weight = aff[ci, cj]
-            value -= 0.5 * weight * (1.0 - sim)
-            # d sim / d cov_i = cov_j/(ni*nj) - trace*cov_i/(ni^3*nj)
-            coef = 0.5 * weight
-            dcov[ci] += coef * (covs[cj] / (norms[ci] * norms[cj]) - trace * covs[ci] / (norms[ci] ** 3 * norms[cj]))
-            dcov[cj] += coef * (covs[ci] / (norms[ci] * norms[cj]) - trace * covs[cj] / (norms[cj] ** 3 * norms[ci]))
-
-    for c in populated:
-        member = labels == c
-        rows = feats[member]
-        mu = rows.mean(axis=0)
-        grad[member] = (2.0 / rows.shape[0]) * (rows - mu) @ dcov[c]
-    return float(value), grad
+    members = [labels == c for c in populated]
+    centered = [x - x.mean(axis=0) for x in (feats[m] for m in members)]
+    flat = np.stack([x.T @ x / x.shape[0] for x in centered]).reshape(populated.size, -1)
+    trace = flat @ flat.T
+    norms = np.sqrt(np.diag(trace))
+    live = norms > 0.0
+    pairs = np.outer(live, live) & ~np.eye(populated.size, dtype=bool)
+    weight = np.where(pairs, aff[np.ix_(populated, populated)], 0.0)
+    # A zero-norm class has a zero covariance and no live pair, so a unit
+    # stand-in norm keeps its row of every term at exactly zero.
+    safe = np.where(live, norms, 1.0)
+    denom = np.outer(safe, safe)
+    # 0.0 - ...: a batch with no contributing pair returns +0.0, not -0.0.
+    value = 0.0 - 0.5 * float((weight * (1.0 - trace / denom)).sum())
+    # Pair (i, j) feeds both covariances, so the gradient sees W + W^T.
+    sym = 0.5 * (weight + weight.T) / denom
+    dflat = sym @ flat - ((sym * trace).sum(axis=1) / safe**2)[:, None] * flat
+    for member, x, dcov in zip(members, centered, dflat.reshape(-1, feats.shape[1], feats.shape[1])):
+        grad[member] = (2.0 / x.shape[0]) * x @ dcov
+    return value, grad

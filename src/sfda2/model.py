@@ -220,7 +220,7 @@ def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> Model:
 
 def init_optimizer(model: Model, momentum: float, lr: float) -> OptimizerState:
     if not (0.0 <= momentum < 1.0):
-        raise InvalidInputError("momentum must be in [0, 1)")
+        raise InvalidInputError("momentum must lie in [0, 1)")
     if not (math.isfinite(lr) and lr >= 0.0):
         raise InvalidInputError(f"lr must be finite and >= 0, got {lr!r}")
     return OptimizerState(momentum=momentum, lr=lr, buffer=np.zeros_like(model.params))

@@ -210,14 +210,18 @@ def _plant_points(n_points: int, k: int, g: np.random.Generator) -> np.ndarray:
     return np.asarray(points)[order]
 
 
+# Largest admitted difference between the summed losses and either closed
+# form, and the resamplings a trial gets to find a symmetric k-NN graph.
+_SNC_TOLERANCE = 1e-8
+_SNC_MAX_ATTEMPTS = 20
+
+
 def verify_snc_factorization(
     n_points: int = 30,
     k: int = 3,
     trials: int = 10,
     seed: int = 0,
-    tolerance: float = 1e-8,
     negative_control: bool = False,
-    max_attempts: int = 20,
 ) -> VerifyReport:
     """Full-batch neighborhood loss vs the matrix-factorization objective.
 
@@ -239,7 +243,7 @@ def verify_snc_factorization(
     for t, trial_rng in enumerate(RngState(seed).split(trials)):
         g = trial_rng.generator
         adjacency = None
-        for _ in range(max_attempts):
+        for _ in range(_SNC_MAX_ATTEMPTS):
             pts = _plant_points(n_points, k, g)
             bank = FeatureBank.from_rows(pts, n_points)
             cand = np.zeros((n_points, n_points))
@@ -267,7 +271,7 @@ def verify_snc_factorization(
         diff_edge = abs(per_sample - edge_form)
         diff_factor = abs(per_sample - rhs)
         worst = max(worst, diff_edge, diff_factor)
-        if diff_edge > tolerance or diff_factor > tolerance:
+        if diff_edge > _SNC_TOLERANCE or diff_factor > _SNC_TOLERANCE:
             failures.append(
                 {
                     "trial": t,
@@ -282,7 +286,7 @@ def verify_snc_factorization(
         "n_points": n_points,
         "k": k,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": _SNC_TOLERANCE,
         "negative_control": negative_control,
     }
     return _finish("snc-factorization", trials, worst, failures, details)

@@ -183,6 +183,11 @@ class TestValidateConfig:
         with pytest.raises(InvalidInputError, match="^lr must be finite"):
             pretrain_source(AdaptConfig(lr=float("nan")), source)
 
+    def test_pretrain_rejects_momentum_one(self):
+        source, _ = blob_pair(n=10, seed=6)
+        with pytest.raises(InvalidInputError, match=r"^momentum must lie in \[0, 1\)$"):
+            pretrain_source(AdaptConfig(momentum=1.0), source)
+
 
 class TestAdapt:
     def pretrained(self, seed=0):

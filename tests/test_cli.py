@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 import sfda2
 from sfda2.cli import run_cli
 from sfda2.data import load_checkpoint, load_dataset
+from sfda2.verify import verify_snc_factorization
 
 
 def write_spec(path, source_counts=(12, 12), target_counts=(12, 12)):
@@ -359,6 +360,12 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["suites"][0]["worst"] <= 1e-8
+
+    def test_flagless_suite_keeps_the_function_defaults(self, capsys, monkeypatch):
+        monkeypatch.delenv("SFDA2_SEED", raising=False)
+        assert run_cli(["verify", "--suite", "snc-factorization"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["suites"] == [json.loads(verify_snc_factorization(seed=0).to_json())]
 
 
 class TestUsageErrors:

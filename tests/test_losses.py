@@ -463,7 +463,7 @@ class TestFdLoss:
     def test_single_populated_class_is_zero(self):
         feats = np.random.default_rng(5).standard_normal((4, 3))
         value, grad = fd_loss(feats, [1, 1, 1, 1], uniform_affinity(2))
-        assert value == 0.0
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert_array_equal(grad, np.zeros_like(feats))
 
     def test_no_pairable_class_flags_degenerate(self):
@@ -476,7 +476,7 @@ class TestFdLoss:
         # class 1's rows coincide, so its covariance is exactly zero
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 3.0], [3.0, 3.0]])
         value, grad = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
-        assert value == 0.0
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert np.isfinite(grad).all()
 
     def test_value_range(self):
@@ -507,3 +507,117 @@ class TestFdLoss:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             fd_loss(np.zeros((2, 2)), [0, 2], uniform_affinity(2))
+
+
+def pairwise_fd_loss(batch_features, batch_pseudo_labels, affinity, both_halves=True):
+    """fd_loss as per-class dicts and an ordered class-pair loop, the form the
+    class-matrix kernel replaced. both_halves=False drops each pair's (j, i)
+    half of the gradient: a planted defect the comparison must catch."""
+    feats = np.asarray(batch_features, dtype=np.float64)
+    labels = np.asarray(batch_pseudo_labels).ravel()
+    grad = np.zeros_like(feats)
+    populated = [c for c in np.unique(labels) if (labels == c).sum() >= 2]
+    covs, norms = {}, {}
+    for c in populated:
+        rows = feats[labels == c]
+        centered = rows - rows.mean(axis=0)
+        covs[c] = centered.T @ centered / rows.shape[0]
+        norms[c] = float(np.linalg.norm(covs[c]))
+    value = 0.0
+    dcov = {c: np.zeros_like(covs[c]) for c in populated}
+    for ci in populated:
+        for cj in populated:
+            if ci == cj or norms[ci] == 0.0 or norms[cj] == 0.0:
+                continue
+            trace = float((covs[ci] * covs[cj]).sum())
+            sim = trace / (norms[ci] * norms[cj])
+            weight = affinity[ci, cj]
+            value -= 0.5 * weight * (1.0 - sim)
+            coef = 0.5 * weight
+            dcov[ci] += coef * (covs[cj] / (norms[ci] * norms[cj]) - trace * covs[ci] / (norms[ci] ** 3 * norms[cj]))
+            if both_halves:
+                dcov[cj] += coef * (covs[ci] / (norms[ci] * norms[cj]) - trace * covs[cj] / (norms[cj] ** 3 * norms[ci]))
+    for c in populated:
+        member = labels == c
+        rows = feats[member]
+        grad[member] = (2.0 / rows.shape[0]) * (rows - rows.mean(axis=0)) @ dcov[c]
+    return float(value), grad
+
+
+def fd_term_scale(feats, labels, affinity):
+    """Largest gradient entry fd_loss's terms reach before they cancel:
+    |grad_r| <= (2/m) |x_r - mu_c| sum_j (|a_cj| + |a_jc|) / |cov_c|. At
+    d = 1 every similarity is 1 and the exact gradient is 0, so the two
+    forms differ by rounding on this scale."""
+    spread = np.abs(affinity).sum(axis=0) + np.abs(affinity).sum(axis=1)
+    scale = 0.0
+    for c in np.unique(labels):
+        rows = feats[labels == c]
+        centered = rows - rows.mean(axis=0)
+        norm = np.linalg.norm(centered.T @ centered / rows.shape[0])
+        if rows.shape[0] >= 2 and norm > 0.0:
+            reach = np.linalg.norm(centered, axis=1).max()
+            scale = max(scale, 2.0 / rows.shape[0] * reach * spread[c] / norm)
+    return scale
+
+
+def fd_instance(rng):
+    """Random batch: C in 1..6, d in 1..8, B in 2..70, features scaled by
+    1e-3..1e3, symmetric or asymmetric affinities, and sometimes a class of
+    coincident dyadic rows (an exactly zero covariance)."""
+    n_classes, dim, batch = int(rng.integers(1, 7)), int(rng.integers(1, 9)), int(rng.integers(2, 71))
+    feats = rng.standard_normal((batch, dim)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    labels = rng.integers(0, n_classes, size=batch)
+    if rng.random() < 0.3:
+        member = labels == rng.integers(0, n_classes)
+        feats[member] = np.round(feats[member][:1] * 8.0) / 8.0
+    affinity = rng.random((n_classes, n_classes))
+    if rng.random() < 0.5:
+        affinity = affinity @ affinity.T / n_classes
+    return feats, labels, affinity
+
+
+def fd_forms_agree(got, expected, feats, labels, affinity):
+    """Value and gradient within 1e-9 relative, with absolute floors at
+    1e-12 of the summed affinities and of fd_term_scale."""
+    value_floor = 1e-12 * np.abs(affinity).sum()
+    grad_floor = 1e-12 * fd_term_scale(feats, labels, affinity)
+    return abs(got[0] - expected[0]) <= 1e-9 * abs(expected[0]) + value_floor and bool(
+        np.all(np.abs(got[1] - expected[1]) <= 1e-9 * np.abs(expected[1]) + grad_floor)
+    )
+
+
+class TestFdLossMatchesPairwise:
+    N_INSTANCES = 1000
+
+    def instances(self):
+        rng = np.random.default_rng(2024)
+        return [fd_instance(rng) for _ in range(self.N_INSTANCES)]
+
+    def test_agrees_on_random_instances(self):
+        seen = {"d=1": 0, "singleton": 0, "zero norm": 0, "asymmetric": 0}
+        for feats, labels, affinity in self.instances():
+            got = fd_loss(feats, labels, affinity)
+            expected = pairwise_fd_loss(feats, labels, affinity)
+            assert fd_forms_agree(got, expected, feats, labels, affinity)
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
+            counts = np.bincount(labels)
+            seen["d=1"] += feats.shape[1] == 1
+            seen["singleton"] += bool((counts == 1).any())
+            seen["zero norm"] += any(
+                (labels == c).sum() >= 2 and np.ptp(feats[labels == c], axis=0).max() == 0.0 for c in np.unique(labels)
+            )
+            seen["asymmetric"] += not np.array_equal(affinity, affinity.T)
+        assert min(seen.values()) >= 50, seen
+
+    def test_planted_half_gradient_caught(self):
+        caught = contributing = 0
+        for feats, labels, affinity in self.instances():
+            got = fd_loss(feats, labels, affinity)
+            if feats.shape[1] == 1 or not np.any(got[1]):
+                continue
+            contributing += 1
+            broken = pairwise_fd_loss(feats, labels, affinity, both_halves=False)
+            caught += not fd_forms_agree(got, broken, feats, labels, affinity)
+        assert contributing >= 500
+        assert caught == contributing
