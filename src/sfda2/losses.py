@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import RngState, check_symmetric, row_logsumexp, row_softmax, sample_gaussian
+from .numerics import RngState, _gaussian_plan, check_symmetric, row_logsumexp, row_softmax
 
 # Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
 # verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
@@ -281,25 +281,28 @@ def efa_mc_estimate(
     and averages -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns
     (mean, standard error), stderr = sample stdev / sqrt(n_pairs).
 
-    The 2n draws come from `rng` in chunks of _MC_ROWS rows, draw j paired
-    with draw n + j, so only the (n, C) first-half probabilities and one chunk
-    are held at a time. Every step is row-wise, so the result equals one
-    unchunked pass bit for bit. Each chunk's logits are a class-major,
-    C-contiguous (C, rows) array, so softmax and pair dots reduce over C long
-    rows. For C <= 7 this adds in the same order as sample-major (2n, C)
-    logits, bit for bit; for C >= 8 NumPy sums those rows pairwise and the two
-    differ by up to about 1e-15 absolute.
+    The covariance is factored once; the 2n draws come from `rng` in chunks
+    of _MC_ROWS rows, draw j paired with draw n + j, so only the (n, C)
+    first-half probabilities and one chunk are held at a time. Every step is
+    row-wise, so the result equals one unchunked `sample_gaussian` pass bit
+    for bit. Each chunk's logits are a class-major, C-contiguous (C, rows)
+    array, so softmax and pair dots reduce over C long rows. For C <= 7 this
+    adds in the same order as sample-major (2n, C) logits, bit for bit; for
+    C >= 8 NumPy sums those rows pairwise and the two differ by up to about
+    1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError("lambda must be finite and >= 0")
-    sigma = lam * check_symmetric(cov, "cov")
     weights = np.asarray(clf_weights, dtype=np.float64)
     bias = np.asarray(clf_bias, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != np.size(feature) or bias.shape != weights.shape[:1]:
+        raise InvalidInputError("classifier must be (C, d) weights and a (C,) bias, d the feature size")
+    draw = _gaussian_plan(feature, lam * check_symmetric(cov, "cov"))
 
     def chunk_probs(start: int) -> np.ndarray:
-        draws = sample_gaussian(feature, sigma, min(_MC_ROWS, n_pairs - start), rng)
+        draws = draw(min(_MC_ROWS, n_pairs - start), rng)
         return row_softmax((weights @ draws.T + bias[:, None]).T)
 
     first = np.empty((weights.shape[0], n_pairs)).T  # class-major, like each chunk
@@ -364,6 +367,8 @@ def fd_loss(
     if feats.ndim != 2 or labels.shape[0] != feats.shape[0]:
         raise InvalidInputError("features and pseudo-labels must align")
     aff = np.asarray(affinity, dtype=np.float64)
+    if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
+        raise InvalidInputError("affinity must be a square (C, C) matrix")
     if labels.size and (labels.min() < 0 or labels.max() >= aff.shape[0]):
         raise InvalidInputError("pseudo-label out of range")
 

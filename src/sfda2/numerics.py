@@ -139,6 +139,32 @@ def psd_repair(matrix: np.ndarray) -> np.ndarray:
     return (repaired + repaired.T) / 2.0
 
 
+def _gaussian_plan(mean, cov):
+    """Validate N(mean, cov) and factor its active block once; the returned
+    draw(n, rng) costs one `standard_normal` fill and one GEMM per call."""
+    mean_arr = _as_vector(mean, "mean")
+    cov_arr = check_symmetric(cov, "cov")
+    if cov_arr.shape != (mean_arr.size, mean_arr.size):
+        raise InvalidInputError("mean and cov dimensions disagree")
+    active = np.diagonal(cov_arr) != 0.0
+    lift = np.zeros((mean_arr.size, int(active.sum())))
+    lift[active] = psd_factor(cov_arr[np.ix_(active, active)])
+    # +-0.0 + m == m for every m except +0.0 + -0.0, so pin -0.0 means.
+    negative_zero = ~active & (mean_arr == 0.0) & np.signbit(mean_arr)
+
+    def draw(n: int, rng: RngState) -> np.ndarray:
+        if n < 1:
+            raise InvalidInputError("sample count must be >= 1")
+        samples = rng.generator.standard_normal((n, lift.shape[1])) @ lift.T
+        samples += mean_arr
+        samples[:, negative_zero] = -0.0
+        if not np.all(np.isfinite(samples)):
+            raise NumericalError("gaussian sampling produced non-finite values")
+        return samples
+
+    return draw
+
+
 def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
     """Draw n samples from N(mean, cov) as rows of a C-contiguous (n, d) array.
 
@@ -147,25 +173,7 @@ def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
     for bit, signed zero included; the factorization policy applies to the
     active block only. One GEMM lifts the (n, k) noise of the k active
     coordinates by a (d, k) matrix with the factor in the active rows and
-    zeros elsewhere, instead of scattering into the active output columns.
+    zeros elsewhere; with k = 0 it draws nothing. This is one draw from
+    `_gaussian_plan`; a caller that draws often from one law keeps the plan.
     """
-    mean_arr = _as_vector(mean, "mean")
-    cov_arr = check_symmetric(cov, "cov")
-    if cov_arr.shape != (mean_arr.size, mean_arr.size):
-        raise InvalidInputError("mean and cov dimensions disagree")
-    if n < 1:
-        raise InvalidInputError("sample count must be >= 1")
-
-    active = np.diagonal(cov_arr) != 0.0
-    k = int(active.sum())
-    if k == 0:
-        return np.tile(mean_arr, (n, 1))
-    lift = np.zeros((mean_arr.size, k))
-    lift[active] = psd_factor(cov_arr[np.ix_(active, active)])
-    samples = rng.generator.standard_normal((n, k)) @ lift.T
-    samples += mean_arr
-    # +-0.0 + m == m for every m except +0.0 + -0.0, so pin -0.0 means.
-    samples[:, ~active & (mean_arr == 0.0) & np.signbit(mean_arr)] = -0.0
-    if not np.all(np.isfinite(samples)):
-        raise NumericalError("gaussian sampling produced non-finite values")
-    return samples
+    return _gaussian_plan(mean, cov)(n, rng)

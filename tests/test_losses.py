@@ -18,7 +18,7 @@ from sfda2.losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from sfda2.numerics import RngState, check_symmetric, row_softmax, sample_gaussian, softmax
+from sfda2.numerics import RngState, check_symmetric, psd_factor, row_softmax, sample_gaussian, softmax
 
 
 def random_psd(rng, d):
@@ -351,6 +351,15 @@ class TestEfaMcEstimate:
         with pytest.raises(InvalidInputError):
             efa_mc_estimate(np.zeros(2), np.eye(2), np.eye(2), np.zeros(2), 1.0, 1, RngState(0))
 
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [(np.ones((2, 4)), np.zeros(2)), (np.ones((2, 3)), np.zeros(3))],
+        ids=["weights-wider-than-feature", "bias-longer-than-classes"],
+    )
+    def test_classifier_shape_rejected(self, weights, bias):
+        with pytest.raises(InvalidInputError, match="classifier"):
+            efa_mc_estimate(np.zeros(3), np.eye(3), weights, bias, 1.0, 10, RngState(0))
+
 
 def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
     """efa_mc_estimate with sample-major (2n, C) logits, the layout the
@@ -360,6 +369,22 @@ def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs,
     dots = (probs[:n_pairs] * probs[n_pairs:]).sum(axis=1)
     values = -np.log(dots)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
+
+
+def chunk_boundary_cases():
+    rng = np.random.default_rng(1)
+    dead = random_psd(rng, 3)
+    dead[1] = 0.0
+    dead[:, 1] = 0.0
+    u = np.array([1.0, 2.0, -1.0])
+    return {
+        "lambda-zero": (np.array([0.5, -0.0, 2.0]), random_psd(rng, 3), 0.0),
+        "negative-zero-mean-dead-coordinate": (np.array([0.5, -0.0, 2.0]), dead, 1.5),
+        "rank-one-jitter": (np.array([0.3, -0.2, 1.0]), np.outer(u, u), 2.0),
+    }
+
+
+CHUNK_BOUNDARY_CASES = chunk_boundary_cases()
 
 
 class TestEfaMcEstimateMatchesRowMajor:
@@ -397,6 +422,29 @@ class TestEfaMcEstimateMatchesRowMajor:
             args = self.instance(n_classes, n_classes, n_pairs)
             expected = row_major_efa_mc_estimate(*args, RngState(n_classes))
             assert efa_mc_estimate(*args, RngState(n_classes)) == expected
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_BOUNDARY_CASES))
+    def test_chunk_boundary_equals_one_shot(self, name):
+        # One pair past a full chunk, so each half streams a full and a 1-row chunk.
+        feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
+        rng = np.random.default_rng(0)
+        args = (feature, cov, rng.standard_normal((3, feature.size)), rng.standard_normal(3), lam, _MC_ROWS + 1)
+        expected = row_major_efa_mc_estimate(*args, RngState(0))
+        assert efa_mc_estimate(*args, RngState(0)) == expected
+
+    def test_rank_one_case_needs_jitter(self):
+        _, cov, lam = CHUNK_BOUNDARY_CASES["rank-one-jitter"]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(lam * cov)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_covariance_factored_once_per_estimate(self, monkeypatch, lam):
+        calls = []
+        monkeypatch.setattr("sfda2.numerics.psd_factor", lambda cov: calls.append(cov.shape) or psd_factor(cov))
+        args = self.instance(3, 4, 2 * _MC_ROWS + 3)[:4]
+        for expected_calls in (1, 2):
+            efa_mc_estimate(*args, lam, 2 * _MC_ROWS + 3, RngState(0))
+            assert len(calls) == expected_calls
 
 
 class TestAffinityWeights:
@@ -507,6 +555,12 @@ class TestFdLoss:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             fd_loss(np.zeros((2, 2)), [0, 2], uniform_affinity(2))
+
+    @pytest.mark.parametrize("affinity", [np.ones((2, 1)), np.ones(2)], ids=["2x1", "1-D"])
+    def test_non_square_affinity_rejected(self, affinity):
+        feats = np.random.default_rng(9).standard_normal((4, 2))
+        with pytest.raises(InvalidInputError, match="affinity"):
+            fd_loss(feats, [0, 0, 1, 1], affinity)
 
 
 def pairwise_fd_loss(batch_features, batch_pseudo_labels, affinity, both_halves=True):
