@@ -6,10 +6,10 @@ weights, and the schedule helpers.
 The adaptation loop evaluates a whole batch with `snc_loss_batch` and
 `ifa_loss_batch`; the per-sample `snc_loss` and `ifa_loss` are their
 reference forms. `fd_loss` is one class-matrix kernel: the batch's class
-covariances, flattened and stacked, give every pair's trace in one Gram
-matrix, whose diagonal holds the squared norms. Every loss returns its
-value together with exact analytic gradients with respect to its live
-inputs. Rows fetched from memory banks and the running
+covariances from `stats.class_moments`, flattened and stacked, give every
+pair's trace in one Gram matrix, whose diagonal holds the squared norms.
+Every loss returns its value together with exact analytic gradients with
+respect to its live inputs. Rows fetched from memory banks and the running
 class covariances are constants by contract; only the quantities produced
 by the current forward pass carry gradient.
 """
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import RngState, _gaussian_plan, check_symmetric, row_logsumexp, row_softmax
+from .stats import class_moments
 
 # Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
 # verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
@@ -323,19 +324,10 @@ def affinity_weights(score_bank: np.ndarray, pseudo_labels) -> np.ndarray:
 
     mean_pred_c is the mean bank probability row over samples pseudo-labeled
     c (zero vector when the class is unpopulated), so unpopulated classes get
-    zero rows/columns. The matrix is symmetric with entries in [0, 1].
+    zero rows/columns. The matrix is symmetric with entries in [0, 1]. The
+    class means come from `stats.class_moments`.
     """
-    labels = np.asarray(pseudo_labels, dtype=np.int64).ravel()
-    if labels.shape[0] != score_bank.shape[0]:
-        raise InvalidInputError("pseudo-labels must align with bank rows")
-    n_classes = score_bank.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise InvalidInputError("pseudo-label out of range")
-    class_means = np.zeros((n_classes, n_classes))
-    for c in range(n_classes):
-        member = labels == c
-        if member.any():
-            class_means[c] = score_bank[member].mean(axis=0)
+    _, class_means, _ = class_moments(score_bank, pseudo_labels, score_bank.shape[1])
     return class_means @ class_means.T
 
 
@@ -356,35 +348,28 @@ def fd_loss(
     `affinity` matrix. Returns (value, grad); both are zero for a batch with
     fewer than two classes of >= 2 members.
 
-    Over the P such classes, F stacks the flattened covariances as rows and
-    T = F F^T holds every tr(cov_i cov_j), so with n = sqrt(diag T) and W
-    the affinities of the contributing pairs, value = -(1/2) sum W (1 -
-    T / n n^T) and, with G = (W + W^T) / (2 n n^T), the covariance
-    gradient is G F - (rowsum(G T) / n^2) F.
+    `stats.class_moments` gives the class moments; a class of fewer than 2
+    members has an exactly zero covariance. F stacks the flattened
+    covariances as rows and T = F F^T holds every tr(cov_i cov_j), so with n
+    = sqrt(diag T) and W the affinities of the contributing pairs, value =
+    -(1/2) sum W (1 - T / n n^T) and, with G = (W + W^T) / (2 n n^T), the
+    covariance gradient is G F - (rowsum(G T) / n^2) F.
     """
-    feats = np.asarray(batch_features, dtype=np.float64)
-    labels = np.asarray(batch_pseudo_labels, dtype=np.int64).ravel()
-    if feats.ndim != 2 or labels.shape[0] != feats.shape[0]:
-        raise InvalidInputError("features and pseudo-labels must align")
     aff = np.asarray(affinity, dtype=np.float64)
     if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
         raise InvalidInputError("affinity must be a square (C, C) matrix")
-    if labels.size and (labels.min() < 0 or labels.max() >= aff.shape[0]):
-        raise InvalidInputError("pseudo-label out of range")
+    counts, means, covs = class_moments(batch_features, batch_pseudo_labels, aff.shape[0])
+    feats = np.asarray(batch_features, dtype=np.float64)
+    labels = np.asarray(batch_pseudo_labels, dtype=np.int64).ravel()
+    if np.count_nonzero(counts >= 2) < 2:
+        return 0.0, np.zeros_like(feats)
 
-    grad = np.zeros_like(feats)
-    populated = np.flatnonzero(np.bincount(labels, minlength=aff.shape[0]) >= 2)
-    if populated.size < 2:
-        return 0.0, grad
-
-    members = [labels == c for c in populated]
-    centered = [x - x.mean(axis=0) for x in (feats[m] for m in members)]
-    flat = np.stack([x.T @ x / x.shape[0] for x in centered]).reshape(populated.size, -1)
+    flat = covs.reshape(aff.shape[0], -1)
     trace = flat @ flat.T
     norms = np.sqrt(np.diag(trace))
     live = norms > 0.0
-    pairs = np.outer(live, live) & ~np.eye(populated.size, dtype=bool)
-    weight = np.where(pairs, aff[np.ix_(populated, populated)], 0.0)
+    pairs = np.outer(live, live) & ~np.eye(aff.shape[0], dtype=bool)
+    weight = np.where(pairs, aff, 0.0)
     # A zero-norm class has a zero covariance and no live pair, so a unit
     # stand-in norm keeps its row of every term at exactly zero.
     safe = np.where(live, norms, 1.0)
@@ -394,6 +379,5 @@ def fd_loss(
     # Pair (i, j) feeds both covariances, so the gradient sees W + W^T.
     sym = 0.5 * (weight + weight.T) / denom
     dflat = sym @ flat - ((sym * trace).sum(axis=1) / safe**2)[:, None] * flat
-    for member, x, dcov in zip(members, centered, dflat.reshape(-1, feats.shape[1], feats.shape[1])):
-        grad[member] = (2.0 / x.shape[0]) * x @ dcov
-    return value, grad
+    scaled = (2.0 / counts[labels])[:, None] * (feats - means[labels])
+    return value, np.einsum("bi,bij->bj", scaled, dflat.reshape(covs.shape)[labels])

@@ -32,7 +32,7 @@ from .losses import (
 )
 from .model import finite_diff_check, forward, grad_params, init_model
 from .numerics import RngState, logsumexp, row_logsumexp, row_softmax, softmax
-from .stats import ClassStatistics, update_class_stats
+from .stats import ClassStatistics, batch_covariance_oracle, class_moments, update_class_stats
 
 
 @dataclass
@@ -568,14 +568,12 @@ def _stream_with_doubled_correction(feats, labels, sizes, n_classes, dim):
     counts = np.zeros(n_classes, dtype=np.int64)
     pos = 0
     for size in sizes:
-        rows = feats[pos : pos + size]
-        labs = labels[pos : pos + size]
+        batch_counts, batch_means, batch_covs = class_moments(
+            feats[pos : pos + size], labels[pos : pos + size], n_classes
+        )
         pos += size
-        for c in np.unique(labs):
-            sub = rows[labs == c]
-            m = sub.shape[0]
-            mu_b = sub.mean(axis=0)
-            cov_b = (sub - mu_b).T @ (sub - mu_b) / m
+        for c in np.flatnonzero(batch_counts):
+            m, mu_b, cov_b = int(batch_counts[c]), batch_means[c], batch_covs[c]
             n_a = int(counts[c])
             n = n_a + m
             delta = means[c] - mu_b
@@ -616,7 +614,7 @@ def verify_oracles(
 ) -> VerifyReport:
     """Streaming/numeric primitives vs independent oracles.
 
-    (a) streaming class statistics vs a two-pass oracle over random batch
+    (a) streaming class statistics vs `batch_covariance_oracle` over random batch
     partitions that include size-1 batches, max entry error < 1e-9;
     (b) bank neighbor search vs an exhaustive scan, exact indices under the
     (distance, index) tie rule; (c) log-softmax identity
@@ -657,9 +655,7 @@ def verify_oracles(
                 if counts[c] != 0:
                     failures.append({"part": "class-stats", "stream": s, "class": c, "reason": "phantom count"})
                 continue
-            mean_oracle = rows.mean(axis=0)
-            centered = rows - mean_oracle
-            cov_oracle = centered.T @ centered / rows.shape[0]
+            mean_oracle, cov_oracle = batch_covariance_oracle(rows)
             mean_err = float(np.abs(means[c] - mean_oracle).max())
             cov_err = float(np.abs(covs[c] - cov_oracle).max())
             stats_worst = max(stats_worst, mean_err, cov_err)

@@ -1,10 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from sfda2.adapt import AdaptConfig, adapt, pretrain_source
+from sfda2.data import default_shift_spec, gen_synthetic
 from sfda2.errors import InvalidInputError
+from sfda2.losses import fd_loss
 from sfda2.numerics import psd_repair
-from sfda2.stats import ClassStatistics, batch_covariance_oracle, update_class_stats
+from sfda2.stats import ClassStatistics, batch_covariance_oracle, class_moments, update_class_stats
+from sfda2.verify import verify_oracles
 
 
 class TestBatchCovarianceOracle:
@@ -37,6 +43,117 @@ class TestBatchCovarianceOracle:
         rows = np.random.default_rng(0).standard_normal((7, 3))
         _, cov = batch_covariance_oracle(rows)
         assert_allclose(cov, np.cov(rows.T, bias=True), atol=1e-12)
+
+
+def moment_batches(n=200, seed=12):
+    """Random labelled batches: C in 1-6, d in 1-8, B in 2-70, row scales
+    1e-3 to 1e3, and for three in four batches a mean offset up to 1e6.
+    Yields (rows, labels, C, offset / scale)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        c, d, b = int(rng.integers(1, 7)), int(rng.integers(1, 9)), int(rng.integers(2, 71))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        offset = 10.0 ** rng.uniform(0, 6) if rng.random() < 0.75 else 0.0
+        rows = scale * rng.standard_normal((b, d)) + offset * rng.uniform(-1, 1, d)
+        yield rows, rng.integers(0, c, b), c, offset / scale
+
+
+def uncentred_moments(features, labels, n_classes):
+    """Planted defect: covariances as E[xx^T] - mu mu^T, which cancels."""
+    counts, means, _ = class_moments(features, labels, n_classes)
+    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
+    second = np.einsum("cb,bi,bj->cij", onehot, features, features) / np.maximum(counts, 1)[:, None, None]
+    return counts, means, second - means[:, :, None] * means[:, None, :]
+
+
+def moments_match_oracle(moments, features, labels, rtol=1e-12):
+    """Each populated class's mean and covariance lie within rtol of the
+    largest entry of `batch_covariance_oracle`'s, and the counts agree."""
+    counts, means, covs = moments
+    assert_array_equal(counts, np.bincount(labels, minlength=counts.size))
+    for c in np.flatnonzero(counts):
+        mean, cov = batch_covariance_oracle(features[labels == c])
+        if np.abs(means[c] - mean).max() > rtol * np.abs(mean).max():
+            return False
+        if np.abs(covs[c] - cov).max() > rtol * np.abs(cov).max():
+            return False
+    return True
+
+
+class TestClassMoments:
+    def test_matches_oracle_on_random_batches(self):
+        for rows, labels, c, _ in moment_batches():
+            assert moments_match_oracle(class_moments(rows, labels, c), rows, labels)
+
+    def test_planted_uncentred_form_caught_on_offset_batches(self):
+        offset = [
+            (rows, labels, c)
+            for rows, labels, c, ratio in moment_batches()
+            if ratio >= 1e3 and np.bincount(labels).max() >= 2
+        ]
+        assert len(offset) >= 50
+        for rows, labels, c in offset:
+            assert not moments_match_oracle(uncentred_moments(rows, labels, c), rows, labels)
+
+    def test_empty_class_exact_zeros(self):
+        rows = np.array([[1e6, -3.0], [2e6, 5.0], [-7.0, 0.5]])
+        counts, means, covs = class_moments(rows, [0, 0, 2], 4)
+        assert_array_equal(counts, [2, 0, 1, 0])
+        for c in (1, 3):
+            assert_array_equal(means[c], np.zeros(2))
+            assert_array_equal(covs[c], np.zeros((2, 2)))
+        assert_array_equal(covs[2], np.zeros((2, 2)))
+
+    def test_coincident_dyadic_rows_zero_covariance(self):
+        row = np.array([0.75, -2.5, 1024.0, 3.0])
+        for m in (2, 3, 5, 7):
+            rows = np.vstack([np.tile(row, (m, 1)), np.ones((2, 4))])
+            _, means, covs = class_moments(rows, [1] * m + [0, 0], 2)
+            assert means[1].tobytes() == row.tobytes()
+            assert covs[1].tobytes() == np.zeros((4, 4)).tobytes()
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(InvalidInputError):
+            class_moments(np.ones((3, 2)), [0, 1], 2)
+        with pytest.raises(InvalidInputError):
+            class_moments(np.ones(3), [0, 1, 1], 2)
+        with pytest.raises(InvalidInputError):
+            class_moments(np.ones((2, 2)), [0, 2], 2)
+
+
+class TestOracleOffTrainingPath:
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(features):
+            raise RuntimeError("batch_covariance_oracle reached")
+
+        monkeypatch.setattr(importlib.import_module("sfda2.stats"), "batch_covariance_oracle", refuse)
+
+    def test_adapt_never_reaches_oracle(self, no_oracle):
+        source, target = gen_synthetic(default_shift_spec(10), 0)
+        model = pretrain_source(AdaptConfig(seed=0, epochs=2, lr=0.1), source)
+        _, trace = adapt(AdaptConfig(seed=0, epochs=1, batch_size=8), model, target.unlabeled())
+        assert trace.iterations
+
+    def test_fd_loss_never_reaches_oracle(self, no_oracle):
+        rows = np.random.default_rng(5).standard_normal((9, 3))
+        value, _ = fd_loss(rows, [0, 0, 0, 1, 1, 1, 2, 2, 2], np.ones((3, 3)))
+        assert value < 0.0
+
+    def test_verify_oracles_still_calls_oracle(self, monkeypatch):
+        calls = []
+
+        def counting(features):
+            calls.append(len(features))
+            return batch_covariance_oracle(features)
+
+        monkeypatch.setattr(importlib.import_module("sfda2.verify"), "batch_covariance_oracle", counting)
+        report = verify_oracles(
+            streams=1, samples_per_stream=30, n_classes=3, dim=2,
+            bank_points=20, bank_dim=3, n_queries=3, ks=(1,), softmax_trials=3,
+        )
+        assert report.passed
+        assert sum(calls) == 30
 
 
 class TestUpdateClassStats:
@@ -126,12 +243,13 @@ class TestUpdateClassStats:
 
 def update_class_by_class(stats, features, labels):
     """The pooled update with `psd_repair` applied to each class in turn:
-    the form the stacked eigenvalue check replaced."""
+    the form the stacked eigenvalue check replaced. The batch moments come
+    from `class_moments`, so only the merge arithmetic is compared."""
     means, covs, counts = stats.means.copy(), stats.covs.copy(), stats.counts.copy()
+    _, batch_means, batch_covs = class_moments(features, labels, stats.n_classes)
     for c in np.unique(labels):
-        rows = features[labels == c]
-        m = rows.shape[0]
-        mu_batch, cov_batch = batch_covariance_oracle(rows)
+        m = int((labels == c).sum())
+        mu_batch, cov_batch = batch_means[c], batch_covs[c]
         n = int(counts[c])
         total = n + m
         delta = means[c] - mu_batch
@@ -171,9 +289,10 @@ class TestStackedPsdCheck:
     def test_psd_classes_exactly_symmetrized(self):
         stats, rows, labels = self.planted()
         out = update_class_stats(stats, rows, labels)
+        _, batch_means, batch_covs = class_moments(rows, labels, 4)
         for c in (0, 1, 3):
             n, m = int(stats.counts[c]), int((labels == c).sum())
-            mu_batch, cov_batch = batch_covariance_oracle(rows[labels == c])
+            mu_batch, cov_batch = batch_means[c], batch_covs[c]
             delta = stats.means[c] - mu_batch
             total = n + m
             merged = (n * stats.covs[c] + m * cov_batch) / total + (n * m) * np.outer(delta, delta) / total**2
