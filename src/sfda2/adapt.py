@@ -222,7 +222,7 @@ def batch_objective(
     neighbor_probs: np.ndarray,
     bank_batch_probs: np.ndarray,
     batch_pseudo_labels: np.ndarray,
-    stats: ClassStatistics,
+    class_covs: np.ndarray,
     affinity: np.ndarray,
     decay: float,
     lam: float,
@@ -235,6 +235,7 @@ def batch_objective(
     `neighbor_probs` is the (B, K, C) stack of each sample's neighbor rows
     and `bank_batch_probs[i]` the stored score-bank row for batch sample i;
     only row i's self term is differentiated through the live network.
+    `class_covs` holds the (C, d, d) class covariances of the alignment term.
     Feature-alignment and dispersal terms are skipped (reported as 0) when
     their weight is exactly 0.
     """
@@ -252,7 +253,7 @@ def batch_objective(
     ifa_mean = 0.0
     if alpha1 != 0.0:
         ifa_values, dz, dw, db = ifa_loss_batch(
-            features, labels, stats.covs, model.clf_weights, model.clf_bias, lam
+            features, labels, class_covs, model.clf_weights, model.clf_bias, lam
         )
         ifa_mean = float(ifa_values.sum()) / b
         dfeatures += (alpha1 / b) * dz
@@ -312,7 +313,9 @@ def adapt(
     # lambda 0, the last sees the terminal values.
     denom = max(total_iters - 1, 1)
 
-    fbank, score_bank = init_banks(model, target.inputs, config.bank_fraction)
+    # Diverged features overflow the bank's row norms; the loop reports that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fbank, score_bank = init_banks(model, target.inputs, config.bank_fraction)
     if fbank.capacity < config.k + 1:
         raise InvalidInputError(
             f"bank_fraction={config.bank_fraction!r} leaves a bank capacity of "
@@ -334,17 +337,17 @@ def adapt(
                 continue
             x = target.inputs[batch]
             features, _, probs = _guarded_forward(current, x, epoch, t)
-            update_banks(fbank, score_bank, batch, features, probs)
-            neighbor_probs = score_bank[knn(fbank, batch, config.k)]
-            labels = np.argmax(probs, axis=1)
-            stats = update_class_stats(stats, features, labels)
-
             decay = decay_factor(t, denom, config.beta)
             lam = lambda_schedule(t, denom, config.lambda0)
             try:
-                # Diverged parameters overflow inside the loss kernels; the
-                # checks below report that, so NumPy's warnings are silenced.
+                # Diverged parameters overflow inside the bank write, the
+                # class statistics and the loss kernels; the checks below
+                # report that, so NumPy's warnings are silenced.
                 with np.errstate(over="ignore", invalid="ignore"):
+                    update_banks(fbank, score_bank, batch, features, probs)
+                    neighbor_probs = score_bank[knn(fbank, batch, config.k)]
+                    labels = np.argmax(probs, axis=1)
+                    stats = update_class_stats(stats, features, labels)
                     breakdown, grads = batch_objective(
                         current,
                         x,
@@ -353,17 +356,17 @@ def adapt(
                         neighbor_probs,
                         score_bank[batch],
                         labels,
-                        stats,
+                        stats.covs,
                         affinity,
                         decay,
                         lam,
                         config.alpha1,
                         config.alpha2,
                     )
-            except InvalidInputError as exc:
+            except (InvalidInputError, np.linalg.LinAlgError) as exc:
                 # Every argument was produced by this loop, so a precondition
-                # trip here means diverged parameters or statistics overflowed
-                # inside a loss term.
+                # trip or a failed eigensolve here means diverged parameters
+                # or statistics overflowed.
                 raise NumericalError(
                     f"non-finite loss evaluation at epoch {epoch}, iteration {t}: {exc}"
                 ) from exc

@@ -66,7 +66,8 @@ def _resolve_seed(flag_value: int | None, config_value: int | None = None, defau
     return default
 
 
-# Every AdaptConfig field, typed by its default, plus the model shape.
+# Every AdaptConfig field, typed by its default, plus the model shape: the
+# keys of a config file and, with dashes, the run-config flags.
 _CONFIG_SCHEMA: dict[str, type] = {
     **{f.name: type(f.default) for f in fields(AdaptConfig)},
     "hidden_dims": list,
@@ -95,28 +96,28 @@ def _check_config_value(key: str, value):
     raise InvalidInputError(f"unsupported config field {key!r}")
 
 
+def _read_json_object(path: str, kind: str, known) -> dict:
+    """The JSON object in `path`; every key must be one of `known`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"unreadable {kind} {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{kind} root must be a JSON object")
+    for key in raw:
+        if key not in known:
+            raise InvalidInputError(f"unknown {kind} field {key!r}")
+    return raw
+
+
 def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ...], int]:
     """Config file merged with flag overrides; every field is validated."""
-    values: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"unreadable config {path!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InvalidInputError("config root must be a JSON object")
-        for key, value in raw.items():
-            if key not in _CONFIG_SCHEMA:
-                raise InvalidInputError(f"unknown config field {key!r}")
-            values[key] = _check_config_value(key, value)
-
-    for flag in [key for key in _CONFIG_SCHEMA if key not in ("seed", "hidden_dims")]:
-        flag_value = getattr(args, flag, None)
-        if flag_value is not None:
-            values[flag] = flag_value
-    if getattr(args, "hidden_dims", None) is not None:
-        values["hidden_dims"] = tuple(args.hidden_dims)
+    raw = {} if path is None else _read_json_object(path, "config", _CONFIG_SCHEMA)
+    values = {key: _check_config_value(key, value) for key, value in raw.items()}
+    for key in _CONFIG_SCHEMA:
+        if key != "seed" and (flag_value := getattr(args, key, None)) is not None:
+            values[key] = flag_value
 
     hidden_dims = values.pop("hidden_dims", (16,))
     feature_dim = values.pop("feature_dim", 8)
@@ -125,23 +126,11 @@ def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ..
     seed = _resolve_seed(getattr(args, "seed", None), values.pop("seed", None))
     config = AdaptConfig(seed=seed, **values)
     validate_config(config)
-    return config, tuple(hidden_dims), feature_dim
-
-
-_SPEC_FIELDS = tuple(f.name for f in fields(ShiftSpec))
+    return config, hidden_dims, feature_dim
 
 
 def _load_shift_spec(path: str) -> ShiftSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"unreadable spec {path!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidInputError("spec root must be a JSON object")
-    for key in raw:
-        if key not in _SPEC_FIELDS:
-            raise InvalidInputError(f"unknown spec field {key!r}")
+    raw = _read_json_object(path, "spec", {f.name for f in fields(ShiftSpec)})
     base = default_shift_spec()
     try:
         spec = ShiftSpec(
@@ -275,24 +264,17 @@ def _cmd_verify(args) -> int:
 
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--alpha1", type=float)
-    parser.add_argument("--alpha2", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda0", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--bank-fraction", dest="bank_fraction", type=float)
-    parser.add_argument(
-        "--hidden-dims",
-        dest="hidden_dims",
-        type=lambda s: [int(v) for v in s.split(",") if v],
-        help="comma-separated hidden layer widths",
-    )
-    parser.add_argument("--feature-dim", dest="feature_dim", type=int)
+    for key, kind in _CONFIG_SCHEMA.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "hidden_dims":
+            parser.add_argument(
+                flag,
+                dest=key,
+                type=lambda s: tuple(int(v) for v in s.split(",") if v),
+                help="comma-separated hidden layer widths",
+            )
+        else:
+            parser.add_argument(flag, dest=key, type=kind)
 
 
 def _build_parser() -> _ArgumentParser:

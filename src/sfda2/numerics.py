@@ -1,5 +1,5 @@
-"""Numerical primitives: stable softmax / log-sum-exp, PSD-aware Gaussian
-sampling, and a deterministic splittable RNG.
+"""Numerical primitives: stable row-wise softmax / log-sum-exp, PSD-aware
+Gaussian sampling, and a deterministic splittable RNG.
 
 All arithmetic is float64. Matrices are plain numpy arrays in row-major
 layout; validation happens at the public entry points so the callers can
@@ -54,16 +54,8 @@ def _as_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def softmax(v) -> np.ndarray:
-    """Softmax of a vector, computed with max subtraction for stability."""
-    arr = _as_vector(v, "softmax input")
-    shifted = arr - arr.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
-
-
 def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array (batch helper, same stabilization)."""
+    """Row-wise softmax of a 2-D array, computed with max subtraction."""
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise InvalidInputError("row_softmax input must be 2-D with nonzero width")
@@ -72,13 +64,6 @@ def row_softmax(m: np.ndarray) -> np.ndarray:
     shifted = arr - arr.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
-
-
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) computed max-shifted."""
-    arr = _as_vector(v, "logsumexp input")
-    m = arr.max()
-    return float(m + np.log(np.exp(arr - m).sum()))
 
 
 def row_logsumexp(m: np.ndarray) -> np.ndarray:

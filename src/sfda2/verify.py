@@ -3,7 +3,8 @@
 Four suites: the feature-alignment upper bound against its Monte Carlo
 oracle, the full-batch neighborhood-loss factorization identity, analytic
 gradients against central finite differences, and the streaming-estimator
-oracles (class statistics, neighbor search, log-softmax identity).
+oracles (class statistics, neighbor search, the row kernels' log-softmax
+identity).
 
 Every suite is deterministic for a given seed and returns a VerifyReport.
 `negative_control=True` plants a known-wrong variant of the checked
@@ -31,7 +32,7 @@ from .losses import (
     softmax_vjp,
 )
 from .model import finite_diff_check, forward, grad_params, init_model
-from .numerics import RngState, logsumexp, row_logsumexp, row_softmax, softmax
+from .numerics import RngState, row_logsumexp, row_softmax
 from .stats import ClassStatistics, batch_covariance_oracle, class_moments, update_class_stats
 
 
@@ -65,23 +66,6 @@ def _finish(suite: str, trials: int, worst, failures: list[dict], details: dict)
 # ---------------------------------------------------------------- bound
 
 
-def _sign_flipped_bound(feature, cov, weights, bias, lam: float) -> float:
-    # Known-wrong closed form for the negative control: the variance margin
-    # enters with the wrong sign, so for material lambda the value drops
-    # below the Monte Carlo mean. Computed here because ifa_loss's contract
-    # admits only the correct formula. Weakening lambda instead (halving,
-    # even zeroing) can never fail: each per-class ratio in the correct
-    # formula is at most the softmax probability, which forces the value
-    # above 2*C*log(C) at any lambda, while the oracle mean at lambda=0 is
-    # at most log(C).
-    logits = weights @ feature + bias
-    gram = weights @ cov @ weights.T
-    diag = np.diagonal(gram)
-    quad = diag[None, :] - 2.0 * gram + diag[:, None]
-    shifted = logits[None, :] - 0.5 * lam * quad
-    return -2.0 * float(logits.sum() - row_logsumexp(shifted).sum())
-
-
 def verify_ifa_bound(
     trials: int = 100,
     n_pairs: int = 200000,
@@ -93,8 +77,9 @@ def verify_ifa_bound(
 
     Per trial: random classifier, feature, trace-normalized PSD covariance,
     lambda in (0, 5]. Pass requires mc_mean <= bound + 3*stderr. The
-    negative control swaps in a closed form with the variance margin
-    sign-flipped, a planted bug the comparison must catch on some trials.
+    negative control hands `ifa_loss` the negated covariance, which flips
+    the variance margin's sign: a planted bug the comparison must catch on
+    some trials.
     `lambda_override` pins lambda instead of sampling it (used for the
     degenerate lambda=0 case).
 
@@ -126,10 +111,14 @@ def verify_ifa_bound(
         bias = g.standard_normal(n_classes)
         lam = 5.0 * (1.0 - g.random()) if lambda_override is None else float(lambda_override)
 
-        if negative_control:
-            bound = _sign_flipped_bound(feature, cov, weights, bias, lam)
-        else:
-            bound = ifa_loss(feature, cov, weights, bias, lam)[0]
+        # The negative control negates the covariance, which negates every
+        # q[c,c'] exactly: the variance margin enters with the wrong sign, so
+        # for material lambda the value drops below the Monte Carlo mean.
+        # Weakening lambda instead (halving, even zeroing) can never fail:
+        # each per-class ratio in the correct formula is at most the softmax
+        # probability, which forces the value above 2*C*log(C) at any
+        # lambda, while the oracle mean at lambda=0 is at most log(C).
+        bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
         mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
         slack = bound + 3.0 * mc_stderr - mc_mean
         return {
@@ -432,11 +421,6 @@ def verify_gradients(
             a = g.standard_normal((d_feat, d_feat))
             covs[c] = a @ a.T
             covs[c] *= d_feat / np.trace(covs[c])
-        stats = ClassStatistics(
-            means=np.zeros((n_classes, d_feat)),
-            covs=covs,
-            counts=np.ones(n_classes, dtype=np.int64),
-        )
         class_means = row_softmax(g.standard_normal((n_classes, n_classes)))
         affinity = class_means @ class_means.T
         decay = float(0.25 + g.random())
@@ -465,7 +449,7 @@ def verify_gradients(
         def composite_closure(m):
             feats, _, probs = forward(m, x)
             breakdown, grads = batch_objective(
-                m, x, feats, probs, neighbor_probs, bank_rows, labels, stats, affinity,
+                m, x, feats, probs, neighbor_probs, bank_rows, labels, covs, affinity,
                 decay, lam, alpha1, alpha2,
             )
             return breakdown.total, grads
@@ -584,11 +568,12 @@ def _stream_with_doubled_correction(feats, labels, sizes, n_classes, dim):
 
 
 def _softmax_and_logsumexp(v: np.ndarray, negative_control: bool):
-    # The negative control plants shift-free naive exponentials.
+    # The row kernels on a one-row array; the negative control plants
+    # shift-free naive exponentials.
     if negative_control:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(v) / np.exp(v).sum(), float(np.log(np.exp(v).sum()))
-    return softmax(v), logsumexp(v)
+    return row_softmax(v[None])[0], row_logsumexp(v[None])[0]
 
 
 _EXTREME_LOGITS = (
@@ -619,7 +604,8 @@ def verify_oracles(
     (b) bank neighbor search vs an exhaustive scan, exact indices under the
     (distance, index) tie rule; (c) log-softmax identity
     log softmax(v)_c = v_c - logsumexp(v) within 1e-12, plus finite
-    results on extreme logits. Negative controls plant, respectively, a
+    results on extreme logits, for the `row_softmax`/`row_logsumexp`
+    kernels on one-row arrays. Negative controls plant, respectively, a
     doubled covariance correction term, an unnormalized distance scan, and
     shift-free naive exponentials.
     """

@@ -9,8 +9,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import sfda2
-from sfda2.cli import run_cli
-from sfda2.data import load_checkpoint, load_dataset
+from sfda2.cli import _CONFIG_SCHEMA, _UsageError, _build_parser, _load_run_config, run_cli
+from sfda2.data import load_checkpoint, load_dataset, save_checkpoint
 from sfda2.verify import verify_snc_factorization
 
 
@@ -171,6 +171,58 @@ class TestPretrain:
             ]
         )
         assert code == 1
+
+
+# A config-file value and a differing flag value for every schema key.
+SCHEMA_VALUES = {
+    "k": (3, "4"),
+    "alpha1": (0.5, "0.25"),
+    "alpha2": (2.0, "3.5"),
+    "beta": (1.0, "1.5"),
+    "lambda0": (2.5, "0.75"),
+    "lr": (0.01, "0.02"),
+    "momentum": (0.5, "0.25"),
+    "batch_size": (8, "16"),
+    "epochs": (2, "3"),
+    "seed": (4, "9"),
+    "bank_fraction": (0.5, "0.75"),
+    "hidden_dims": ([3], "5,6"),
+    "feature_dim": (2, "7"),
+}
+
+
+class TestConfigFlags:
+    def parse(self, *extra):
+        return _build_parser().parse_args(["pretrain", "--source", "s.csv", "--out", "o", *extra])
+
+    def test_schema_values_cover_every_key(self):
+        assert set(SCHEMA_VALUES) == set(_CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA_VALUES))
+    def test_flag_parses_to_schema_type_and_beats_config(self, tmp_path, key):
+        file_value, flag_text = SCHEMA_VALUES[key]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: file_value}))
+        flag = "--" + key.replace("_", "-")
+        args = self.parse("--config", str(config), flag, flag_text)
+        parsed = getattr(args, key)
+        if key == "hidden_dims":
+            parsed = tuple(parsed)
+            assert parsed == (5, 6)
+        else:
+            assert type(parsed) is _CONFIG_SCHEMA[key]
+            assert parsed == _CONFIG_SCHEMA[key](flag_text)
+            if _CONFIG_SCHEMA[key] is int:
+                with pytest.raises(_UsageError):
+                    self.parse(flag, "1.5")
+        config_value, hidden_dims, feature_dim = _load_run_config(str(config), args)
+        resolved = {**vars(config_value), "hidden_dims": hidden_dims, "feature_dim": feature_dim}
+        assert resolved[key] == parsed
+        # without the flag the file's value stands
+        file_only = _load_run_config(str(config), self.parse("--config", str(config)))
+        resolved = {**vars(file_only[0]), "hidden_dims": file_only[1], "feature_dim": file_only[2]}
+        expected = tuple(file_value) if key == "hidden_dims" else file_value
+        assert resolved[key] == expected
 
 
 class TestAdapt:
@@ -468,6 +520,33 @@ class TestModuleEntryPoint:
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("numerical failure: non-finite ")
+        assert not (tmp_path / "run").exists()
+
+
+    def test_diverged_checkpoint_adapt_prints_one_stderr_line(self, tmp_path, workspace):
+        # Finite logits over overflowing features: the bank write, the
+        # neighbour search and the class statistics must fail inside the
+        # guard, with one line and no warning or traceback.
+        _, data_dir, pre_dir = workspace
+        model = load_checkpoint(str(pre_dir / "source.ckpt"))
+        model.layers[-1].weights[...] *= 1e155
+        model.layers[-1].bias[...] *= 1e155
+        model.clf_weights[...] *= 1e-155
+        save_checkpoint(model, str(tmp_path / "diverged.ckpt"))
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "sfda2", "adapt", "--model", str(tmp_path / "diverged.ckpt"),
+             "--target", str(data_dir / "target.csv"), "--seed", "0", "--k", "3",
+             "--out", str(tmp_path / "run")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("numerical failure: non-finite loss evaluation at epoch 0, iteration 0: ")
         assert not (tmp_path / "run").exists()
 
 

@@ -10,13 +10,11 @@ from sfda2.errors import InvalidInputError
 from sfda2.numerics import (
     RngState,
     check_symmetric,
-    logsumexp,
     psd_factor,
     psd_repair,
     row_logsumexp,
     row_softmax,
     sample_gaussian,
-    softmax,
 )
 
 finite_vectors = st.lists(
@@ -25,75 +23,82 @@ finite_vectors = st.lists(
 
 
 class TestSoftmax:
+    """`row_softmax` on one-row arrays."""
+
     def test_uniform_pair(self):
-        assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
+        assert_allclose(row_softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
 
     def test_large_equal_logits_stable(self):
         # max-subtraction keeps exp() in range
-        assert_allclose(softmax(np.array([1000.0, 1000.0])), [0.5, 0.5], atol=1e-15)
+        assert_allclose(row_softmax(np.array([[1000.0, 1000.0]])), [[0.5, 0.5]], atol=1e-15)
 
     def test_singleton(self):
-        assert_allclose(softmax(np.array([7.3])), [1.0], atol=0)
+        assert_allclose(row_softmax(np.array([[7.3]])), [[1.0]], atol=0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            v = rng.standard_normal(5)
+            v = rng.standard_normal(5)[None, :]
             c = rng.standard_normal()
-            assert_allclose(softmax(v + c), softmax(v), atol=1e-12)
+            assert_allclose(row_softmax(v + c), row_softmax(v), atol=1e-12)
 
     @settings(derandomize=True, max_examples=60)
     @given(finite_vectors)
     def test_always_a_distribution(self, entries):
-        p = softmax(np.array(entries))
+        p = row_softmax(np.array([entries]))
+        assert p.shape == (1, len(entries))
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            softmax(np.array([]))
+            row_softmax(np.empty((1, 0)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            softmax(np.array([0.0, np.nan]))
+            row_softmax(np.array([[0.0, np.nan]]))
         with pytest.raises(InvalidInputError):
-            softmax(np.array([np.inf, 0.0]))
+            row_softmax(np.array([[np.inf, 0.0]]))
 
 
 class TestLogsumexp:
+    """`row_logsumexp` on one-row arrays."""
+
     def test_pair_of_zeros(self):
-        assert_allclose(logsumexp(np.array([0.0, 0.0])), math.log(2.0), rtol=1e-15)
+        assert_allclose(row_logsumexp(np.array([[0.0, 0.0]])), [math.log(2.0)], rtol=1e-15)
 
     def test_singleton_identity(self):
         for x in [-3.5, 0.0, 12.25]:
-            assert logsumexp(np.array([x])) == pytest.approx(x, abs=1e-15)
+            assert row_logsumexp(np.array([[x]]))[0] == pytest.approx(x, abs=1e-15)
 
     def test_large_inputs_stable(self):
-        got = logsumexp(np.array([1000.0, 1000.0]))
-        assert_allclose(got, 1000.0 + math.log(2.0), rtol=1e-15)
+        got = row_logsumexp(np.array([[1000.0, 1000.0]]))
+        assert_allclose(got, [1000.0 + math.log(2.0)], rtol=1e-15)
 
     @settings(derandomize=True, max_examples=60)
     @given(finite_vectors)
     def test_bounds(self, entries):
         v = np.array(entries)
-        val = logsumexp(v)
-        assert val >= v.max() - 1e-12
-        assert val <= v.max() + math.log(len(entries)) + 1e-12
+        got = row_logsumexp(v[None, :])
+        assert got.shape == (1,)
+        assert got[0] >= v.max() - 1e-12
+        assert got[0] <= v.max() + math.log(len(entries)) + 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            logsumexp(np.array([]))
+            row_logsumexp(np.empty((1, 0)))
 
 
 class TestRowVariants:
     def test_match_per_row_calls(self):
+        # each row of a batch call equals its own one-row call, bit for bit
         rng = np.random.default_rng(1)
         m = rng.standard_normal((6, 4)) * 10
         sm = row_softmax(m)
         ls = row_logsumexp(m)
         for i in range(6):
-            assert_allclose(sm[i], softmax(m[i]), atol=1e-15)
-            assert_allclose(ls[i], logsumexp(m[i]), atol=1e-15)
+            assert_array_equal(sm[i], row_softmax(m[i : i + 1])[0])
+            assert_array_equal(ls[i], row_logsumexp(m[i : i + 1])[0])
 
 
 class TestSampleGaussian:

@@ -13,7 +13,6 @@ from sfda2.numerics import RngState
 from sfda2.verify import (
     VerifyReport,
     _finish,
-    _sign_flipped_bound,
     verify_gradients,
     verify_ifa_bound,
     verify_oracles,
@@ -104,10 +103,7 @@ def serial_ifa_bound(trials, n_pairs, seed, negative_control=False, lambda_overr
         weights = g.standard_normal((n_classes, dim))
         bias = g.standard_normal(n_classes)
         lam = 5.0 * (1.0 - g.random()) if lambda_override is None else float(lambda_override)
-        if negative_control:
-            bound = _sign_flipped_bound(feature, cov, weights, bias, lam)
-        else:
-            bound = ifa_loss(feature, cov, weights, bias, lam)[0]
+        bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
         mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
         slack = bound + 3.0 * mc_stderr - mc_mean
         worst_slack = min(worst_slack, slack)
