@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import Model, forward
+from .numerics import check_distribution_rows
 
 # Distances per query block in `knn`: the block has max(1, this // N) rows.
 _BLOCK_ENTRIES = 32768
@@ -90,8 +91,9 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
         raise InvalidInputError("feature rows shape mismatch")
     if prob_rows.shape != (idx.size, score_bank.shape[1]):
         raise InvalidInputError("probability rows shape mismatch")
-    if np.abs(prob_rows.sum(axis=1) - 1.0).max() > 1e-9 or prob_rows.min() < 0.0:
-        raise InvalidInputError("probability rows are not valid distributions")
+    if not np.all(np.isfinite(feats)):
+        raise InvalidInputError("feature rows contain non-finite entries")
+    check_distribution_rows(prob_rows, "probability")
 
     # Fancy assignment leaves repeated indices unspecified, so keep each
     # index's last occurrence explicitly.

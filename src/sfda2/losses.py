@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import RngState, _gaussian_plan, check_symmetric, row_logsumexp, row_softmax
+from .numerics import RngState, _gaussian_plan, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
 from .stats import class_moments
 
 # Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
@@ -60,17 +60,6 @@ def lambda_schedule(iteration: int, max_iter: int, lambda0: float) -> float:
     return float(lambda0 * iteration / max_iter)
 
 
-def _check_distribution_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise InvalidInputError(f"{name} must be rows of class distributions")
-    if arr.min() < 0.0 or np.abs(arr.sum(axis=1) - 1.0).max() > 1e-9:
-        raise InvalidInputError(f"{name} rows are not valid distributions")
-    return arr
-
-
 def softmax_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax outputs back to the logits; rows of a
     2-D batch are independent."""
@@ -94,9 +83,9 @@ def snc_loss(
     probs_i; all other neighbor/batch rows are bank constants. The returned
     gradient is the exact partial w.r.t. probs_i under that convention.
     """
-    p = _check_distribution_rows(probs_i, "probs_i")[0]
-    neighbors = _check_distribution_rows(neighbor_probs, "neighbor_probs")
-    batch = _check_distribution_rows(batch_probs, "batch_probs")
+    p = check_distribution_rows(probs_i, "probs_i")[0]
+    neighbors = check_distribution_rows(neighbor_probs, "neighbor_probs")
+    batch = check_distribution_rows(batch_probs, "batch_probs")
     if neighbors.shape[1] != p.size or batch.shape[1] != p.size:
         raise InvalidInputError("class-count mismatch between probability rows")
     if not 0 <= self_index < batch.shape[0]:
@@ -136,12 +125,12 @@ def snc_loss_batch(
     `neighbor_probs` is (B, K, C). Returns (values (B,), grads (B, C))
     w.r.t. the live rows.
     """
-    p = _check_distribution_rows(probs, "probs")
-    bank = _check_distribution_rows(bank_probs, "bank_probs")
+    p = check_distribution_rows(probs, "probs")
+    bank = check_distribution_rows(bank_probs, "bank_probs")
     neighbors = np.asarray(neighbor_probs, dtype=np.float64)
     if neighbors.ndim != 3 or neighbors.shape[0] != p.shape[0] or neighbors.shape[1] == 0:
         raise InvalidInputError("neighbor_probs must be (B, K, C) with K >= 1")
-    _check_distribution_rows(neighbors.reshape(-1, neighbors.shape[2]), "neighbor_probs")
+    check_distribution_rows(neighbors.reshape(-1, neighbors.shape[2]), "neighbor_probs")
     if neighbors.shape[2] != p.shape[1] or bank.shape != p.shape:
         raise InvalidInputError("batch, bank and neighbor rows disagree in shape")
     if not np.isfinite(decay) or decay < 0.0:

@@ -1,5 +1,5 @@
-"""Numerical primitives: stable row-wise softmax / log-sum-exp, PSD-aware
-Gaussian sampling, and a deterministic splittable RNG.
+"""Numerical primitives: stable row softmax / log-sum-exp, the distribution
+row check, PSD-aware Gaussian sampling, and a deterministic splittable RNG.
 
 All arithmetic is float64. Matrices are plain numpy arrays in row-major
 layout; validation happens at the public entry points so the callers can
@@ -51,6 +51,19 @@ def _as_vector(v, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
+    return arr
+
+
+def check_distribution_rows(rows, name: str) -> np.ndarray:
+    """Validate a vector or 2-D array of class distributions and return it
+    as 2-D rows. The range test is negated so that a NaN entry fails it."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise InvalidInputError(f"{name} must be rows of class distributions")
+    if not (arr.min() >= 0.0 and np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9):
+        raise InvalidInputError(f"{name} rows are not valid distributions")
     return arr
 
 

@@ -72,6 +72,8 @@ def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndar
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if arr.ndim != 2 or labels.shape[0] != arr.shape[0]:
         raise InvalidInputError("features must be 2-D rows with one label each")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("features contain non-finite entries")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise InvalidInputError("pseudo-label out of range")
     b, d = arr.shape

@@ -153,56 +153,8 @@ def verify_ifa_bound(
 # ------------------------------------------------- factorization identity
 
 
-def _group_sizes(n_points: int, k: int) -> list[int]:
-    # Partition n into groups of k+1 (tight clusters) and 2k (two
-    # cross-paired simplexes); both shapes have mutual k-NN graphs.
-    for two_k_groups in range(n_points // (2 * k) + 1):
-        rest = n_points - two_k_groups * 2 * k
-        if rest >= 0 and rest % (k + 1) == 0:
-            return [k + 1] * (rest // (k + 1)) + [2 * k] * two_k_groups
-    raise InvalidInputError(f"cannot plant a symmetric {k}-NN instance with {n_points} points")
-
-
-def _plant_points(n_points: int, k: int, g: np.random.Generator) -> np.ndarray:
-    """Points whose directed k-NN graph is symmetric by construction.
-
-    Groups sit on orthogonal unit directions; within a group, points are
-    either one tiny ring (size k+1, everyone is everyone's neighbor) or two
-    rings split along a shared axis (size 2k: k-1 ring mates plus the
-    one-to-one partner across the split).
-    """
-    sizes = _group_sizes(n_points, k)
-    dim = max(4, len(sizes) + 3)
-    ortho, _ = np.linalg.qr(g.standard_normal((dim, dim)))
-    tangent1 = ortho[:, len(sizes)]
-    tangent2 = ortho[:, len(sizes) + 1]
-    split_axis = ortho[:, len(sizes) + 2]
-
-    points = []
-    for group, size in enumerate(sizes):
-        center = ortho[:, group]
-        if size == k + 1:
-            for j in range(size):
-                phi = 2.0 * np.pi * j / size
-                p = center + 0.01 * (np.cos(phi) * tangent1 + np.sin(phi) * tangent2)
-                p = p + 2e-4 * g.standard_normal(dim)
-                points.append(p / np.linalg.norm(p))
-        else:
-            for j in range(k):
-                psi = 2.0 * np.pi * j / k
-                ring = 0.03 * (np.cos(psi) * tangent1 + np.sin(psi) * tangent2)
-                for sign in (1.0, -1.0):
-                    p = center + sign * 0.05 * split_axis + ring
-                    p = p + 2e-4 * g.standard_normal(dim)
-                    points.append(p / np.linalg.norm(p))
-    order = g.permutation(n_points)
-    return np.asarray(points)[order]
-
-
-# Largest admitted difference between the summed losses and either closed
-# form, and the resamplings a trial gets to find a symmetric k-NN graph.
+# Largest admitted gap between the summed losses and either closed form.
 _SNC_TOLERANCE = 1e-8
-_SNC_MAX_ATTEMPTS = 20
 
 
 def verify_snc_factorization(
@@ -214,41 +166,33 @@ def verify_snc_factorization(
 ) -> VerifyReport:
     """Full-batch neighborhood loss vs the matrix-factorization objective.
 
-    On instances whose k-NN graph is symmetric (resampled until it is),
-    the per-sample losses at decay 1 over the full batch must sum to both
-    the edge form -(2/k)*sum_edges p_i.p_j + sum_{i,k'} (p_i.p_k')^2 and
-    ||A/k - P P^T||_F^2 minus its constant term ||A/k||_F^2. The negative
-    control skips the constant-term subtraction.
+    Per trial: the directed k-NN graph A of n standard-normal points in 8
+    dimensions, found by `knn` on a bank of them, and random probability
+    rows P. The batch loss `snc_loss_batch` at decay 1, with every row's
+    neighbors and the bank both taken from P, summed over the batch must
+    equal both the edge form -(2/k)*sum_edges p_i.p_j + sum_{i,k'}
+    (p_i.p_k')^2 and ||A/k - P P^T||_F^2 minus its constant term
+    ||A/k||_F^2. Expanding the square shows the identity holds for any A,
+    symmetric or not. The negative control skips the constant-term
+    subtraction.
     """
     if n_points < 2 or k < 1 or k >= n_points:
         raise InvalidInputError("need 1 <= k < n_points and n_points >= 2")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    _group_sizes(n_points, k)  # fail fast if no planting exists
 
     failures: list[dict] = []
     worst = 0.0
     n_classes = 4
     for t, trial_rng in enumerate(RngState(seed).split(trials)):
         g = trial_rng.generator
-        adjacency = None
-        for _ in range(_SNC_MAX_ATTEMPTS):
-            pts = _plant_points(n_points, k, g)
-            bank = FeatureBank.from_rows(pts, n_points)
-            cand = np.zeros((n_points, n_points))
-            cand[np.arange(n_points)[:, None], knn(bank, np.arange(n_points), k)] = 1.0
-            if np.array_equal(cand, cand.T):
-                adjacency = cand
-                break
-        if adjacency is None:
-            failures.append({"trial": t, "reason": "no symmetric instance in bounded resampling"})
-            continue
+        points = g.standard_normal((n_points, 8))
+        neighbors = knn(FeatureBank.from_rows(points, n_points), np.arange(n_points), k)
+        adjacency = np.zeros((n_points, n_points))
+        adjacency[np.arange(n_points)[:, None], neighbors] = 1.0
 
         probs = row_softmax(1.5 * g.standard_normal((n_points, n_classes)))
-        per_sample = 0.0
-        for i in range(n_points):
-            neighbor_rows = probs[adjacency[i] == 1.0]
-            per_sample += snc_loss(probs[i], neighbor_rows, probs, i, 1.0)[0]
+        loss_sum = float(snc_loss_batch(probs, probs[neighbors], probs, 1.0)[0].sum())
 
         gram = probs @ probs.T
         edge_form = -(2.0 / k) * float((adjacency * gram).sum()) + float((gram**2).sum())
@@ -257,8 +201,8 @@ def verify_snc_factorization(
         constant = float((scaled**2).sum())
         rhs = factor_form if negative_control else factor_form - constant
 
-        diff_edge = abs(per_sample - edge_form)
-        diff_factor = abs(per_sample - rhs)
+        diff_edge = abs(loss_sum - edge_form)
+        diff_factor = abs(loss_sum - rhs)
         worst = max(worst, diff_edge, diff_factor)
         if diff_edge > _SNC_TOLERANCE or diff_factor > _SNC_TOLERANCE:
             failures.append(
@@ -266,7 +210,7 @@ def verify_snc_factorization(
                     "trial": t,
                     "diff_edge_form": diff_edge,
                     "diff_factorization": diff_factor,
-                    "loss_sum": per_sample,
+                    "loss_sum": loss_sum,
                     "edge_form": edge_form,
                     "factorization_minus_constant": rhs,
                 }

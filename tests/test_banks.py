@@ -94,6 +94,24 @@ class TestUpdateBanks:
         with pytest.raises(InvalidInputError):
             update_banks(fbank, scores, [0], np.ones((1, 2)), np.array([[0.9, 0.3]]))
 
+    @pytest.mark.parametrize(
+        "feats, probs, message",
+        [
+            ([[1.0, 0.0]], [[np.nan, 0.5]], "probability rows are not valid distributions"),
+            ([[np.nan, 0.0]], [[0.5, 0.5]], "feature rows contain non-finite entries"),
+            ([[np.inf, 0.0]], [[0.5, 0.5]], "feature rows contain non-finite entries"),
+        ],
+        ids=["nan-probability", "nan-feature", "inf-feature"],
+    )
+    def test_non_finite_rows_rejected_before_any_write(self, feats, probs, message):
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        normalized, stored, stamps = fbank.normalized.copy(), scores.copy(), fbank.stamps.copy()
+        with pytest.raises(InvalidInputError, match=message):
+            update_banks(fbank, scores, [0], np.array(feats), np.array(probs))
+        assert_array_equal(fbank.normalized, normalized)
+        assert_array_equal(scores, stored)
+        assert_array_equal(fbank.stamps, stamps)
+
 
 class TestKnn:
     def test_duplicate_direction_is_nearest(self):

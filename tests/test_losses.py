@@ -130,6 +130,14 @@ class TestSncLoss:
             snc_loss(p, p[None, :], p[None, :], 0, -0.1)
         with pytest.raises(InvalidInputError):
             snc_loss(np.array([0.9, 0.3]), p[None, :], p[None, :], 0, 1.0)
+        # A NaN entry fails the range test like an out-of-range one.
+        nan_row = np.full(2, np.nan)
+        with pytest.raises(InvalidInputError, match="probs_i rows are not valid"):
+            snc_loss(nan_row, p[None, :], np.tile(p, (2, 1)), 0, 1.0)
+        with pytest.raises(InvalidInputError, match="neighbor_probs rows are not valid"):
+            snc_loss(p, nan_row[None, :], np.tile(p, (2, 1)), 0, 1.0)
+        with pytest.raises(InvalidInputError, match="batch_probs rows are not valid"):
+            snc_loss(p, p[None, :], np.vstack([p, nan_row]), 0, 1.0)
 
 
 class TestIfaLoss:
@@ -302,6 +310,14 @@ class TestBatchKernels:
             snc_loss_batch(inst["probs"], inst["neighbors"][:5], inst["bank"], 1.0)
         with pytest.raises(InvalidInputError):
             snc_loss_batch(inst["probs"], inst["neighbors"], inst["bank"], np.nan)
+        uniform = np.full((2, 3), 1.0 / 3.0)
+        nan_rows = np.full((2, 3), np.nan)
+        with pytest.raises(InvalidInputError, match="probs rows are not valid"):
+            snc_loss_batch(nan_rows, uniform[:, None, :], uniform, 1.0)
+        with pytest.raises(InvalidInputError, match="neighbor_probs rows are not valid"):
+            snc_loss_batch(uniform, nan_rows[:, None, :], uniform, 1.0)
+        with pytest.raises(InvalidInputError, match="bank_probs rows are not valid"):
+            snc_loss_batch(uniform, uniform[:, None, :], nan_rows, 1.0)
 
     def test_ifa_bad_covariances_rejected(self):
         inst = batch_instance(4, 3, 4, 6, 2)
@@ -561,6 +577,11 @@ class TestFdLoss:
         feats = np.random.default_rng(9).standard_normal((4, 2))
         with pytest.raises(InvalidInputError, match="affinity"):
             fd_loss(feats, [0, 0, 1, 1], affinity)
+
+    def test_non_finite_features_rejected(self):
+        feats = np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
 
 
 def pairwise_fd_loss(batch_features, batch_pseudo_labels, affinity, both_halves=True):

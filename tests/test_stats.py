@@ -119,6 +119,12 @@ class TestClassMoments:
             class_moments(np.ones(3), [0, 1, 1], 2)
         with pytest.raises(InvalidInputError):
             class_moments(np.ones((2, 2)), [0, 2], 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = np.array([[bad, 1.0], [1.0, 2.0]])
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                class_moments(rows, [0, 0], 2)
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                update_class_stats(ClassStatistics.empty(2, 2), rows, [0, 0])
 
 
 class TestOracleOffTrainingPath:

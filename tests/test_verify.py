@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sfda2.errors import InvalidInputError, NumericalError
-from sfda2.losses import efa_mc_estimate, ifa_loss, snc_loss
+from sfda2.banks import knn
+from sfda2.losses import efa_mc_estimate, ifa_loss, snc_loss, snc_loss_batch
 from sfda2.numerics import RngState
 from sfda2.verify import (
     VerifyReport,
@@ -210,11 +211,48 @@ class TestVerifySncFactorization:
         b = verify_snc_factorization(n_points=12, k=3, trials=3, seed=9)
         assert a.to_json() == b.to_json()
 
-    def test_unplantable_size_rejected(self):
-        with pytest.raises(InvalidInputError):
-            verify_snc_factorization(n_points=5, k=3, trials=1)
+    def test_preconditions(self):
+        # Any k-NN graph serves, so sizes without a symmetric k-NN graph run.
+        for n_points, k in ((5, 3), (2, 1)):
+            report = verify_snc_factorization(n_points=n_points, k=k, trials=3, seed=4)
+            assert report.passed
+            assert report.worst <= 1e-12
         with pytest.raises(InvalidInputError):
             verify_snc_factorization(n_points=4, k=4, trials=1)
+        with pytest.raises(InvalidInputError):
+            verify_snc_factorization(n_points=4, k=0, trials=1)
+        with pytest.raises(InvalidInputError):
+            verify_snc_factorization(n_points=1, k=1, trials=1)
+        with pytest.raises(InvalidInputError):
+            verify_snc_factorization(n_points=4, k=2, trials=0)
+
+    def test_asymmetric_graphs_checked(self, monkeypatch):
+        graphs = []
+
+        def recording_knn(bank, queries, k):
+            neighbors = knn(bank, queries, k)
+            adjacency = np.zeros((bank.size, bank.size))
+            adjacency[np.arange(bank.size)[:, None], neighbors] = 1.0
+            graphs.append(adjacency)
+            return neighbors
+
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "knn", recording_knn)
+        report = verify_snc_factorization(n_points=30, k=3, trials=5, seed=2)
+        assert report.passed
+        assert len(graphs) == 5
+        assert any(not np.array_equal(a, a.T) for a in graphs)
+
+    def test_checks_the_batch_kernel(self, monkeypatch):
+        def shifted_snc_loss_batch(*args):
+            values, grads = snc_loss_batch(*args)
+            return values + 1e-6, grads
+
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "snc_loss_batch", shifted_snc_loss_batch)
+        report = verify_snc_factorization(n_points=12, k=3, trials=2, seed=2)
+        assert not report.passed
+        assert len(report.failures) == 2
 
 
 class TestVerifyGradients:
