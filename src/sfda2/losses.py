@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .numerics import RngState, _gaussian_plan, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
-from .stats import class_moments
+from .errors import InvalidInputError, NumericalError
+from .numerics import RngState, _gaussian_lift, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
+from .stats import _class_counts, _moments, class_moments
 
 # Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
 # verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
@@ -271,15 +271,17 @@ def efa_mc_estimate(
     and averages -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns
     (mean, standard error), stderr = sample stdev / sqrt(n_pairs).
 
-    The covariance is factored once; the 2n draws come from `rng` in chunks
-    of _MC_ROWS rows, draw j paired with draw n + j, so only the (n, C)
-    first-half probabilities and one chunk are held at a time. Every step is
-    row-wise, so the result equals one unchunked `sample_gaussian` pass bit
-    for bit. Each chunk's logits are a class-major, C-contiguous (C, rows)
-    array, so softmax and pair dots reduce over C long rows. For C <= 7 this
-    adds in the same order as sample-major (2n, C) logits, bit for bit; for
-    C >= 8 NumPy sums those rows pairwise and the two differ by up to about
-    1e-15 absolute.
+    The logits W z + b are N(W f + b, M M^T) with M = W lift, lift the
+    (d, k) factor of lam*cov's k active coordinates (factored once), so
+    they are drawn directly, r = min(C, k) normals each: for k > C, M is
+    replaced by the (C, C) R^T of M^T = QR, which has the same M M^T. The
+    2n draws come from `rng` in chunks of _MC_ROWS, draw j paired with draw
+    n + j; only the (n, C) first-half probabilities and one chunk are held.
+    Each chunk's logits are class-major (C, rows), so softmax and pair dots
+    reduce over C long rows. The result equals one pass that draws all
+    (2n, r) normals at once into sample-major (2n, C) logits: bit for bit
+    for C <= 7, where both add in the same order; for C >= 8 NumPy sums
+    long rows pairwise and the two differ by up to about 1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
@@ -289,11 +291,19 @@ def efa_mc_estimate(
     bias = np.asarray(clf_bias, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[1] != np.size(feature) or bias.shape != weights.shape[:1]:
         raise InvalidInputError("classifier must be (C, d) weights and a (C,) bias, d the feature size")
-    draw = _gaussian_plan(feature, lam * check_symmetric(cov, "cov"))
+    mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
+    factor = weights @ lift
+    if factor.shape[1] > factor.shape[0]:
+        factor = np.linalg.qr(factor.T, mode="r").T
+    centre = (weights @ mean + bias)[:, None]
 
     def chunk_probs(start: int) -> np.ndarray:
-        draws = draw(min(_MC_ROWS, n_pairs - start), rng)
-        return row_softmax((weights @ draws.T + bias[:, None]).T)
+        noise = rng.generator.standard_normal((min(_MC_ROWS, n_pairs - start), factor.shape[1]))
+        logits = factor @ noise.T
+        logits += centre
+        if not np.all(np.isfinite(logits)):
+            raise NumericalError("Monte Carlo logits are non-finite")
+        return row_softmax(logits.T)
 
     first = np.empty((weights.shape[0], n_pairs)).T  # class-major, like each chunk
     for s in range(0, n_pairs, _MC_ROWS):
@@ -337,8 +347,9 @@ def fd_loss(
     `affinity` matrix. Returns (value, grad); both are zero for a batch with
     fewer than two classes of >= 2 members.
 
-    `stats.class_moments` gives the class moments; a class of fewer than 2
-    members has an exactly zero covariance. F stacks the flattened
+    The batch passes `stats.class_moments`' checks, and its class counts
+    decide the early return before any moment is computed; a class of fewer
+    than 2 members has an exactly zero covariance. F stacks the flattened
     covariances as rows and T = F F^T holds every tr(cov_i cov_j), so with n
     = sqrt(diag T) and W the affinities of the contributing pairs, value =
     -(1/2) sum W (1 - T / n n^T) and, with G = (W + W^T) / (2 n n^T), the
@@ -347,11 +358,10 @@ def fd_loss(
     aff = np.asarray(affinity, dtype=np.float64)
     if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
         raise InvalidInputError("affinity must be a square (C, C) matrix")
-    counts, means, covs = class_moments(batch_features, batch_pseudo_labels, aff.shape[0])
-    feats = np.asarray(batch_features, dtype=np.float64)
-    labels = np.asarray(batch_pseudo_labels, dtype=np.int64).ravel()
+    feats, labels, counts = _class_counts(batch_features, batch_pseudo_labels, aff.shape[0])
     if np.count_nonzero(counts >= 2) < 2:
         return 0.0, np.zeros_like(feats)
+    _, means, covs = _moments(feats, labels, counts)
 
     flat = covs.reshape(aff.shape[0], -1)
     trace = flat @ flat.T

@@ -137,9 +137,10 @@ def psd_repair(matrix: np.ndarray) -> np.ndarray:
     return (repaired + repaired.T) / 2.0
 
 
-def _gaussian_plan(mean, cov):
-    """Validate N(mean, cov) and factor its active block once; the returned
-    draw(n, rng) costs one `standard_normal` fill and one GEMM per call."""
+def _gaussian_lift(mean, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate N(mean, cov) and factor its active block once. Returns the
+    mean, the (d, k) lift and the (d,) mask of the k active coordinates
+    (nonzero variance): mean + lift @ e has law N(mean, cov) for e ~ N(0, I_k)."""
     mean_arr = _as_vector(mean, "mean")
     cov_arr = check_symmetric(cov, "cov")
     if cov_arr.shape != (mean_arr.size, mean_arr.size):
@@ -147,20 +148,7 @@ def _gaussian_plan(mean, cov):
     active = np.diagonal(cov_arr) != 0.0
     lift = np.zeros((mean_arr.size, int(active.sum())))
     lift[active] = psd_factor(cov_arr[np.ix_(active, active)])
-    # +-0.0 + m == m for every m except +0.0 + -0.0, so pin -0.0 means.
-    negative_zero = ~active & (mean_arr == 0.0) & np.signbit(mean_arr)
-
-    def draw(n: int, rng: RngState) -> np.ndarray:
-        if n < 1:
-            raise InvalidInputError("sample count must be >= 1")
-        samples = rng.generator.standard_normal((n, lift.shape[1])) @ lift.T
-        samples += mean_arr
-        samples[:, negative_zero] = -0.0
-        if not np.all(np.isfinite(samples)):
-            raise NumericalError("gaussian sampling produced non-finite values")
-        return samples
-
-    return draw
+    return mean_arr, lift, active
 
 
 def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
@@ -170,8 +158,16 @@ def sample_gaussian(mean, cov, n: int, rng: RngState) -> np.ndarray:
     (for a PSD matrix the whole row/column is zero) and equal the mean bit
     for bit, signed zero included; the factorization policy applies to the
     active block only. One GEMM lifts the (n, k) noise of the k active
-    coordinates by a (d, k) matrix with the factor in the active rows and
-    zeros elsewhere; with k = 0 it draws nothing. This is one draw from
-    `_gaussian_plan`; a caller that draws often from one law keeps the plan.
+    coordinates by the (d, k) `_gaussian_lift`, the factor in the active
+    rows and zeros elsewhere; with k = 0 it draws nothing.
     """
-    return _gaussian_plan(mean, cov)(n, rng)
+    mean_arr, lift, active = _gaussian_lift(mean, cov)
+    if n < 1:
+        raise InvalidInputError("sample count must be >= 1")
+    samples = rng.generator.standard_normal((n, lift.shape[1])) @ lift.T
+    samples += mean_arr
+    # +-0.0 + m == m for every m except +0.0 + -0.0, so pin -0.0 means.
+    samples[:, ~active & (mean_arr == 0.0) & np.signbit(mean_arr)] = -0.0
+    if not np.all(np.isfinite(samples)):
+        raise NumericalError("gaussian sampling produced non-finite values")
+    return samples

@@ -59,6 +59,32 @@ def batch_covariance_oracle(features) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+def _class_counts(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`class_moments`' input checks and (C,) counts, with the float rows and
+    int64 labels, so a caller can skip the moments on the counts alone."""
+    arr = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if arr.ndim != 2 or labels.shape[0] != arr.shape[0]:
+        raise InvalidInputError("features must be 2-D rows with one label each")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("features contain non-finite entries")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise InvalidInputError("pseudo-label out of range")
+    return arr, labels, np.bincount(labels, minlength=n_classes)
+
+
+def _moments(arr, labels, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`class_moments` of rows already checked and counted by `_class_counts`."""
+    b, d = arr.shape
+    onehot = (labels == np.arange(counts.size)[:, None]).astype(np.float64)
+    per_class = np.maximum(counts, 1)[:, None]
+    means = onehot @ arr / per_class
+    centered = arr - means[labels]
+    outer = (centered[:, :, None] * centered[:, None, :]).reshape(b, d * d)
+    covs = (onehot @ outer / per_class).reshape(counts.size, d, d)
+    return counts, means, covs
+
+
 def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class counts (C,), means (C, d) and population covariances
     (C, d, d) of a batch's rows; an empty class gets count 0 and exact zeros.
@@ -68,23 +94,7 @@ def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndar
     covariances average the outer products of rows centred by their own
     class mean, not E[xx^T] - mu mu^T, which cancels.
     """
-    arr = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if arr.ndim != 2 or labels.shape[0] != arr.shape[0]:
-        raise InvalidInputError("features must be 2-D rows with one label each")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("features contain non-finite entries")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise InvalidInputError("pseudo-label out of range")
-    b, d = arr.shape
-    counts = np.bincount(labels, minlength=n_classes)
-    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
-    per_class = np.maximum(counts, 1)[:, None]
-    means = onehot @ arr / per_class
-    centered = arr - means[labels]
-    outer = (centered[:, :, None] * centered[:, None, :]).reshape(b, d * d)
-    covs = (onehot @ outer / per_class).reshape(n_classes, d, d)
-    return counts, means, covs
+    return _moments(*_class_counts(features, labels, n_classes))
 
 
 def update_class_stats(stats: ClassStatistics, features, pseudo_labels) -> ClassStatistics:

@@ -18,7 +18,7 @@ from sfda2.losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from sfda2.numerics import RngState, check_symmetric, psd_factor, row_softmax, sample_gaussian
+from sfda2.numerics import RngState, _gaussian_lift, check_symmetric, psd_factor, row_softmax, sample_gaussian
 
 
 def random_psd(rng, d):
@@ -378,12 +378,26 @@ class TestEfaMcEstimate:
 
 
 def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
-    """efa_mc_estimate with sample-major (2n, C) logits, the layout the
-    class-major form must reproduce."""
+    """efa_mc_estimate in one pass: all (2n, r) normals drawn at once and
+    sample-major (2n, C) logits, the layout the streamed class-major form
+    must reproduce."""
+    mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
+    factor = clf_weights @ lift
+    if factor.shape[1] > factor.shape[0]:
+        factor = np.linalg.qr(factor.T, mode="r").T
+    noise = rng.generator.standard_normal((2 * n_pairs, factor.shape[1]))
+    return pair_loss_stats(row_softmax(noise @ factor.T + (clf_weights @ mean + clf_bias)), n_pairs)
+
+
+def feature_space_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
+    """The oracle the logit-space draw replaced: 2n (d,) features from
+    `sample_gaussian`, then the softmax of their logits."""
     draws = sample_gaussian(feature, lam * check_symmetric(cov, "cov"), 2 * n_pairs, rng)
-    probs = row_softmax(draws @ clf_weights.T + clf_bias)
-    dots = (probs[:n_pairs] * probs[n_pairs:]).sum(axis=1)
-    values = -np.log(dots)
+    return pair_loss_stats(row_softmax(draws @ clf_weights.T + clf_bias), n_pairs)
+
+
+def pair_loss_stats(probs, n_pairs):
+    values = -np.log((probs[:n_pairs] * probs[n_pairs:]).sum(axis=1))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
 
 
@@ -432,7 +446,7 @@ class TestEfaMcEstimateMatchesRowMajor:
 
     @pytest.mark.parametrize("n_pairs", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
     def test_streamed_chunks_equal_one_shot(self, n_pairs):
-        # The one-shot reference draws all 2n rows at once; the estimate
+        # The one-shot reference draws all 2n noise rows at once; the estimate
         # streams each half in _MC_ROWS-row chunks, the last one short or full.
         for n_classes in (2, 5, 7):
             args = self.instance(n_classes, n_classes, n_pairs)
@@ -461,6 +475,84 @@ class TestEfaMcEstimateMatchesRowMajor:
         for expected_calls in (1, 2):
             efa_mc_estimate(*args, lam, 2 * _MC_ROWS + 3, RngState(0))
             assert len(calls) == expected_calls
+
+
+def logit_space_cases():
+    """(feature, cov, weights, bias, lam) with C classes and k active
+    coordinates on either side of C, a dead coordinate with a -0.0 mean, a
+    covariance only jitter can factor, and lambda = 0."""
+    rng = np.random.default_rng(11)
+
+    def classifier(n_classes, dim):
+        return 1.5 * rng.standard_normal((n_classes, dim)), rng.standard_normal(n_classes)
+
+    cases = {}
+    for name, n_classes, dim in (("C<k", 3, 6), ("C=k", 4, 4), ("C>k", 5, 3)):
+        cases[name] = (rng.standard_normal(dim), random_psd(rng, dim), *classifier(n_classes, dim), 2.5)
+    for name in ("negative-zero-mean-dead-coordinate", "rank-one-jitter", "lambda-zero"):
+        feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
+        cases[name] = (feature, cov, *classifier(2 if name == "rank-one-jitter" else 4, 3), lam)
+    return cases
+
+
+LOGIT_SPACE_CASES = logit_space_cases()
+
+
+def classes_and_active(case):
+    """C and the number k of coordinates with nonzero variance in lam*cov."""
+    feature, cov, weights, bias, lam = case
+    return weights.shape[0], int((np.diagonal(lam * cov) != 0.0).sum())
+
+
+def agree_with_feature_space(case, n_pairs=20000, seed=0):
+    """The estimate and the feature-space oracle, on independent streams,
+    agree within 4 combined standard errors (plus 1e-12 for lambda = 0,
+    where both standard errors are rounding noise)."""
+    got = efa_mc_estimate(*case, n_pairs, RngState(seed, (0,)))
+    expected = feature_space_efa_mc_estimate(*case, n_pairs, RngState(seed, (1,)))
+    return abs(got[0] - expected[0]) <= 4.0 * math.hypot(got[1], expected[1]) + 1e-12
+
+
+class TestEfaMcEstimateLogitSpace:
+    @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
+    def test_agrees_with_feature_space_draws(self, name):
+        assert agree_with_feature_space(LOGIT_SPACE_CASES[name])
+
+    def test_cases_cover_both_sides_of_the_class_count(self):
+        sides = {name: np.sign(np.subtract(*classes_and_active(case))) for name, case in LOGIT_SPACE_CASES.items()}
+        assert sides == {
+            "C<k": -1,
+            "C=k": 0,
+            "C>k": 1,
+            "negative-zero-mean-dead-coordinate": 1,
+            "rank-one-jitter": -1,
+            "lambda-zero": 1,
+        }
+
+    @pytest.mark.parametrize("name", ["C<k", "rank-one-jitter"])
+    def test_planted_untransposed_r_caught(self, monkeypatch, name):
+        # For k > C the factor is R^T of M^T = QR; R has the Gram matrix
+        # R R^T != M M^T.
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode).T)
+        assert not agree_with_feature_space(LOGIT_SPACE_CASES[name])
+
+    @pytest.mark.parametrize("name", ["C<k", "C=k", "C>k"])
+    def test_planted_dropped_lambda_caught(self, monkeypatch, name):
+        case = LOGIT_SPACE_CASES[name]
+        lift = _gaussian_lift
+        monkeypatch.setattr("sfda2.losses._gaussian_lift", lambda mean, cov: lift(mean, cov / case[4]))
+        assert not agree_with_feature_space(case)
+
+    @pytest.mark.parametrize("n_pairs", [2, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
+    @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
+    def test_draws_two_n_times_min_c_k_normals(self, name, n_pairs):
+        case = LOGIT_SPACE_CASES[name]
+        rank = min(classes_and_active(case))
+        rng, twin = RngState(5), RngState(5)
+        efa_mc_estimate(*case, n_pairs, rng)
+        twin.generator.standard_normal(2 * n_pairs * rank)
+        assert_array_equal(rng.generator.standard_normal(8), twin.generator.standard_normal(8))
 
 
 class TestAffinityWeights:
@@ -582,6 +674,21 @@ class TestFdLoss:
         feats = np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidInputError, match="non-finite"):
             fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+
+    @pytest.mark.parametrize(
+        "feats, labels, affinity, message",
+        [
+            (np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0]]), [0, 1, 2], uniform_affinity(3), "non-finite"),
+            (np.zeros((3, 2)), [0, 1, 3], uniform_affinity(3), "out of range"),
+            (np.zeros((3, 2)), [0, 1, 2], np.ones((3, 2)), "affinity"),
+        ],
+        ids=["nan-row", "label-out-of-range", "non-square-affinity"],
+    )
+    def test_early_return_batch_still_validated(self, feats, labels, affinity, message):
+        # No class has two members, so a valid batch of this kind returns early.
+        assert fd_loss(np.zeros((3, 2)), [0, 1, 2], uniform_affinity(3))[0] == 0.0
+        with pytest.raises(InvalidInputError, match=message):
+            fd_loss(feats, labels, affinity)
 
 
 def pairwise_fd_loss(batch_features, batch_pseudo_labels, affinity, both_halves=True):
