@@ -8,17 +8,17 @@ write stamp that grows with every write; a row is searchable exactly when
 its stamp is among the `capacity` largest. So the least recently written
 row is evicted first, and rewriting a live row refreshes it.
 
-`knn` is an exact blocked scan: queries are taken in blocks of about
-`_BLOCK_ENTRIES` distances (256 KB of float64, so a block's distance matrix
-stays in cache), each with one GEMM against the searchable rows. The K-th
-smallest minimum of max(`_GROUPS`, 4K) column groups (at most N) bounds each
-row's K-th distance.
+The searchable rows are also kept compacted in a persistent (d, capacity)
+slot matrix, with slot-to-row and row-to-slot maps that `update_banks`
+keeps current. `knn` scans the slots exactly, one GEMM per block of about
+`_BLOCK_ENTRIES` dot products; the K-th largest maximum of max(`_GROUPS`,
+4K) column groups (at most N) bounds each K-th distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .errors import InvalidInputError
 from .model import Model, forward
 from .numerics import check_distribution_rows
 
-# Distances per query block in `knn`: the block has max(1, this // N) rows.
-_BLOCK_ENTRIES = 32768
+# Dot products per query block in `knn`: the block has max(1, this // N) rows.
+_BLOCK_ENTRIES = 2**19
 # Column groups per row for `knn`'s bound, raised to 4K and capped at N.
 _GROUPS = 64
 
@@ -38,6 +38,15 @@ class FeatureBank:
     valid: np.ndarray  # (M,) bool: stamp among the `capacity` largest
     capacity: int
     stamps: np.ndarray  # (M,) int64, distinct; larger means written later
+    slots: np.ndarray = field(init=False, repr=False)  # (d, capacity) searchable rows
+    slot_rows: np.ndarray = field(init=False, repr=False)  # row in each slot
+    row_slots: np.ndarray = field(init=False, repr=False)  # slot of each row, or -1
+
+    def __post_init__(self) -> None:
+        self.slot_rows = np.flatnonzero(self.valid)
+        self.row_slots = np.full(self.size, -1, dtype=np.int64)
+        self.row_slots[self.slot_rows] = np.arange(self.slot_rows.size)
+        self.slots = np.ascontiguousarray(self.normalized[self.slot_rows].T)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, capacity: int) -> "FeatureBank":
@@ -104,6 +113,17 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
     fbank.stamps[reversed_unique] = fbank.stamps.max() + 1 + last
     evicted = fbank.size - fbank.capacity
     fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
+    # Only written rows can become searchable; they take the freed slots.
+    live = reversed_unique[fbank.valid[reversed_unique]]
+    entered = live[fbank.row_slots[live] < 0]
+    freed = np.flatnonzero(~fbank.valid[fbank.slot_rows])
+    if entered.size != freed.size or np.count_nonzero(fbank.valid) != fbank.slot_rows.size:
+        fbank.__post_init__()  # built with other searchable rows than the stamps give
+        return
+    fbank.row_slots[fbank.slot_rows[freed]] = -1
+    fbank.row_slots[entered] = freed
+    fbank.slot_rows[freed] = entered
+    fbank.slots[:, fbank.row_slots[live]] = fbank.normalized[live].T
 
 
 def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
@@ -111,47 +131,50 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     distance (1 - cosine similarity) on the normalized copies, ordered by
     (distance, index); the query's own row is excluded.
 
-    The searchable rows are gathered once, as a contiguous (d, N)
-    transpose. The queries are then scanned in blocks of
-    max(1, _BLOCK_ENTRIES // N) rows; a block never holds more than about
-    _BLOCK_ENTRIES distances, so no (B, N) matrix is built. Per block: one
-    GEMM; the minima of min(N, max(_GROUPS, 4K)) contiguous column groups,
-    whose K-th smallest bounds the K-th distance from above (K distinct
-    groups each hold an entry at or below it); and one lexsort by (query,
-    distance, index) of only the entries at or below that bound.
+    Per block of max(1, _BLOCK_ENTRIES // N) queries: one GEMM of dot
+    products with the (d, N) slot matrix, each query's own slot set to
+    -inf; the maxima of min(N, max(_GROUPS, 4K)) contiguous column groups,
+    whose K-th largest b bounds the K-th distance by fl(1 - b) (rounding is
+    monotone, and K groups each hold an entry at or below it); and one
+    lexsort by (query, distance, row index) of the survivors,
+    dot >= fl(b - 4e-16), the only entries whose distances are formed.
+
+    Every entry at distance <= fl(1 - b) survives: if dot < b, then
+    fl(1 - dot) = fl(1 - b) = y by monotonicity, so b - dot is at most the
+    width of y's rounding interval (|dot| < 2 for unit rows). For y < 2 that
+    is <= 2^-52, and fl(b - 4e-16) <= b - 4e-16 + 2^-53 < b - 2^-52. For
+    y >= 2, b <= -1 + 2^-53: if b <= -1 the width is <= 2^-51 and floats
+    near b are 2^-52 apart, so fl(b - 4e-16) = b - 2^-51; if
+    b = -1 + 2^-53, then y = 2, dot >= -1 - 2^-52 = fl(b - 4e-16).
     """
     queries = np.asarray(query_indices, dtype=np.int64).ravel()
     if queries.size and (queries.min() < 0 or queries.max() >= fbank.size):
         raise InvalidInputError("query index out of range")
     if k < 1:
         raise InvalidInputError("K must be >= 1")
-    rows = np.flatnonzero(fbank.valid)
-    self_valid = fbank.valid[queries]
-    candidates = rows.size - self_valid
+    n = fbank.slot_rows.size
+    self_slot = fbank.row_slots[queries]
+    candidates = n - (self_slot >= 0)
     if queries.size and k > candidates.min():
         raise InvalidInputError(f"K={k} exceeds the {candidates.min()} searchable rows")
 
-    n = rows.size
-    searchable_t = np.ascontiguousarray(fbank.normalized[rows].T)
-    self_pos = np.searchsorted(rows, queries)
     block = max(1, _BLOCK_ENTRIES // max(n, 1))
     groups = min(n, max(_GROUPS, 4 * k))
     starts = np.arange(groups) * n // max(groups, 1)  # groups <= n: none empty
     out = np.empty((queries.size, k), dtype=np.int64)
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
-        dist = fbank.normalized[queries[start:stop]] @ searchable_t
-        np.subtract(1.0, dist, out=dist)
-        live = np.flatnonzero(self_valid[start:stop])
-        dist[live, self_pos[start + live]] = np.inf
-        group_min = np.minimum.reduceat(dist, starts, axis=1)
-        bound = np.partition(group_min, k - 1, axis=1)[:, k - 1]
-        near = np.flatnonzero(dist <= bound[:, None])
+        dot = fbank.normalized[queries[start:stop]] @ fbank.slots
+        live = np.flatnonzero(self_slot[start:stop] >= 0)
+        dot[live, self_slot[start + live]] = -np.inf
+        group_max = np.maximum.reduceat(dot, starts, axis=1)
+        bound = np.partition(group_max, groups - k, axis=1)[:, groups - k]
+        near = np.flatnonzero(dot >= (bound - 4e-16)[:, None])
         query, col = np.divmod(near, n)
-        order = np.lexsort((col, dist.ravel()[near], query))
+        rows = fbank.slot_rows[col]
+        order = np.lexsort((rows, 1.0 - dot.ravel()[near], query))
         # Every query has at least k survivors; its first k follow the
         # survivors of the queries before it.
         first = np.searchsorted(query, np.arange(stop - start))
-        picks = order[first[:, None] + np.arange(k)]
-        out[start:stop] = rows[col[picks]]
+        out[start:stop] = rows[order[first[:, None] + np.arange(k)]]
     return out

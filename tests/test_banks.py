@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sfda2.banks import _BLOCK_ENTRIES, _GROUPS, FeatureBank, init_banks, knn, update_banks
+import sfda2.banks
+from sfda2.banks import _GROUPS, FeatureBank, init_banks, knn, update_banks
 from sfda2.errors import InvalidInputError
 from sfda2.model import Layer, Model
 
@@ -300,10 +301,16 @@ class TestKnnBatch:
 
 def block_rows(fbank):
     """Queries per block that `knn` takes for this bank."""
-    return max(1, _BLOCK_ENTRIES // int(fbank.valid.sum()))
+    return max(1, sfda2.banks._BLOCK_ENTRIES // int(fbank.valid.sum()))
 
 
 class TestKnnBlocks:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # Blocks of 32768 dot products split these banks' batches into
+        # several blocks of a few dozen queries.
+        monkeypatch.setattr(sfda2.banks, "_BLOCK_ENTRIES", 32768)
+
     def test_batch_sizes_around_the_block(self):
         rng = np.random.default_rng(12)
         fbank, _ = banks_from_rows(rng.standard_normal((1200, 4)), capacity_fraction=0.5)
@@ -349,6 +356,36 @@ class TestKnnBlocks:
             assert q not in row
         assert np.all(fbank.valid[got])
         assert_matches_references(fbank, queries, 6)
+
+
+class TestKnnBlockSizeIndependent:
+    @pytest.mark.parametrize("bank", ["random", "axis-rows"])
+    @pytest.mark.parametrize("k", [7, 300])
+    def test_same_neighbours_for_every_block_size(self, monkeypatch, bank, k):
+        # 2000 searchable rows and 300 queries: one query per block, the
+        # default's several blocks, and all queries in one block. On axis rows
+        # about 250 rows share each direction, so ties at distance 0 fill
+        # K = 7 and ties at distance 1 straddle K = 300.
+        rng = np.random.default_rng(31)
+        if bank == "random":
+            rows = rng.standard_normal((4000, 6))
+        else:
+            rows = axis_rows(rng.choice([1, -1, 2, -2, 3, -3, 4, -4], size=4000))
+        fbank, scores = banks_from_rows(rows, capacity_fraction=0.5)
+        update_banks(fbank, scores, rng.integers(0, 4000, 500), rows[rng.integers(0, 4000, 500)],
+                     np.full((500, 2), 0.5))
+        queries = rng.integers(0, 4000, size=300)
+        n = int(fbank.valid.sum())
+        results = {}
+        for entries in (1, sfda2.banks._BLOCK_ENTRIES, queries.size * n):
+            monkeypatch.setattr(sfda2.banks, "_BLOCK_ENTRIES", entries)
+            results[block_rows(fbank)] = knn(fbank, queries, k)
+        blocks = sorted(results)  # queries per block
+        assert blocks[0] == 1 and 1 < blocks[1] < queries.size == blocks[2]
+        for got in results.values():
+            assert_array_equal(got, results[1])
+        for row in range(0, queries.size, 37):
+            assert_array_equal(results[1][row], lexsort_reference(fbank, queries[row], k))
 
 
 def group_starts(n, k):
@@ -407,6 +444,22 @@ class TestKnnGroupBound:
         assert knn(fbank, [0], 3)[0].tolist() == tied[:3]
         for k in (1, 2, 3, 4, 5):
             assert_matches_references(fbank, [0] + tied, k)
+
+    def test_rounded_distance_tie_below_the_bound(self):
+        # From the query (row 0), rows 1 and 2 have dots one float apart,
+        # `below` < b, but the same rounded distance 1 - dot, so row 1 comes
+        # first by index. b is the K = 1 bound on the dots; only the widened
+        # survivor threshold keeps row 1.
+        b = 0.2999999999999999
+        below = np.nextafter(b, 0.0)
+        rows = np.array([[1.0, 0.0], [below, np.sqrt(1.0 - below**2)], [b, np.sqrt(1.0 - b**2)],
+                         [0.0, 1.0], [-1.0, 0.0]])
+        fbank, _ = banks_from_rows(rows)
+        assert fbank.normalized.tobytes() == rows.tobytes()
+        assert below < b and 1.0 - below == 1.0 - b
+        assert knn(fbank, [0], 1).tolist() == [[1]]
+        for k in (1, 2, 3):
+            assert_matches_references(fbank, [0, 1, 2], k)
 
     def test_own_row_alone_in_its_group(self):
         # 100 searchable rows in 64 groups: sizes 1 and 2. A query whose
@@ -591,3 +644,77 @@ class TestStampsMatchFifoReference:
             fifo.write(idx.tolist())
             assert_array_equal(fbank.valid, fifo.valid(), err_msg=f"call {call}")
             assert fbank.valid.sum() == fbank.capacity
+
+
+def check_slot_layout(fbank):
+    """The slot matrix holds exactly the searchable rows, contiguous, and the
+    slot-to-row and row-to-slot maps are inverse and agree with `valid`."""
+    positions = np.arange(fbank.slot_rows.size)
+    assert_array_equal(np.sort(fbank.slot_rows), np.flatnonzero(fbank.valid))
+    assert_array_equal(fbank.row_slots[fbank.slot_rows], positions)
+    assert_array_equal(fbank.row_slots >= 0, fbank.valid)
+    assert fbank.slots.flags.c_contiguous
+    assert fbank.slots.tobytes() == fbank.normalized[fbank.slot_rows].T.tobytes(), "stale slot"
+
+
+def update_leaving_live_slots_stale(fbank, scores, indices, features, probs):
+    """Planted defect: a live row that is rewritten keeps its old slot."""
+    was_live = fbank.valid[indices]
+    before = fbank.slots.copy()
+    update_banks(fbank, scores, indices, features, probs)
+    stale = fbank.row_slots[indices[was_live & fbank.valid[indices]]]
+    fbank.slots[:, stale] = before[:, stale]
+
+
+def random_writes(update, fraction, seed):
+    """Random writes through `update`, each followed by the layout check and a
+    comparison of `knn` against the full-bank sort."""
+    rng = np.random.default_rng(seed)
+    m = 60
+    fbank, scores = banks_from_rows(rng.standard_normal((m, 4)), capacity_fraction=fraction)
+    check_slot_layout(fbank)
+    k = min(3, fbank.capacity - 1)
+    for call in range(30):
+        if call % 3 == 0:  # rewrite live rows, repeats included
+            idx = rng.choice(np.flatnonzero(fbank.valid), size=5)
+        elif call % 3 == 1:  # a batch wider than the capacity
+            idx = rng.integers(0, m, size=fbank.capacity + 4)
+        else:
+            idx = rng.integers(0, m, size=int(rng.integers(1, 12)))
+        update(fbank, scores, idx, rng.standard_normal((idx.size, 4)), np.full((idx.size, 2), 0.5))
+        check_slot_layout(fbank)
+        queries = rng.integers(0, m, size=12)
+        got = knn(fbank, queries, k)
+        for row, q in enumerate(queries):
+            assert_array_equal(got[row], lexsort_reference(fbank, q, k), err_msg=f"call {call}")
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.8, 1.0])
+    def test_invariants_after_every_write(self, fraction):
+        random_writes(update_banks, fraction, seed=40)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+    def test_stale_live_slot_caught(self, fraction):
+        with pytest.raises(AssertionError, match="stale slot"):
+            random_writes(update_leaving_live_slots_stale, fraction, seed=40)
+
+    @pytest.mark.parametrize(
+        "valid, searchable_after",
+        [
+            ([False, False, False, False], [True, False, False, True]),  # row 3 enters
+            ([True, False, False, False], [True, False, False, True]),  # row 0 keeps its slot
+        ],
+    )
+    def test_bank_built_with_fewer_searchable_rows(self, valid, searchable_after):
+        # Fewer searchable rows than the capacity: writing row 0 also makes
+        # row 3, which was not written, searchable.
+        fbank = FeatureBank(
+            normalized=np.eye(4), valid=np.array(valid), capacity=2,
+            stamps=np.arange(4, dtype=np.int64),
+        )
+        check_slot_layout(fbank)
+        update_banks(fbank, np.zeros((4, 2)), [0], np.ones((1, 4)), np.full((1, 2), 0.5))
+        check_slot_layout(fbank)
+        assert_array_equal(fbank.valid, searchable_after)
+        assert knn(fbank, [0], 1).tolist() == [[3]]
