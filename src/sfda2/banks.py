@@ -51,8 +51,10 @@ class FeatureBank:
     @classmethod
     def from_rows(cls, rows: np.ndarray, capacity: int) -> "FeatureBank":
         """Bank whose rows were written in index order, so the last
-        `capacity` rows are the searchable ones."""
+        `capacity` rows, 1 to M of them, are the searchable ones."""
         m = rows.shape[0]
+        if not 1 <= capacity <= m:
+            raise InvalidInputError(f"capacity {capacity} outside [1, {m}]")
         stamps = np.arange(m, dtype=np.int64)
         return cls(
             normalized=_unit_rows(rows),

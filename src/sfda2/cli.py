@@ -20,9 +20,8 @@ from dataclasses import fields
 from .adapt import AdaptConfig, adapt, evaluate, pretrain_source, validate_config
 from .data import (
     ShiftSpec,
-    _format_float,
     default_shift_spec,
-    dumps_17g,
+    dumps_json,
     gen_synthetic,
     load_checkpoint,
     load_dataset,
@@ -157,7 +156,7 @@ def _write_losses_csv(path: str, trace) -> None:
     lines = ["iteration,snc,ifa,fd,total,decay,lambda"]
     for i, row in enumerate(trace.iterations):
         cells = [str(i)] + [
-            _format_float(v) for v in (row.snc, row.ifa, row.fd, row.total, row.decay, row.lam)
+            repr(float(v)) for v in (row.snc, row.ifa, row.fd, row.total, row.decay, row.lam)
         ]
         lines.append(",".join(cells))
     _write_text(path, "\n".join(lines) + "\n")
@@ -186,7 +185,7 @@ def _cmd_pretrain(args) -> int:
     metrics = evaluate(model, source)
     _write_text(
         os.path.join(args.out, "metrics.json"),
-        dumps_17g({"source_eval": metrics.to_dict()}) + "\n",
+        dumps_json({"source_eval": metrics.to_dict()}) + "\n",
     )
     print(f"wrote {ckpt_path}; source accuracy {metrics.accuracy:.4f}")
     return 0
@@ -207,7 +206,7 @@ def _cmd_adapt(args) -> int:
     save_checkpoint(adapted, ckpt_path)
     _write_losses_csv(os.path.join(args.out, "losses.csv"), trace)
     epoch_eval = [m.to_dict() for m in trace.epoch_metrics]
-    _write_text(os.path.join(args.out, "metrics.json"), dumps_17g({"epoch_eval": epoch_eval}) + "\n")
+    _write_text(os.path.join(args.out, "metrics.json"), dumps_json({"epoch_eval": epoch_eval}) + "\n")
     print(f"wrote {ckpt_path} after {len(trace.iterations)} iterations")
     return 0
 
@@ -217,7 +216,7 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data, n_classes=model.n_classes)
     metrics = evaluate(model, dataset)
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "metrics.json"), dumps_17g(metrics.to_dict()) + "\n")
+    _write_text(os.path.join(args.out, "metrics.json"), dumps_json(metrics.to_dict()) + "\n")
     print(
         f"accuracy {metrics.accuracy:.4f}, per-class mean {metrics.per_class_mean:.4f}, "
         f"harmonic {metrics.harmonic_mean:.4f}, macro-F1 {metrics.macro_f1:.4f}"
@@ -254,7 +253,7 @@ def _cmd_verify(args) -> int:
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     payload = {"suites": [r.to_dict() for r in reports], "passed": all(r.passed for r in reports)}
-    text = dumps_17g(payload) + "\n"
+    text = dumps_json(payload) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_text(os.path.join(args.out, "report.json"), text)

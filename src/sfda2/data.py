@@ -1,9 +1,9 @@
 """Synthetic domain-shift data, CSV dataset files, and text checkpoints.
 
 Dataset CSV: UTF-8, header ``f0,...,f{d-1}`` with an optional trailing
-``label`` column; values are decimal with 17 significant digits so float64
-round-trips exactly. Checkpoints are JSON-shaped structured text written by
-a local emitter for the same 17-digit guarantee.
+``label`` column. Checkpoints and every other JSON file are written by
+`dumps_json`. Both write a float as Python's `repr`, the shortest decimal
+that parses back to the same float64, so every value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def gen_synthetic(spec: ShiftSpec, seed: int) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def _format_float(x: float) -> str:
-    # 17 significant digits: exact float64 round-trip in decimal text.
-    return format(float(x), ".17g")
-
-
 def save_dataset(dataset: Dataset, path: str) -> None:
     if dataset.inputs.ndim != 2 or dataset.size == 0:
         raise InvalidInputError("dataset must contain at least one row")
@@ -150,8 +145,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     if dataset.labels is not None:
         columns.append("label")
     lines = [",".join(columns)]
-    for i in range(dataset.size):
-        cells = [_format_float(v) for v in dataset.inputs[i]]
+    for i, row in enumerate(dataset.inputs):
+        cells = [repr(v) for v in row.tolist()]
         if dataset.labels is not None:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))
@@ -223,44 +218,12 @@ def _first_bad_line(lines: list[str], width: int, has_label: bool, n_classes: in
     return None
 
 
-def _emit_json(obj, out: list[str]) -> None:
-    # Local JSON emitter so floats are always 17 significant digits.
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit_json(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit_json(val, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not math.isfinite(float(obj)):
-            raise InvalidInputError("cannot serialize non-finite number")
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise InvalidInputError(f"unserializable value of type {type(obj).__name__}")
-
-
-def dumps_17g(obj) -> str:
-    parts: list[str] = []
-    _emit_json(obj, parts)
-    return "".join(parts)
+def dumps_json(obj) -> str:
+    """Compact JSON; InvalidInputError on NaN, inf or a type json can't write."""
+    try:
+        return json.dumps(obj, allow_nan=False, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot serialize: {exc}") from None
 
 
 def save_checkpoint(model: Model, path: str) -> None:
@@ -281,7 +244,7 @@ def save_checkpoint(model: Model, path: str) -> None:
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_17g(payload) + "\n")
+        fh.write(dumps_json(payload) + "\n")
 
 
 def load_checkpoint(path: str) -> Model:

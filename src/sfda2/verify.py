@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapt import batch_objective
 from .banks import FeatureBank, knn
-from .data import dumps_17g
+from .data import dumps_json
 from .errors import InvalidInputError
 from .losses import (
     efa_mc_estimate,
@@ -49,7 +49,7 @@ class VerifyReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return dumps_17g(self.to_dict())
+        return dumps_json(self.to_dict())
 
 
 def _finish(suite: str, trials: int, worst, failures: list[dict], details: dict) -> VerifyReport:

@@ -586,6 +586,18 @@ class TestCapacityEviction:
         with pytest.raises(InvalidInputError):
             banks_from_rows(np.eye(3), capacity_fraction=0.0)
 
+    @pytest.mark.parametrize("capacity", [0, -1, 5, 6])
+    def test_from_rows_capacity_outside_row_count_rejected(self, capacity):
+        # Above M, a write would evict searchable rows; at 0 none is searchable.
+        with pytest.raises(InvalidInputError, match=rf"capacity {capacity} outside \[1, 4\]"):
+            FeatureBank.from_rows(np.eye(4), capacity)
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_from_rows_capacity_at_the_ends_accepted(self, capacity):
+        fbank = FeatureBank.from_rows(np.eye(4), capacity)
+        update_banks(fbank, np.zeros((4, 2)), [0], np.ones((1, 4)), np.full((1, 2), 0.5))
+        assert fbank.valid.sum() == capacity and fbank.valid[0]
+
 
 class ListFifo:
     """Reference model of bank validity: a list of live rows, oldest first.

@@ -8,6 +8,7 @@ from sfda2.data import (
     Dataset,
     ShiftSpec,
     default_shift_spec,
+    dumps_json,
     gen_synthetic,
     load_checkpoint,
     load_dataset,
@@ -32,6 +33,22 @@ def two_class_spec(**overrides):
     )
     base.update(overrides)
     return ShiftSpec(**base)
+
+
+# -0.0, the smallest subnormal, the smallest normal, the largest double and
+# two values with no short exact decimal; negated too, which adds 0.0.
+EDGE_VALUES = np.array(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+)
+EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+
+
+def assert_same_bits(actual, expected):
+    """Equal as float64 bit patterns, so -0.0 and 0.0 differ."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 def class_means(dataset):
@@ -119,7 +136,7 @@ class TestDatasetFiles:
         path = str(tmp_path / "ds.csv")
         save_dataset(source, path)
         loaded = load_dataset(path)
-        assert_array_equal(loaded.inputs, source.inputs)
+        assert_same_bits(loaded.inputs, source.inputs)
         assert_array_equal(loaded.labels, source.labels)
         assert loaded.n_classes == 2
 
@@ -179,6 +196,28 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError):
             load_dataset(str(path))
 
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        ds = Dataset(inputs=EDGE_VALUES.reshape(-1, 2), labels=np.arange(6) % 2, n_classes=2)
+        path = tmp_path / "edges.csv"
+        save_dataset(ds, str(path))
+        assert_same_bits(load_dataset(str(path)).inputs, ds.inputs)
+        assert path.read_text().splitlines()[1:3] == [
+            "-0.0,5e-324,0",
+            "2.2250738585072014e-308,1.7976931348623157e+308,1",
+        ]
+
+    def test_seventeen_digit_file_loads_to_the_same_bits(self, tmp_path):
+        # The earlier writer printed every cell with 17 significant digits,
+        # integral values without a decimal point.
+        old = tmp_path / "old.csv"
+        old.write_text("f0,f1,label\n0,1,0\n0.84999999999999998,-0,1\n0.10000000000000001,0.33333333333333331,1\n")
+        loaded = load_dataset(str(old))
+        assert_same_bits(loaded.inputs, [[0.0, 1.0], [0.85, -0.0], [0.1, 1 / 3]])
+        new = tmp_path / "new.csv"
+        save_dataset(loaded, str(new))
+        assert new.read_text() == "f0,f1,label\n0.0,1.0,0\n0.85,-0.0,1\n0.1,0.3333333333333333,1\n"
+        assert_same_bits(load_dataset(str(new)).inputs, loaded.inputs)
+
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -227,11 +266,40 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.json")
         save_checkpoint(model, path)
         loaded_model = load_checkpoint(path)
-        assert_array_equal(model.params, loaded_model.params)
+        assert_same_bits(loaded_model.params, model.params)
         assert [l.activation for l in loaded_model.layers] == [l.activation for l in model.layers]
         payload = json.loads((tmp_path / "ck.json").read_text())
         assert payload["format_version"] == 2
         assert sorted(payload) == ["classifier", "extractor_layers", "format_version"]
+
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        model = self.build()
+        model.params[: EDGE_VALUES.size] = EDGE_VALUES
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(model, path)
+        assert_same_bits(load_checkpoint(path).params, model.params)
+
+    def test_seventeen_digit_file_loads_to_the_same_bits(self, tmp_path):
+        # A checkpoint as the earlier writer printed it: 17 significant
+        # digits, integral values without a decimal point. Its "-0" is the
+        # JSON integer 0, so it reads as +0.0, as it always did; -0.0 now
+        # round-trips because it is written "-0.0".
+        old = tmp_path / "old.json"
+        old.write_text(
+            '{"format_version":2,"extractor_layers":[{"activation":"relu",'
+            '"weights":[[0,1],[0.84999999999999998,-0]],"bias":[0.10000000000000001,-1]}],'
+            '"classifier":{"weights":[[0.33333333333333331,2],[-0.5,1e-300]],"bias":[0,0]}}\n'
+        )
+        loaded = load_checkpoint(str(old))
+        assert_same_bits(loaded.params, [0.0, 1.0, 0.85, 0.0, 0.1, -1.0, 1 / 3, 2.0, -0.5, 1e-300, 0.0, 0.0])
+        new = tmp_path / "new.json"
+        save_checkpoint(loaded, str(new))
+        assert new.read_text() == (
+            '{"format_version":2,"extractor_layers":[{"activation":"relu",'
+            '"weights":[[0.0,1.0],[0.85,0.0]],"bias":[0.1,-1.0]}],'
+            '"classifier":{"weights":[[0.3333333333333333,2.0],[-0.5,1e-300]],"bias":[0.0,0.0]}}\n'
+        )
+        assert_same_bits(load_checkpoint(str(new)).params, loaded.params)
 
     def test_loaded_model_is_view_backed(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -289,3 +357,24 @@ class TestCheckpoints:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "absent.json"))
+
+
+class TestDumpsJson:
+    def test_compact_shortest_floats(self):
+        payload = {"a": [0.0, -0.0, 0.85, 1 / 3, np.float64(0.1)], "b": True, "c": None, "d": 2}
+        assert dumps_json(payload) == '{"a":[0.0,-0.0,0.85,0.3333333333333333,0.1],"b":true,"c":null,"d":2}'
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "not JSON compliant"),
+            (float("inf"), "not JSON compliant"),
+            (-np.inf, "not JSON compliant"),
+            (np.int64(3), "int64 is not JSON serializable"),
+            (object(), "object is not JSON serializable"),
+        ],
+    )
+    def test_unwritable_value_is_invalid_input(self, value, message):
+        with pytest.raises(InvalidInputError, match=f"^cannot serialize: .*{message}") as err:
+            dumps_json({"nested": [1.0, value]})
+        assert type(err.value) is InvalidInputError
