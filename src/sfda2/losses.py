@@ -278,10 +278,12 @@ def efa_mc_estimate(
     2n draws come from `rng` in chunks of _MC_ROWS, draw j paired with draw
     n + j; only the (n, C) first-half probabilities and one chunk are held.
     Each chunk's logits are class-major (C, rows), so softmax and pair dots
-    reduce over C long rows. The result equals one pass that draws all
-    (2n, r) normals at once into sample-major (2n, C) logits: bit for bit
-    for C <= 7, where both add in the same order; for C >= 8 NumPy sums
-    long rows pairwise and the two differ by up to about 1e-15 absolute.
+    reduce over C long rows, in noise, logit and row-reduction buffers
+    allocated once per call (so concurrent calls share nothing). The result
+    equals one pass that draws all (2n, r) normals at once into sample-major
+    (2n, C) logits: bit for bit for C <= 7, where both add in the same
+    order; for C >= 8 NumPy sums long rows pairwise and the two differ by up
+    to about 1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
@@ -296,22 +298,32 @@ def efa_mc_estimate(
     if factor.shape[1] > factor.shape[0]:
         factor = np.linalg.qr(factor.T, mode="r").T
     centre = (weights @ mean + bias)[:, None]
+    n_classes = weights.shape[0]
+    noise = np.empty((_MC_ROWS, factor.shape[1]))
+    logit_buffer = np.empty(n_classes * _MC_ROWS)
+    row_buffer = np.empty((_MC_ROWS, 1))
 
-    def chunk_probs(start: int) -> np.ndarray:
-        noise = rng.generator.standard_normal((min(_MC_ROWS, n_pairs - start), factor.shape[1]))
-        logits = factor @ noise.T
+    def chunk_probs(start: int, out: np.ndarray | None = None) -> np.ndarray:
+        rows = min(_MC_ROWS, n_pairs - start)
+        rng.generator.standard_normal(out=noise[:rows])
+        logits = np.matmul(factor, noise[:rows].T, out=logit_buffer[: n_classes * rows].reshape(n_classes, rows))
         logits += centre
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError("Monte Carlo logits are non-finite")
-        return row_softmax(logits.T)
+        try:
+            return row_softmax(logits.T, out=logits.T if out is None else out, row=row_buffer[:rows])
+        except InvalidInputError as exc:
+            raise NumericalError("Monte Carlo logits are non-finite") from exc
 
-    first = np.empty((weights.shape[0], n_pairs)).T  # class-major, like each chunk
+    first = np.empty((n_classes, n_pairs)).T  # class-major, like each chunk
     for s in range(0, n_pairs, _MC_ROWS):
-        first[s : s + _MC_ROWS] = chunk_probs(s)
+        chunk_probs(s, out=first[s : s + _MC_ROWS])
     values = np.empty(n_pairs)
     for s in range(0, n_pairs, _MC_ROWS):
-        dots = (first[s : s + _MC_ROWS] * chunk_probs(s)).sum(axis=1)
-        values[s : s + _MC_ROWS] = -np.log(dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
+        pair = chunk_probs(s)
+        pair *= first[s : s + _MC_ROWS]
+        dots = pair.sum(axis=1, out=values[s : s + _MC_ROWS])
+        np.log(dots, out=dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
+        np.negative(dots, out=dots)
+    del first  # before std's (n,) temporary, which would otherwise set the peak
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n_pairs))
     return mean, stderr

@@ -241,33 +241,40 @@ def sgd_step(model: Model, grads: Model, state: OptimizerState) -> None:
     model.params -= state.lr * state.buffer
 
 
-def finite_diff_check(model: Model, loss_and_grad, h: float, loss=None) -> float:
-    """Max over parameters of |analytic - central difference| relative error.
+def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
+    """`finite_diff_errors` for one loss: loss_and_grad maps a Model to
+    (scalar value, gradient Model)."""
+    value, grads = loss_and_grad(model)
+    return float(finite_diff_errors(model, [value], grads.params[None], lambda m: [loss_and_grad(m)[0]], h)[0])
 
-    loss_and_grad maps a Model to (scalar value, gradient Model). The
-    perturbed points need only values: `loss` (Model -> value) serves them
-    when given. The relative error denominator is max(1e-8, |central difference|).
+
+def finite_diff_errors(model: Model, base, analytic: np.ndarray, values, h: float) -> np.ndarray:
+    """Per loss, the max over parameters of |analytic - central difference|
+    relative error, with denominator max(1e-8, |central difference|).
+
+    `base` holds the losses' values at `model` and `analytic` their
+    (losses, P) gradients there. `values` maps a Model to all the losses'
+    values, so each perturbed point is evaluated once for every loss.
     """
     if h <= 0.0:
         raise InvalidInputError("step size must be positive")
-    loss = loss or (lambda m: loss_and_grad(m)[0])
-    value, grads = loss_and_grad(model)
-    if not np.isfinite(value):
+    if not np.all(np.isfinite(base)):
         raise NumericalError("loss is non-finite at the base point")
+    if not np.all(np.isfinite(analytic)):
+        raise NumericalError("analytic gradient has non-finite entries")
 
     probe = model.with_params(model.params.copy())
     params = probe.params
-    worst = 0.0
+    up, down = np.empty((2, params.size, len(base)))
     for j in range(params.size):
         orig = params[j]
         params[j] = orig + h
-        up = loss(probe)
+        up[j] = values(probe)
         params[j] = orig - h
-        down = loss(probe)
+        down[j] = values(probe)
         params[j] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericalError("loss is non-finite at a perturbed point")
-        numeric = (up - down) / (2.0 * h)
-        rel = abs(grads.params[j] - numeric) / max(1e-8, abs(numeric))
-        worst = max(worst, rel)
-    return worst
+    if not (np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
+        raise NumericalError("loss is non-finite at a perturbed point")
+    numeric = (up - down) / (2.0 * h)
+    rel = np.abs(analytic.T - numeric) / np.maximum(1e-8, np.abs(numeric))
+    return rel.max(axis=0, initial=0.0)

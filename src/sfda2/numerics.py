@@ -67,16 +67,22 @@ def check_distribution_rows(rows, name: str) -> np.ndarray:
     return arr
 
 
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, computed with max subtraction."""
+def row_softmax(m: np.ndarray, out: np.ndarray | None = None, row: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of a 2-D array, computed with max subtraction, into
+    `out` when given (it may be `m`) with the row maxima and sums in `row`,
+    a (rows, 1) buffer: a caller that reuses both allocates nothing."""
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise InvalidInputError("row_softmax input must be 2-D with nonzero width")
-    if not np.all(np.isfinite(arr)):
+    row = arr.max(axis=1, keepdims=True, out=row)
+    # NaN propagates through both reductions: -inf shows in the minimum,
+    # +inf in the maxima. `initial` lets a zero-row input through.
+    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(row.max(initial=0.0))):
         raise InvalidInputError("row_softmax input contains non-finite entries")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    out = np.subtract(arr, row, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True, out=row)
+    return out
 
 
 def row_logsumexp(m: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from .model import finite_diff_check, forward, grad_params, init_model
+from .model import finite_diff_check, finite_diff_errors, forward, grad_params, init_model
 from .numerics import RngState, row_logsumexp, row_softmax
 from .stats import ClassStatistics, batch_covariance_oracle, class_moments, update_class_stats
 
@@ -89,7 +89,7 @@ def verify_ifa_bound(
     depend on the worker count; a failing trial raises the first error in
     trial order. Each oracle draws min(C, k) normals per logit vector, k the
     active covariance coordinates, and holds about n_pairs * (C + 1) floats
-    plus a few (C, 6144) chunk arrays; it forms no (n, d) feature draw.
+    plus one set of (C, 6144) chunk buffers; it forms no (n, d) feature draw.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off the CLI's import
 
@@ -230,15 +230,6 @@ def verify_snc_factorization(
 # ---------------------------------------------------------- gradients
 
 
-def _scaled_gradients(closure, factor: float):
-    def wrapped(m):
-        value, grads = closure(m)
-        grads.params *= factor
-        return value, grads
-
-    return wrapped
-
-
 # (classes, feature dim, batch, K) of the batched-vs-reference instances:
 # the adaptation default shape and two wider ones.
 _BATCHED_SHAPES = ((3, 8, 64, 5), (10, 16, 32, 5), (31, 32, 16, 3))
@@ -303,8 +294,10 @@ def verify_gradients(
     and a pure quadratic in the parameters (central differences are exact,
     error < 1e-9). Then each random instance checks the batch
     neighborhood and alignment kernels and the dispersal loss in isolation
-    plus the weighted composite objective. A few wider instances then
-    check the batch kernels against the per-sample reference losses
+    plus the weighted composite objective: one forward pass per perturbed
+    point gives all four values, so an instance with P parameters runs
+    4 + 2P forward passes and one perturbation loop. A few wider instances
+    then check the batch kernels against the per-sample reference losses
     (values and gradients, floored relative error < 1e-10). The negative
     control scales every analytic gradient by 1.01 and compares each batch
     row with the reference of the next sample.
@@ -400,30 +393,22 @@ def verify_gradients(
             )
             return breakdown.total, grads
 
-        # Value-only forms for the perturbed points, where no gradient is read.
-        def snc_value(m):
-            values, _ = snc_loss_batch(forward(m, x)[2], neighbor_probs, bank_rows, decay)
-            return float(values.sum()) / batch
+        def values(m):
+            # One forward pass serves the perturbed point of all four checks;
+            # the composite is batch_objective's total, summed in its order.
+            feats, _, probs = forward(m, x)
+            snc = float(snc_loss_batch(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
+            ifa = float(ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
+            fd = fd_loss(feats, labels, affinity)[0]
+            return snc, ifa, fd, snc + alpha1 * ifa + alpha2 * fd
 
-        def ifa_value(m):
-            values = ifa_loss_batch(forward(m, x)[0], labels, covs, m.clf_weights, m.clf_bias, lam)[0]
-            return float(values.sum()) / batch
-
-        def fd_value(m):
-            return fd_loss(forward(m, x)[0], labels, affinity)[0]
-
-        def composite_value(m):
-            # batch_objective's total, summed in the same order.
-            return snc_value(m) + alpha1 * ifa_value(m) + alpha2 * fd_value(m)
-
-        for name, closure, value in (
-            ("snc", snc_closure, snc_value),
-            ("ifa", ifa_closure, ifa_value),
-            ("fd", fd_closure, fd_value),
-            ("composite", composite_closure, composite_value),
-        ):
-            tested = _scaled_gradients(closure, 1.01) if negative_control else closure
-            err = finite_diff_check(model, tested, step, loss=value)
+        closures = (snc_closure, ifa_closure, fd_closure, composite_closure)
+        base, grads = zip(*(closure(model) for closure in closures))
+        analytic = np.stack([g.params for g in grads])
+        if negative_control:
+            analytic *= 1.01
+        errors = finite_diff_errors(model, base, analytic, values, step)
+        for name, err in zip(("snc", "ifa", "fd", "composite"), errors.tolist()):
             per_check_max[name] = max(per_check_max[name], err)
             worst = max(worst, err)
             if err > tolerance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sfda2.errors import InvalidInputError
+from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import (
     _MC_ROWS,
     affinity_weights,
@@ -375,6 +375,12 @@ class TestEfaMcEstimate:
     def test_classifier_shape_rejected(self, weights, bias):
         with pytest.raises(InvalidInputError, match="classifier"):
             efa_mc_estimate(np.zeros(3), np.eye(3), weights, bias, 1.0, 10, RngState(0))
+
+    def test_non_finite_logits_are_a_numerical_error(self):
+        weights = np.ones((2, 3))
+        weights[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="^Monte Carlo logits are non-finite$"):
+            efa_mc_estimate(np.zeros(3), np.eye(3), weights, np.zeros(2), 1.0, 10, RngState(0))
 
 
 def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):

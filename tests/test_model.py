@@ -7,6 +7,7 @@ from sfda2.model import (
     Layer,
     Model,
     finite_diff_check,
+    finite_diff_errors,
     forward,
     grad_params,
     init_model,
@@ -201,6 +202,66 @@ class TestFiniteDiffCheck:
         model = identity_model(2)
         with pytest.raises(InvalidInputError):
             finite_diff_check(model, lambda m: (0.0, zero_grads(m)), 0.0)
+
+    def test_non_finite_gradient_rejected(self):
+        # A NaN gradient entry would drop out of max(worst, rel) and report 0.
+        model = init_model(3, (4,), 3, 3, RngState(8))
+
+        def loss_and_grad(m):
+            return 0.5 * float(m.params @ m.params), m.with_params(np.full_like(m.params, np.nan))
+
+        with pytest.raises(NumericalError, match="^analytic gradient has non-finite entries$"):
+            finite_diff_check(model, loss_and_grad, 1e-3)
+
+
+def two_losses(x):
+    """L1 = 0.5*sum(logits^2) and L2 = 0.5*sum(features^2): a value function
+    for both and a loss-and-gradient closure for each."""
+
+    def values(m):
+        feats, logits, _ = forward(m, x)
+        return 0.5 * float((logits**2).sum()), 0.5 * float((feats**2).sum())
+
+    def closure(index):
+        def loss_and_grad(m):
+            feats, logits, _ = forward(m, x)
+            upstream = (logits, np.zeros_like(feats)) if index == 0 else (np.zeros_like(logits), feats)
+            return values(m)[index], grad_params(m, x, *upstream)
+
+        return loss_and_grad
+
+    return values, [closure(0), closure(1)]
+
+
+class TestFiniteDiffErrors:
+    def setup_method(self):
+        self.model = init_model(3, (4, 3), 3, 4, RngState(5))
+        self.values, self.closures = two_losses(np.random.default_rng(6).standard_normal((4, 3)))
+        base, grads = zip(*(c(self.model) for c in self.closures))
+        self.base, self.analytic = base, np.stack([g.params for g in grads])
+
+    def test_each_row_equals_its_scalar_check(self):
+        errors = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        assert errors.shape == (2,)
+        assert errors.tolist() == [finite_diff_check(self.model, c, 1e-5) for c in self.closures]
+        assert errors.max() < 1e-6
+
+    def test_defect_stays_in_its_row(self):
+        clean = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        self.analytic[1] *= 1.01
+        planted = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        assert planted[0] == clean[0]
+        assert planted[1] > 5e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        self.analytic[1, 7] = bad
+        with pytest.raises(NumericalError, match="^analytic gradient has non-finite entries$"):
+            finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+
+    def test_non_finite_base_rejected(self):
+        with pytest.raises(NumericalError, match="base point"):
+            finite_diff_errors(self.model, [self.base[0], np.nan], self.analytic, self.values, 1e-5)
 
 
 class TestModelPlumbing:

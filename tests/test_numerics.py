@@ -61,6 +61,52 @@ class TestSoftmax:
             row_softmax(np.array([[np.inf, 0.0]]))
 
 
+def allocating_softmax(m):
+    """The softmax formula with a fresh array per step, the form the
+    in-place kernel must reproduce bit for bit."""
+    shifted = m - m.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+class TestSoftmaxOut:
+    """`row_softmax` writing into caller buffers, as the Monte Carlo oracle does."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_classes", range(2, 9))
+    def test_in_place_equals_allocating(self, n_classes, order):
+        rng = np.random.default_rng(n_classes)
+        m = np.asarray(4.0 * rng.standard_normal((301, n_classes)), order=order)
+        expected = allocating_softmax(m).view(np.uint64)
+        assert_array_equal(row_softmax(m).view(np.uint64), expected)
+        buffer = m.copy(order="K")
+        got = row_softmax(buffer, out=buffer, row=np.empty((301, 1)))
+        assert got is buffer
+        assert_array_equal(got.view(np.uint64), expected)
+
+    @pytest.mark.parametrize("n_classes", range(2, 9))
+    def test_into_a_class_major_slice(self, n_classes):
+        # The oracle's first half: class-major logits written into rows of a
+        # wider class-major array, with a short row buffer.
+        rng = np.random.default_rng(10 + n_classes)
+        logits = 4.0 * rng.standard_normal((n_classes, 250))
+        wide = np.empty((n_classes, 1000)).T
+        got = row_softmax(logits.T, out=wide[500:750], row=np.empty((400, 1))[:250])
+        assert np.shares_memory(got, wide)
+        assert_array_equal(wide[500:750].view(np.uint64), allocating_softmax(logits.T).view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_buffers(self, bad):
+        m = np.zeros((4, 3))
+        m[2, 1] = bad
+        for kwargs in ({}, {"out": m.copy(), "row": np.empty((4, 1))}):
+            with pytest.raises(InvalidInputError, match="^row_softmax input contains non-finite entries$"):
+                row_softmax(m, **kwargs)
+
+    def test_zero_rows_pass(self):
+        assert row_softmax(np.empty((0, 3))).shape == (0, 3)
+
+
 class TestLogsumexp:
     """`row_logsumexp` on one-row arrays."""
 

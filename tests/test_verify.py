@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.banks import knn
-from sfda2.losses import efa_mc_estimate, ifa_loss, snc_loss, snc_loss_batch
+from sfda2.losses import efa_mc_estimate, fd_loss, ifa_loss, snc_loss, snc_loss_batch
+from sfda2.model import forward, init_model
 from sfda2.numerics import RngState
 from sfda2.verify import (
     VerifyReport,
@@ -284,6 +285,45 @@ class TestVerifyGradients:
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             verify_gradients(n_instances=0)
+
+    def test_one_forward_per_perturbed_point(self, monkeypatch):
+        # Per instance: the four base-point closures, then one forward pass
+        # at each of the 2P perturbed points, shared by all four checks.
+        module = importlib.import_module("sfda2.verify")
+        counts = []  # [parameter count, forward passes] per model, in creation order
+
+        def counting_init_model(*args):
+            model = init_model(*args)
+            counts.append([model.params.size, 0])
+            return model
+
+        def counting_forward(model, inputs):
+            counts[-1][1] += 1
+            return forward(model, inputs)
+
+        monkeypatch.setattr(module, "init_model", counting_init_model)
+        monkeypatch.setattr(module, "forward", counting_forward)
+        assert verify_gradients(n_instances=2).passed
+        assert len(counts) == 3
+        assert counts[0][1] == 0  # the calibration model runs no forward pass
+        assert [passes for _, passes in counts[1:]] == [4 + 2 * size for size, _ in counts[1:]]
+
+    def test_fd_defect_reported_under_fd_only(self, monkeypatch):
+        # Only the dispersal check's analytic gradient is scaled (the
+        # composite goes through adapt's fd_loss), so a mix-up in the order
+        # of the stacked outputs would move or spread the failures.
+        def scaled_fd_loss(*args):
+            value, grad = fd_loss(*args)
+            return value, 1.01 * grad
+
+        clean = verify_gradients()
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "fd_loss", scaled_fd_loss)
+        report = verify_gradients()
+        assert clean.passed and not report.passed
+        assert {f["check"] for f in report.failures} == {"fd"}
+        for check in ("snc", "ifa", "composite", "batched"):
+            assert report.details["max_error_per_check"][check] == clean.details["max_error_per_check"][check]
 
 
 class TestVerifyOracles:
