@@ -35,7 +35,7 @@ from .model import (
     validate_model,
 )
 from .numerics import RngState
-from .stats import ClassStatistics, update_class_stats
+from .stats import ClassStatistics, class_moments, update_class_stats
 
 
 @dataclass
@@ -103,8 +103,8 @@ def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
     cm = np.asarray(confusion, dtype=np.float64)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] == 0:
         raise InvalidInputError("confusion matrix must be square and nonempty")
-    if cm.min() < 0:
-        raise InvalidInputError("confusion matrix counts must be >= 0")
+    if not (cm.min() >= 0 and cm.max() < np.inf):  # negated, so NaN fails too
+        raise InvalidInputError("confusion matrix counts must be finite and >= 0")
     total = cm.sum()
     if total <= 0:
         raise InvalidInputError("confusion matrix must contain at least one sample")
@@ -148,7 +148,7 @@ def evaluate(model: Model, dataset) -> EvalMetrics:
     labels = np.asarray(dataset.labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise InvalidInputError("labels out of range for the model's classes")
-    _, _, probs = forward(model, dataset.inputs)
+    _, probs, _ = forward(model, dataset.inputs)
     preds = np.argmax(probs, axis=1)
     cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     np.add.at(cm, (labels, preds), 1)
@@ -204,11 +204,11 @@ def pretrain_source(
         for batch in _batches(perm, config.batch_size):
             x = source.inputs[batch]
             y = labels[batch]
-            _, _, probs = _guarded_forward(model, x, epoch, t)
+            _, probs, acts = _guarded_forward(model, x, epoch, t)
             dlogits = probs.copy()
             dlogits[np.arange(batch.size), y] -= 1.0
             dlogits /= batch.size
-            grads = grad_params(model, x, dlogits, np.zeros((batch.size, model.feature_dim)))
+            grads = grad_params(model, acts, dlogits, np.zeros((batch.size, model.feature_dim)))
             sgd_step(model, grads, opt)
             t += 1
     return model
@@ -216,12 +216,12 @@ def pretrain_source(
 
 def batch_objective(
     model: Model,
-    batch_inputs: np.ndarray,
-    features: np.ndarray,
+    acts: list[np.ndarray],
     probs: np.ndarray,
     neighbor_probs: np.ndarray,
     bank_batch_probs: np.ndarray,
     batch_pseudo_labels: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray],
     class_covs: np.ndarray,
     affinity: np.ndarray,
     decay: float,
@@ -231,15 +231,17 @@ def batch_objective(
 ) -> tuple[LossBreakdown, Model]:
     """One batch's loss breakdown and full parameter gradient.
 
-    `features` and `probs` are the model's forward pass on `batch_inputs`.
-    `neighbor_probs` is the (B, K, C) stack of each sample's neighbor rows
-    and `bank_batch_probs[i]` the stored score-bank row for batch sample i;
-    only row i's self term is differentiated through the live network.
-    `class_covs` holds the (C, d, d) class covariances of the alignment term.
+    `probs` and `acts` are `forward`'s output for the batch (features are
+    acts[-1]). `neighbor_probs` is the (B, K, C) stack of each sample's
+    neighbor rows and `bank_batch_probs[i]` the stored score-bank row for
+    batch sample i; only row i's self term is differentiated through the
+    live network. `moments` is the batch's `class_moments`, for FD, and
+    `class_covs` the (C, d, d) class covariances of the alignment term.
     Feature-alignment and dispersal terms are skipped (reported as 0) when
     their weight is exactly 0.
     """
-    b = batch_inputs.shape[0]
+    features = acts[-1]
+    b = features.shape[0]
     if b < 2:
         raise InvalidInputError("batch must contain at least 2 samples")
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64)
@@ -262,12 +264,12 @@ def batch_objective(
 
     fd_value = 0.0
     if alpha2 != 0.0:
-        fd_value, fd_grad = fd_loss(features, labels, affinity)
+        fd_value, fd_grad = fd_loss(features, labels, moments, affinity)
         dfeatures += alpha2 * fd_grad
 
     snc_mean = float(snc_values.sum()) / b
     total = snc_mean + alpha1 * ifa_mean + alpha2 * fd_value
-    grads = grad_params(model, batch_inputs, dlogits, dfeatures)
+    grads = grad_params(model, acts, dlogits, dfeatures)
     grads.clf_weights += clf_w_extra
     grads.clf_bias += clf_b_extra
     breakdown = LossBreakdown(
@@ -336,7 +338,7 @@ def adapt(
             if batch.size < 2:
                 continue
             x = target.inputs[batch]
-            features, _, probs = _guarded_forward(current, x, epoch, t)
+            features, probs, acts = _guarded_forward(current, x, epoch, t)
             decay = decay_factor(t, denom, config.beta)
             lam = lambda_schedule(t, denom, config.lambda0)
             try:
@@ -347,15 +349,16 @@ def adapt(
                     update_banks(fbank, score_bank, batch, features, probs)
                     neighbor_probs = score_bank[knn(fbank, batch, config.k)]
                     labels = np.argmax(probs, axis=1)
-                    stats = update_class_stats(stats, features, labels)
+                    moments = class_moments(features, labels, model.n_classes)
+                    stats = update_class_stats(stats, moments)
                     breakdown, grads = batch_objective(
                         current,
-                        x,
-                        features,
+                        acts,
                         probs,
                         neighbor_probs,
                         score_bank[batch],
                         labels,
+                        moments,
                         stats.covs,
                         affinity,
                         decay,

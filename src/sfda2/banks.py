@@ -84,7 +84,7 @@ def init_banks(
         raise InvalidInputError("target set must be a nonempty 2-D batch")
     if not (0.0 < capacity_fraction <= 1.0):
         raise InvalidInputError("capacity fraction must be in (0, 1]")
-    features, _, probs = forward(model, inputs)
+    features, probs, _ = forward(model, inputs)
     capacity = max(1, math.ceil(capacity_fraction * inputs.shape[0]))
     return FeatureBank.from_rows(features, capacity), probs.copy()
 

@@ -5,8 +5,8 @@ weights, and the schedule helpers.
 
 The adaptation loop evaluates a whole batch with `snc_loss_batch` and
 `ifa_loss_batch`; the per-sample `snc_loss` and `ifa_loss` are their
-reference forms. `fd_loss` is one class-matrix kernel: the batch's class
-covariances from `stats.class_moments`, flattened and stacked, give every
+reference forms. `fd_loss` is one class-matrix kernel on the caller's
+`stats.class_moments`: the covariances, flattened and stacked, give every
 pair's trace in one Gram matrix, whose diagonal holds the squared norms.
 Every loss returns its value together with exact analytic gradients with
 respect to its live inputs. Rows fetched from memory banks and the running
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .numerics import RngState, _gaussian_lift, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
-from .stats import _class_counts, _moments, class_moments
+from .stats import _checked_batch, _checked_moments, class_moments
 
 # Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
 # verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
@@ -42,21 +42,19 @@ class LossBreakdown:
 
 def decay_factor(iteration: int, max_iter: int, beta: float) -> float:
     """(1 + 10*iteration/max_iter)^(-beta); 1 at the start of training."""
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
-    if not 0 <= iteration <= max_iter:
-        raise InvalidInputError("iteration must lie in [0, max_iter]")
-    if beta < 0:
-        raise InvalidInputError("beta must be >= 0")
+    if max_iter < 1 or not 0 <= iteration <= max_iter:
+        raise InvalidInputError("need max_iter >= 1 and iteration in [0, max_iter]")
+    if not 0.0 <= beta < np.inf:  # negated, so NaN fails too
+        raise InvalidInputError(f"beta must be finite and >= 0, got {beta!r}")
     return float((1.0 + 10.0 * iteration / max_iter) ** (-beta))
 
 
 def lambda_schedule(iteration: int, max_iter: int, lambda0: float) -> float:
     """Linear ramp from 0 to lambda0 across training."""
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
-    if not 0 <= iteration <= max_iter:
-        raise InvalidInputError("iteration must lie in [0, max_iter]")
+    if max_iter < 1 or not 0 <= iteration <= max_iter:
+        raise InvalidInputError("need max_iter >= 1 and iteration in [0, max_iter]")
+    if not 0.0 <= lambda0 < np.inf:  # negated, so NaN fails too
+        raise InvalidInputError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
     return float(lambda0 * iteration / max_iter)
 
 
@@ -345,6 +343,7 @@ def affinity_weights(score_bank: np.ndarray, pseudo_labels) -> np.ndarray:
 def fd_loss(
     batch_features,
     batch_pseudo_labels,
+    moments,
     affinity: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Between-class dispersal penalty on per-batch class covariances.
@@ -354,26 +353,29 @@ def fd_loss(
 
         value += -(1/2) * a_ij * (1 - tr(cov_i cov_j) / (|cov_i| |cov_j|))
 
-    The covariances are population-normalized within the batch and carry
-    gradient back into batch_features; a_ij are the entries of the (C, C)
-    `affinity` matrix. Returns (value, grad); both are zero for a batch with
-    fewer than two classes of >= 2 members.
+    `moments` is `stats.class_moments(batch_features, batch_pseudo_labels,
+    C)`, whose population covariances carry gradient back into
+    batch_features; a_ij are the entries of the (C, C) `affinity` matrix.
+    Returns (value, grad); both are zero for a batch with fewer than two
+    classes of >= 2 members.
 
-    The batch passes `stats.class_moments`' checks, and its class counts
-    decide the early return before any moment is computed; a class of fewer
-    than 2 members has an exactly zero covariance. F stacks the flattened
-    covariances as rows and T = F F^T holds every tr(cov_i cov_j), so with n
-    = sqrt(diag T) and W the affinities of the contributing pairs, value =
-    -(1/2) sum W (1 - T / n n^T) and, with G = (W + W^T) / (2 n n^T), the
-    covariance gradient is G F - (rowsum(G T) / n^2) F.
+    The moments' counts must match the labels, and they decide the early
+    return; a class of fewer than 2 members has an exactly zero covariance.
+    F stacks the flattened covariances as rows and T = F F^T holds every
+    tr(cov_i cov_j), so with n = sqrt(diag T) and W the affinities of the
+    contributing pairs, value = -(1/2) sum W (1 - T / n n^T) and, with
+    G = (W + W^T) / (2 n n^T), the covariance gradient is
+    G F - (rowsum(G T) / n^2) F.
     """
     aff = np.asarray(affinity, dtype=np.float64)
     if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
         raise InvalidInputError("affinity must be a square (C, C) matrix")
-    feats, labels, counts = _class_counts(batch_features, batch_pseudo_labels, aff.shape[0])
+    feats, labels = _checked_batch(batch_features, batch_pseudo_labels, aff.shape[0])
+    counts, means, covs = _checked_moments(moments, aff.shape[0], feats.shape[1])
+    if np.bincount(labels, minlength=aff.shape[0]).tolist() != counts.tolist():
+        raise InvalidInputError("moment counts disagree with the pseudo-labels")
     if np.count_nonzero(counts >= 2) < 2:
         return 0.0, np.zeros_like(feats)
-    _, means, covs = _moments(feats, labels, counts)
 
     flat = covs.reshape(aff.shape[0], -1)
     trace = flat @ flat.T

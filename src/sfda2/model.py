@@ -154,56 +154,39 @@ def init_model(
     return Model(layers, clf_w, np.zeros(n_classes))
 
 
-def _check_inputs(model: Model, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2:
+def forward(model: Model, inputs) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(features, probs, acts) for a batch of input rows; `acts` lists the
+    inputs and each extractor layer's output, the cache of `grad_params`."""
+    h = np.asarray(inputs, dtype=np.float64)
+    if h.ndim != 2:
         raise InvalidInputError("inputs must be a 2-D batch")
-    if arr.shape[1] != model.input_dim:
-        raise InvalidInputError(
-            f"input width {arr.shape[1]} does not match model input dim {model.input_dim}"
-        )
-    return arr
-
-
-def _forward_cache(model: Model, inputs: np.ndarray):
-    """Returns (post-activation list starting at inputs, pre-activation list)."""
-    posts = [inputs]
-    pres = []
-    h = inputs
+    if h.shape[1] != model.input_dim:
+        raise InvalidInputError(f"input width {h.shape[1]} does not match model input dim {model.input_dim}")
+    acts = [h]
     for layer in model.layers:
         a = h @ layer.weights.T + layer.bias
-        pres.append(a)
         h = np.maximum(a, 0.0) if layer.activation == "relu" else a
-        posts.append(h)
-    return posts, pres
+        acts.append(h)
+    probs = row_softmax(h @ model.clf_weights.T + model.clf_bias)
+    return h, probs, acts
 
 
-def forward(model: Model, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, logits, probs) for a batch of input rows."""
-    arr = _check_inputs(model, inputs)
-    posts, _ = _forward_cache(model, arr)
-    features = posts[-1]
-    logits = features @ model.clf_weights.T + model.clf_bias
-    probs = row_softmax(logits)
-    return features, logits, probs
-
-
-def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> Model:
-    """Exact parameter gradients for a loss entering at the logits and/or
-    directly at the features; either upstream may be all-zero. Returned as
-    a Model of the same layout whose vector holds the gradient."""
-    arr = _check_inputs(model, inputs)
+def grad_params(model: Model, acts, dL_dlogits, dL_dfeatures) -> Model:
+    """Exact parameter gradients, through `forward`'s activation list `acts`,
+    for a loss entering at the logits and/or directly at the features;
+    either upstream may be all-zero. Returned as a Model of the same layout
+    whose vector holds the gradient."""
     dlog = np.asarray(dL_dlogits, dtype=np.float64)
     dfeat = np.asarray(dL_dfeatures, dtype=np.float64)
-    b = arr.shape[0]
-    if dlog.shape != (b, model.n_classes):
-        raise InvalidInputError("dL_dlogits shape mismatch")
-    if dfeat.shape != (b, model.feature_dim):
-        raise InvalidInputError("dL_dfeatures shape mismatch")
+    b = dlog.shape[0] if dlog.ndim else 0
+    if dlog.shape != (b, model.n_classes) or dfeat.shape != (b, model.feature_dim):
+        raise InvalidInputError("dL_dlogits and dL_dfeatures must be (B, classes) and (B, feature_dim)")
+    widths = [model.input_dim] + [layer.weights.shape[0] for layer in model.layers]
+    if len(acts) != len(widths) or any(np.shape(h) != (b, w) for h, w in zip(acts, widths)):
+        raise InvalidInputError("acts must be forward's activation list for this model and batch")
 
-    posts, pres = _forward_cache(model, arr)
     grads = model.with_params(np.empty_like(model.params))  # every slot is written below
-    grads.clf_weights[...] = dlog.T @ posts[-1]
+    grads.clf_weights[...] = dlog.T @ acts[-1]
     grads.clf_bias[...] = dlog.sum(axis=0)
 
     # Sensitivity entering the extractor: the logits path plus the direct
@@ -211,8 +194,9 @@ def grad_params(model: Model, inputs, dL_dlogits, dL_dfeatures) -> Model:
     dh = dlog @ model.clf_weights + dfeat
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, slot = model.layers[idx], grads.layers[idx]
-        da = dh * (pres[idx] > 0.0) if layer.activation == "relu" else dh
-        slot.weights[...] = da.T @ posts[idx]
+        # relu(a) > 0 exactly where a > 0, so the output gives the mask.
+        da = dh * (acts[idx + 1] > 0.0) if layer.activation == "relu" else dh
+        slot.weights[...] = da.T @ acts[idx]
         slot.bias[...] = da.sum(axis=0)
         dh = da @ layer.weights
     return grads

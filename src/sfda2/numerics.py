@@ -55,13 +55,13 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 
 def check_distribution_rows(rows, name: str) -> np.ndarray:
-    """Validate a vector or 2-D array of class distributions and return it
-    as 2-D rows. The range test is negated so that a NaN entry fails it."""
+    """Validate a vector or 2-D array of one or more class distributions and
+    return it as 2-D rows. The negated range test fails a NaN entry too."""
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise InvalidInputError(f"{name} must be rows of class distributions")
+    if arr.ndim != 2 or arr.size == 0:
+        raise InvalidInputError(f"{name} must be one or more rows of class distributions")
     if not (arr.min() >= 0.0 and np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9):
         raise InvalidInputError(f"{name} rows are not valid distributions")
     return arr

@@ -1,7 +1,8 @@
 """Per-class batch moments, their streaming merge, and a two-pass oracle.
 
 `class_moments` gives a batch's per-class counts, means and population
-covariances; the pooled update merges them into the running ones:
+covariances, computed once per batch for `losses.fd_loss` and for
+`update_class_stats`, which merges them into the running ones:
 
     n_new = n + m
     mu_new = (n*mu + m*mu') / n_new
@@ -59,30 +60,18 @@ def batch_covariance_oracle(features) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _class_counts(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`class_moments`' input checks and (C,) counts, with the float rows and
-    int64 labels, so a caller can skip the moments on the counts alone."""
+def _checked_batch(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float rows and int64 labels, checked to be finite 2-D rows with one
+    label each in [0, n_classes): a batch `class_moments` and `fd_loss` take."""
     arr = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if arr.ndim != 2 or labels.shape[0] != arr.shape[0]:
         raise InvalidInputError("features must be 2-D rows with one label each")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("features contain non-finite entries")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise InvalidInputError("pseudo-label out of range")
-    return arr, labels, np.bincount(labels, minlength=n_classes)
-
-
-def _moments(arr, labels, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`class_moments` of rows already checked and counted by `_class_counts`."""
-    b, d = arr.shape
-    onehot = (labels == np.arange(counts.size)[:, None]).astype(np.float64)
-    per_class = np.maximum(counts, 1)[:, None]
-    means = onehot @ arr / per_class
-    centered = arr - means[labels]
-    outer = (centered[:, :, None] * centered[:, None, :]).reshape(b, d * d)
-    covs = (onehot @ outer / per_class).reshape(counts.size, d, d)
-    return counts, means, covs
+    return arr, labels
 
 
 def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,15 +83,33 @@ def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndar
     covariances average the outer products of rows centred by their own
     class mean, not E[xx^T] - mu mu^T, which cancels.
     """
-    return _moments(*_class_counts(features, labels, n_classes))
+    arr, labels = _checked_batch(features, labels, n_classes)
+    b, d = arr.shape
+    counts = np.bincount(labels, minlength=n_classes)
+    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
+    per_class = np.maximum(counts, 1)[:, None]
+    means = onehot @ arr / per_class
+    centered = arr - means[labels]
+    outer = (centered[:, :, None] * centered[:, None, :]).reshape(b, d * d)
+    covs = (onehot @ outer / per_class).reshape(n_classes, d, d)
+    return counts, means, covs
 
 
-def update_class_stats(stats: ClassStatistics, features, pseudo_labels) -> ClassStatistics:
-    """Merge one batch into the running statistics (returns a new value)."""
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != stats.dim:
-        raise InvalidInputError("feature width does not match statistics dimension")
-    batch_counts, batch_means, batch_covs = class_moments(arr, pseudo_labels, stats.n_classes)
+def _checked_moments(moments, n_classes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`moments`, checked to be a `class_moments` triple of C = n_classes and width dim."""
+    counts, means, covs = map(np.asarray, moments)
+    if counts.shape != (n_classes,) or means.shape != (n_classes, dim) or covs.shape != (n_classes, dim, dim):
+        raise InvalidInputError("moments disagree with the class count or feature width")
+    if counts.dtype.kind not in "iu" or counts.min(initial=0) < 0:
+        raise InvalidInputError("moment counts must be integers >= 0")
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise InvalidInputError("moments contain non-finite entries")
+    return counts, means, covs
+
+
+def update_class_stats(stats: ClassStatistics, moments) -> ClassStatistics:
+    """Merge a batch's `class_moments` into the running statistics (a new value)."""
+    batch_counts, batch_means, batch_covs = _checked_moments(moments, stats.n_classes, stats.dim)
 
     means = stats.means.copy()
     covs = stats.covs.copy()

@@ -367,39 +367,40 @@ def verify_gradients(
         alpha1, alpha2 = 0.3, 0.7
 
         def snc_closure(m):
-            _, _, probs = forward(m, x)
+            _, probs, acts = forward(m, x)
             values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
             dlogits = softmax_vjp(probs, dprobs) / batch
-            return float(values.sum()) / batch, grad_params(m, x, dlogits, np.zeros((batch, d_feat)))
+            return float(values.sum()) / batch, grad_params(m, acts, dlogits, np.zeros((batch, d_feat)))
 
         def ifa_closure(m):
-            feats, _, _ = forward(m, x)
+            feats, _, acts = forward(m, x)
             values, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)
-            grads = grad_params(m, x, np.zeros((batch, n_classes)), dfeats / batch)
+            grads = grad_params(m, acts, np.zeros((batch, n_classes)), dfeats / batch)
             grads.clf_weights += dw / batch
             grads.clf_bias += db / batch
             return float(values.sum()) / batch, grads
 
+        # Each FD call takes the moments of its own perturbed features.
         def fd_closure(m):
-            feats, _, _ = forward(m, x)
-            value, gfeat = fd_loss(feats, labels, affinity)
-            return value, grad_params(m, x, np.zeros((batch, n_classes)), gfeat)
+            feats, _, acts = forward(m, x)
+            value, gfeat = fd_loss(feats, labels, class_moments(feats, labels, n_classes), affinity)
+            return value, grad_params(m, acts, np.zeros((batch, n_classes)), gfeat)
 
         def composite_closure(m):
-            feats, _, probs = forward(m, x)
+            feats, probs, acts = forward(m, x)
             breakdown, grads = batch_objective(
-                m, x, feats, probs, neighbor_probs, bank_rows, labels, covs, affinity,
-                decay, lam, alpha1, alpha2,
+                m, acts, probs, neighbor_probs, bank_rows, labels,
+                class_moments(feats, labels, n_classes), covs, affinity, decay, lam, alpha1, alpha2,
             )
             return breakdown.total, grads
 
         def values(m):
             # One forward pass serves the perturbed point of all four checks;
             # the composite is batch_objective's total, summed in its order.
-            feats, _, probs = forward(m, x)
+            feats, probs, _ = forward(m, x)
             snc = float(snc_loss_batch(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
             ifa = float(ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
-            fd = fd_loss(feats, labels, affinity)[0]
+            fd = fd_loss(feats, labels, class_moments(feats, labels, n_classes), affinity)[0]
             return snc, ifa, fd, snc + alpha1 * ifa + alpha2 * fd
 
         closures = (snc_closure, ifa_closure, fd_closure, composite_closure)
@@ -562,7 +563,8 @@ def verify_oracles(
             stats = ClassStatistics.empty(n_classes, dim)
             pos = 0
             for size in sizes:
-                stats = update_class_stats(stats, feats[pos : pos + size], labels[pos : pos + size])
+                batch = slice(pos, pos + size)
+                stats = update_class_stats(stats, class_moments(feats[batch], labels[batch], n_classes))
                 pos += size
             means, covs, counts = stats.means, stats.covs, stats.counts
 

@@ -17,8 +17,10 @@ from sfda2.adapt import (
 )
 from sfda2.data import Dataset, ShiftSpec, default_shift_spec, gen_synthetic
 from sfda2.errors import InvalidInputError, NumericalError
+from sfda2.losses import fd_loss
 from sfda2.model import Layer, Model, init_model
 from sfda2.numerics import RngState
+from sfda2.stats import class_moments, update_class_stats
 
 # The package exports the `adapt` function under the submodule's name.
 adapt_module = importlib.import_module("sfda2.adapt")
@@ -75,6 +77,15 @@ class TestMetrics:
     def test_empty_confusion_rejected(self):
         with pytest.raises(InvalidInputError):
             metrics_from_confusion(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_count_rejected(self, bad):
+        cm = np.array([[4.0, 0.0], [2.0, 2.0]])
+        cm[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite and >= 0"):
+                metrics_from_confusion(cm)
 
     def test_evaluate_on_passthrough_model(self):
         model = Model(
@@ -237,6 +248,56 @@ class TestAdapt:
         for step in trace.iterations:
             claimed = step.snc + config.alpha1 * step.ifa + config.alpha2 * step.fd
             assert abs(step.total - claimed) <= 1e-12
+
+    def test_one_moments_pass_and_one_forward_per_iteration(self, monkeypatch):
+        # Wraps every import site of forward and class_moments: a second
+        # extractor pass (say, inside grad_params) or a second moments
+        # computation (say, inside fd_loss) would raise the counts.
+        model, target = self.pretrained()
+        forwards, received = [], {"update_class_stats": [], "fd_loss": []}
+        moments = {"sfda2.adapt": [], "sfda2.losses": []}  # per call site
+
+        def counting_forward(fn):
+            def wrapper(*args):
+                forwards.append(len(args[1]))
+                return fn(*args)
+
+            return wrapper
+
+        def recording_moments(site):
+            def wrapper(*args):
+                moments[site].append(class_moments(*args))
+                return moments[site][-1]
+
+            return wrapper
+
+        def receiving(name, fn, position):
+            def wrapper(*args):
+                received[name].append(args[position])
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("sfda2.model", "sfda2.adapt", "sfda2.banks"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(module, "forward", counting_forward(module.forward))
+        for name in moments:
+            monkeypatch.setattr(importlib.import_module(name), "class_moments", recording_moments(name))
+        monkeypatch.setattr(adapt_module, "update_class_stats", receiving("update_class_stats", update_class_stats, 1))
+        monkeypatch.setattr(adapt_module, "fd_loss", receiving("fd_loss", fd_loss, 2))
+
+        config = AdaptConfig(seed=4, epochs=2, batch_size=16)
+        _, trace = adapt(config, model, target.unlabeled())
+        iterations = len(trace.iterations)
+        batches = [min(16, target.size - start) for start in range(0, target.size, 16)]
+        assert iterations == 2 * len(batches) and min(batches) >= 2
+        # init_banks' full pass, then one batch pass per iteration
+        assert forwards == [target.size] + batches * 2
+        assert len(moments["sfda2.adapt"]) == iterations
+        assert len(moments["sfda2.losses"]) == config.epochs  # affinity_weights
+        for name, args in received.items():
+            assert len(args) == iterations
+            assert all(got is sent for got, sent in zip(args, moments["sfda2.adapt"])), name
 
     def test_schedule_endpoints(self):
         model, target = self.pretrained()

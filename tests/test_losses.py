@@ -19,6 +19,7 @@ from sfda2.losses import (
     softmax_vjp,
 )
 from sfda2.numerics import RngState, _gaussian_lift, check_symmetric, psd_factor, row_softmax, sample_gaussian
+from sfda2.stats import class_moments
 
 
 def random_psd(rng, d):
@@ -50,6 +51,12 @@ class TestDecayFactor:
         with pytest.raises(InvalidInputError):
             decay_factor(0, 10, -1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        for iteration in (0, 5):
+            with pytest.raises(InvalidInputError, match="beta must be finite"):
+                decay_factor(iteration, 10, beta)
+
 
 class TestLambdaSchedule:
     def test_endpoints_and_midpoint(self):
@@ -66,6 +73,12 @@ class TestLambdaSchedule:
             lambda_schedule(0, 0, 5.0)
         with pytest.raises(InvalidInputError):
             lambda_schedule(-1, 10, 5.0)
+
+    @pytest.mark.parametrize("lambda0", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_lambda0_rejected(self, lambda0):
+        for iteration in (0, 1):
+            with pytest.raises(InvalidInputError, match="lambda0 must be finite"):
+                lambda_schedule(iteration, 10, lambda0)
 
 
 class TestSncLoss:
@@ -138,6 +151,16 @@ class TestSncLoss:
             snc_loss(p, nan_row[None, :], np.tile(p, (2, 1)), 0, 1.0)
         with pytest.raises(InvalidInputError, match="batch_probs rows are not valid"):
             snc_loss(p, p[None, :], np.vstack([p, nan_row]), 0, 1.0)
+
+    def test_zero_rows_rejected(self):
+        # K = 0 neighbours once reached NumPy's zero-size reduction error.
+        p = np.array([0.5, 0.5])
+        with pytest.raises(InvalidInputError, match="neighbor_probs must be one or more rows"):
+            snc_loss(p, np.empty((0, 2)), p[None, :], 0, 1.0)
+        with pytest.raises(InvalidInputError, match="batch_probs must be one or more rows"):
+            snc_loss(p, p[None, :], np.empty((0, 2)), 0, 1.0)
+        with pytest.raises(InvalidInputError, match="probs_i must be one or more rows"):
+            snc_loss(np.empty(0), p[None, :], p[None, :], 0, 1.0)
 
 
 class TestIfaLoss:
@@ -601,10 +624,15 @@ def uniform_affinity(c, value=1.0):
     return np.full((c, c), value)
 
 
+def fd(feats, labels, affinity):
+    """fd_loss on the batch's own class moments, as `adapt` calls it."""
+    return fd_loss(feats, labels, class_moments(feats, labels, len(affinity)), affinity)
+
+
 class TestFdLoss:
     def test_identical_covariances_cost_nothing(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 0.0], [7.0, 0.0]])
-        value, grad = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+        value, grad = fd(feats, [0, 0, 1, 1], uniform_affinity(2))
         assert_allclose(value, 0.0, atol=1e-12)
         assert_allclose(grad, np.zeros_like(feats), atol=1e-9)
 
@@ -612,32 +640,32 @@ class TestFdLoss:
         # class covariances diag(1,0) and diag(0,1); both ordered pairs
         # contribute -(1/2) * 0.5 * (1 - 0)
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        value, _ = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2, 0.5))
+        value, _ = fd(feats, [0, 0, 1, 1], uniform_affinity(2, 0.5))
         assert_allclose(value, -0.5, atol=1e-12)
 
     def test_value_is_a_python_float(self):
         feats = np.random.default_rng(7).standard_normal((8, 3))
         labels = [0, 0, 0, 1, 1, 1, 2, 2]
-        value, _ = fd_loss(feats, labels, uniform_affinity(3, 0.5))
+        value, _ = fd(feats, labels, uniform_affinity(3, 0.5))
         assert type(value) is float
         assert value < 0.0
 
     def test_single_populated_class_is_zero(self):
         feats = np.random.default_rng(5).standard_normal((4, 3))
-        value, grad = fd_loss(feats, [1, 1, 1, 1], uniform_affinity(2))
+        value, grad = fd(feats, [1, 1, 1, 1], uniform_affinity(2))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert_array_equal(grad, np.zeros_like(feats))
 
     def test_no_pairable_class_flags_degenerate(self):
         feats = np.random.default_rng(6).standard_normal((3, 2))
-        value, grad = fd_loss(feats, [0, 1, 2], uniform_affinity(3))
+        value, grad = fd(feats, [0, 1, 2], uniform_affinity(3))
         assert value == 0.0
         assert_array_equal(grad, np.zeros_like(feats))
 
     def test_zero_norm_covariance_pairs_skipped(self):
         # class 1's rows coincide, so its covariance is exactly zero
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 3.0], [3.0, 3.0]])
-        value, grad = fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+        value, grad = fd(feats, [0, 0, 1, 1], uniform_affinity(2))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert np.isfinite(grad).all()
 
@@ -648,7 +676,7 @@ class TestFdLoss:
             labels = rng.integers(0, 3, size=12)
             class_means = row_softmax(rng.standard_normal((3, 3)))
             aff = class_means @ class_means.T
-            value, _ = fd_loss(feats, labels, aff)
+            value, _ = fd(feats, labels, aff)
             off_diag = aff.sum() - np.trace(aff)
             assert -0.5 * off_diag - 1e-12 <= value <= 1e-12
 
@@ -657,44 +685,67 @@ class TestFdLoss:
         feats = rng.standard_normal((7, 3))
         labels = np.array([0, 0, 0, 1, 1, 1, 0])
         aff = uniform_affinity(2, 0.8)
-        _, grad = fd_loss(feats, labels, aff)
+        _, grad = fd(feats, labels, aff)
         h = 1e-5
         for r, c in ((0, 0), (2, 1), (5, 2), (6, 0)):
             step = np.zeros_like(feats)
             step[r, c] = h
-            up, _ = fd_loss(feats + step, labels, aff)
-            down, _ = fd_loss(feats - step, labels, aff)
+            up, _ = fd(feats + step, labels, aff)
+            down, _ = fd(feats - step, labels, aff)
             assert_allclose(grad[r, c], (up - down) / (2 * h), rtol=1e-4, atol=1e-8)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fd_loss(np.zeros((2, 2)), [0, 2], uniform_affinity(2))
+        moments = class_moments(np.zeros((2, 2)), [0, 1], 2)
+        for labels in ([0, 2], [-1, 1]):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                fd_loss(np.zeros((2, 2)), labels, moments, uniform_affinity(2))
 
     @pytest.mark.parametrize("affinity", [np.ones((2, 1)), np.ones(2)], ids=["2x1", "1-D"])
     def test_non_square_affinity_rejected(self, affinity):
         feats = np.random.default_rng(9).standard_normal((4, 2))
         with pytest.raises(InvalidInputError, match="affinity"):
-            fd_loss(feats, [0, 0, 1, 1], affinity)
+            fd(feats, [0, 0, 1, 1], affinity)
 
     def test_non_finite_features_rejected(self):
         feats = np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
+        moments = class_moments(np.nan_to_num(feats), [0, 0, 1, 1], 2)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            fd_loss(feats, [0, 0, 1, 1], uniform_affinity(2))
+            fd_loss(feats, [0, 0, 1, 1], moments, uniform_affinity(2))
+
+    def test_non_finite_moments_rejected(self):
+        feats = np.random.default_rng(10).standard_normal((4, 2))
+        for part in (1, 2):  # the means, then the covariances
+            moments = [m.copy() for m in class_moments(feats, [0, 0, 1, 1], 2)]
+            moments[part].flat[-1] = np.inf
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                fd_loss(feats, [0, 0, 1, 1], tuple(moments), uniform_affinity(2))
 
     @pytest.mark.parametrize(
-        "feats, labels, affinity, message",
+        "feats, labels, moments, affinity, message",
         [
-            (np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0]]), [0, 1, 2], uniform_affinity(3), "non-finite"),
-            (np.zeros((3, 2)), [0, 1, 3], uniform_affinity(3), "out of range"),
-            (np.zeros((3, 2)), [0, 1, 2], np.ones((3, 2)), "affinity"),
+            (np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0]]), [0, 1, 2], None, uniform_affinity(3), "non-finite"),
+            (np.zeros((3, 2)), [0, 1, 3], None, uniform_affinity(3), "out of range"),
+            (np.zeros((3, 2)), [0, 1, 2], None, np.ones((3, 2)), "affinity"),
+            (np.zeros((3, 2)), [0, 1], None, uniform_affinity(3), "one label each"),
+            (np.zeros(3), [0, 1, 2], None, uniform_affinity(3), "one label each"),
+            (np.zeros((3, 2)), [0, 0, 1], None, uniform_affinity(3), "disagree with the pseudo-labels"),
+            (np.zeros((3, 2)), [0, 1, 2], (np.zeros((3, 3)), [0, 1, 2], 3), uniform_affinity(3), "feature width"),
+            (np.zeros((3, 2)), [0, 1, 2], (np.zeros((3, 2)), [0, 1, 1], 2), uniform_affinity(3), "class count"),
+            (np.zeros((3, 2)), [0, 1, 2], (np.zeros((3, 2)), [0, 1, 2], 4), uniform_affinity(3), "class count"),
         ],
-        ids=["nan-row", "label-out-of-range", "non-square-affinity"],
+        ids=[
+            "nan-row", "label-out-of-range", "non-square-affinity", "short-labels", "1-D-features",
+            "counts-disagree-with-labels", "moments-too-wide", "moments-of-fewer-classes", "moments-of-more-classes",
+        ],
     )
-    def test_early_return_batch_still_validated(self, feats, labels, affinity, message):
-        # No class has two members, so a valid batch of this kind returns early.
-        assert fd_loss(np.zeros((3, 2)), [0, 1, 2], uniform_affinity(3))[0] == 0.0
+    def test_early_return_batch_still_validated(self, feats, labels, moments, affinity, message):
+        # No class has two members, so a valid batch of this kind returns
+        # early; `moments` defaults to that valid batch's.
+        valid = class_moments(np.zeros((3, 2)), [0, 1, 2], 3)
+        assert fd_loss(np.zeros((3, 2)), [0, 1, 2], valid, uniform_affinity(3))[0] == 0.0
+        moments = valid if moments is None else class_moments(*moments)
         with pytest.raises(InvalidInputError, match=message):
-            fd_loss(feats, labels, affinity)
+            fd_loss(feats, labels, moments, affinity)
 
 
 def pairwise_fd_loss(batch_features, batch_pseudo_labels, affinity, both_halves=True):
@@ -785,7 +836,7 @@ class TestFdLossMatchesPairwise:
     def test_agrees_on_random_instances(self):
         seen = {"d=1": 0, "singleton": 0, "zero norm": 0, "asymmetric": 0}
         for feats, labels, affinity in self.instances():
-            got = fd_loss(feats, labels, affinity)
+            got = fd(feats, labels, affinity)
             expected = pairwise_fd_loss(feats, labels, affinity)
             assert fd_forms_agree(got, expected, feats, labels, affinity)
             assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
@@ -801,7 +852,7 @@ class TestFdLossMatchesPairwise:
     def test_planted_half_gradient_caught(self):
         caught = contributing = 0
         for feats, labels, affinity in self.instances():
-            got = fd_loss(feats, labels, affinity)
+            got = fd(feats, labels, affinity)
             if feats.shape[1] == 1 or not np.any(got[1]):
                 continue
             contributing += 1

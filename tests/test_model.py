@@ -22,6 +22,10 @@ def zero_grads(model):
     return model.with_params(np.zeros_like(model.params))
 
 
+def logits_of(model, feats):
+    return feats @ model.clf_weights.T + model.clf_bias
+
+
 def identity_model(dim, n_classes=None):
     n_classes = dim if n_classes is None else n_classes
     return Model(
@@ -38,19 +42,32 @@ class TestForward:
             clf_weights=np.zeros((4, 3)),
             clf_bias=np.zeros(4),
         )
-        feats, logits, probs = forward(model, np.array([[5.0, -2.0], [0.1, 0.2]]))
-        assert_array_equal(logits, np.zeros((2, 4)))
+        feats, probs, _ = forward(model, np.array([[5.0, -2.0], [0.1, 0.2]]))
+        assert_array_equal(logits_of(model, feats), np.zeros((2, 4)))
         assert_allclose(probs, np.full((2, 4), 0.25), atol=1e-15)
         assert_array_equal(feats, np.zeros((2, 3)))
 
     def test_identity_stack_passes_input_through(self):
         model = identity_model(2)
-        _, logits, _ = forward(model, np.array([[3.0, -1.0]]))
-        assert_array_equal(logits, np.array([[3.0, -1.0]]))
+        x = np.array([[3.0, -1.0]])
+        feats, _, acts = forward(model, x)
+        assert_array_equal(logits_of(model, feats), x)
+        assert len(acts) == 2 and acts[-1] is feats
+        assert_array_equal(acts[0], x)
+
+    def test_acts_are_each_layers_output(self):
+        model = init_model(3, (5, 4), 2, 3, RngState(7))
+        x = np.random.default_rng(8).standard_normal((6, 3))
+        feats, _, acts = forward(model, x)
+        assert [a.shape for a in acts] == [(6, 3), (6, 5), (6, 4), (6, 2)]
+        for layer, h_in, h_out in zip(model.layers, acts, acts[1:]):
+            a = h_in @ layer.weights.T + layer.bias
+            assert_array_equal(h_out, np.maximum(a, 0.0) if layer.activation == "relu" else a)
+        assert acts[-1] is feats
 
     def test_prob_rows_normalized(self):
         model = init_model(3, (6,), 4, 5, RngState(0))
-        _, _, probs = forward(model, np.random.default_rng(1).standard_normal((5, 3)))
+        _, probs, _ = forward(model, np.random.default_rng(1).standard_normal((5, 3)))
         assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
         assert np.all(probs >= 0)
 
@@ -58,11 +75,12 @@ class TestForward:
         model = init_model(4, (5,), 3, 3, RngState(2))
         x = np.random.default_rng(3).standard_normal((6, 4))
         perm = np.array([4, 2, 0, 5, 1, 3])
-        f1, l1, p1 = forward(model, x)
-        f2, l2, p2 = forward(model, x[perm])
+        f1, p1, a1 = forward(model, x)
+        f2, p2, a2 = forward(model, x[perm])
         assert_array_equal(f2, f1[perm])
-        assert_array_equal(l2, l1[perm])
         assert_array_equal(p2, p1[perm])
+        for h1, h2 in zip(a1, a2):
+            assert_array_equal(h2, h1[perm])
 
     def test_width_mismatch_rejected(self):
         model = init_model(3, (4,), 2, 2, RngState(0))
@@ -73,21 +91,64 @@ class TestForward:
 class TestGradParams:
     def test_zero_upstream_gives_zero_gradients(self):
         model = init_model(2, (3,), 2, 2, RngState(1))
-        x = np.ones((4, 2))
-        grads = grad_params(model, x, np.zeros((4, 2)), np.zeros((4, 2)))
+        _, _, acts = forward(model, np.ones((4, 2)))
+        grads = grad_params(model, acts, np.zeros((4, 2)), np.zeros((4, 2)))
         assert_array_equal(grads.params, np.zeros_like(model.params))
 
     def test_linear_case_bias_gradient(self):
         # L = sum of all logits; d/db_c = batch size
         model = identity_model(2)
-        x = np.random.default_rng(0).standard_normal((5, 2))
-        grads = grad_params(model, x, np.ones((5, 2)), np.zeros((5, 2)))
+        _, _, acts = forward(model, np.random.default_rng(0).standard_normal((5, 2)))
+        grads = grad_params(model, acts, np.ones((5, 2)), np.zeros((5, 2)))
         assert_allclose(grads.clf_bias, np.full(2, 5.0), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = identity_model(2)
+        _, _, acts = forward(model, np.zeros((3, 2)))
         with pytest.raises(InvalidInputError):
-            grad_params(model, np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
+            grad_params(model, acts, np.zeros((4, 2)), np.zeros((3, 2)))
+        with pytest.raises(InvalidInputError):
+            grad_params(model, acts, np.zeros((3, 2)), np.zeros((3, 3)))
+
+    def test_foreign_acts_rejected(self):
+        model = init_model(2, (3,), 2, 2, RngState(1))
+        _, _, acts = forward(model, np.ones((4, 2)))
+        upstream = (np.zeros((4, 2)), np.zeros((4, 2)))
+        for bad in (acts[:-1], acts + [acts[-1]], [acts[0], acts[1][:, :2], acts[2]], [acts[0][:3]] + acts[1:], []):
+            with pytest.raises(InvalidInputError, match="activation list"):
+                grad_params(model, bad, *upstream)
+        deeper = init_model(2, (3, 3), 2, 2, RngState(1))
+        with pytest.raises(InvalidInputError, match="activation list"):
+            grad_params(deeper, acts, *upstream)
+
+    def test_zero_pre_activation_masks_like_the_pre_activation(self):
+        # Row 0 puts hidden unit 0 at exactly a = 0 and row 1 puts unit 1
+        # there; relu's output gives the same mask as a > 0, bit for bit.
+        hidden = Layer(np.array([[1.0, 1.0], [2.0, -1.0], [-1.0, 0.5]]), np.zeros(3), "relu")
+        head = Layer(np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]]), np.array([0.1, -0.2]), "identity")
+        model = Model([hidden, head], np.array([[1.0, -2.0], [0.5, 0.3], [-1.0, 1.0]]), np.zeros(3))
+        x = np.array([[1.0, -1.0], [1.0, 2.0], [0.5, 3.0], [-2.0, 1.0]])
+        pre = x @ hidden.weights.T + hidden.bias
+        relu = np.maximum(pre, 0.0)
+        assert pre[0, 0] == 0.0 and pre[1, 1] == 0.0
+        rng = np.random.default_rng(11)
+        dlog, dfeat = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+
+        _, _, acts = forward(model, x)
+        got = grad_params(model, acts, dlog, dfeat)
+
+        expected = np.empty_like(model.params)
+        ref = model.with_params(expected)
+        feats = relu @ head.weights.T + head.bias
+        ref.clf_weights[...] = dlog.T @ feats
+        ref.clf_bias[...] = dlog.sum(axis=0)
+        dh = dlog @ model.clf_weights + dfeat
+        ref.layers[1].weights[...] = dh.T @ relu
+        ref.layers[1].bias[...] = dh.sum(axis=0)
+        da = (dh @ head.weights) * (pre > 0.0)
+        ref.layers[0].weights[...] = da.T @ x
+        ref.layers[0].bias[...] = da.sum(axis=0)
+        assert got.params.tobytes() == expected.tobytes()
 
     def test_matches_finite_differences(self):
         # L = 0.5*sum(logits^2) + 0.5*sum(features^2)
@@ -95,9 +156,10 @@ class TestGradParams:
         x = np.random.default_rng(6).standard_normal((4, 3))
 
         def loss_and_grad(m):
-            feats, logits, _ = forward(m, x)
+            feats, _, acts = forward(m, x)
+            logits = logits_of(m, feats)
             value = 0.5 * float((logits**2).sum() + (feats**2).sum())
-            return value, grad_params(m, x, logits, feats)
+            return value, grad_params(m, acts, logits, feats)
 
         assert finite_diff_check(model, loss_and_grad, 1e-5) < 1e-6
 
@@ -219,14 +281,15 @@ def two_losses(x):
     for both and a loss-and-gradient closure for each."""
 
     def values(m):
-        feats, logits, _ = forward(m, x)
-        return 0.5 * float((logits**2).sum()), 0.5 * float((feats**2).sum())
+        feats, _, _ = forward(m, x)
+        return 0.5 * float((logits_of(m, feats) ** 2).sum()), 0.5 * float((feats**2).sum())
 
     def closure(index):
         def loss_and_grad(m):
-            feats, logits, _ = forward(m, x)
+            feats, _, acts = forward(m, x)
+            logits = logits_of(m, feats)
             upstream = (logits, np.zeros_like(feats)) if index == 0 else (np.zeros_like(logits), feats)
-            return values(m)[index], grad_params(m, x, *upstream)
+            return values(m)[index], grad_params(m, acts, *upstream)
 
         return loss_and_grad
 
@@ -321,8 +384,8 @@ class TestFlatLayout:
 
     def test_gradient_has_the_model_layout(self):
         model = init_model(3, (4,), 2, 3, RngState(5))
-        x = np.random.default_rng(0).standard_normal((6, 3))
-        grads = grad_params(model, x, np.ones((6, 3)), np.ones((6, 2)))
+        _, _, acts = forward(model, np.random.default_rng(0).standard_normal((6, 3)))
+        grads = grad_params(model, acts, np.ones((6, 3)), np.ones((6, 2)))
         assert grads.params.shape == model.params.shape
         assert all(np.shares_memory(a, grads.params) for a in self.named_arrays(grads))
         assert_array_equal(grads.clf_bias, np.full(3, 6.0))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from sfda2.errors import InvalidInputError
 from sfda2.numerics import (
     RngState,
+    check_distribution_rows,
     check_symmetric,
     psd_factor,
     psd_repair,
@@ -287,6 +288,14 @@ class TestRngState:
         fresh = RngState(13).split(2)
         for c, f in zip(children, fresh):
             assert_array_equal(c.generator.standard_normal(3), f.generator.standard_normal(3))
+
+
+class TestCheckDistributionRows:
+    @pytest.mark.parametrize("shape", [(0, 3), (0,), (3, 0), (0, 0)])
+    def test_zero_size_rejected(self, shape):
+        # Zero rows once reached NumPy's zero-size reduction error.
+        with pytest.raises(InvalidInputError, match="^p must be one or more rows of class distributions$"):
+            check_distribution_rows(np.empty(shape), "p")
 
 
 class TestCheckSymmetric:

@@ -123,8 +123,11 @@ class TestClassMoments:
             rows = np.array([[bad, 1.0], [1.0, 2.0]])
             with pytest.raises(InvalidInputError, match="non-finite"):
                 class_moments(rows, [0, 0], 2)
-            with pytest.raises(InvalidInputError, match="non-finite"):
-                update_class_stats(ClassStatistics.empty(2, 2), rows, [0, 0])
+            for part in (1, 2):  # a batch's means, then its covariances
+                moments = [m.copy() for m in class_moments(np.ones((2, 2)), [0, 0], 2)]
+                moments[part].flat[0] = bad
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    update_class_stats(ClassStatistics.empty(2, 2), tuple(moments))
 
 
 class TestOracleOffTrainingPath:
@@ -143,7 +146,8 @@ class TestOracleOffTrainingPath:
 
     def test_fd_loss_never_reaches_oracle(self, no_oracle):
         rows = np.random.default_rng(5).standard_normal((9, 3))
-        value, _ = fd_loss(rows, [0, 0, 0, 1, 1, 1, 2, 2, 2], np.ones((3, 3)))
+        labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        value, _ = fd_loss(rows, labels, class_moments(rows, labels, 3), np.ones((3, 3)))
         assert value < 0.0
 
     def test_verify_oracles_still_calls_oracle(self, monkeypatch):
@@ -162,11 +166,16 @@ class TestOracleOffTrainingPath:
         assert sum(calls) == 30
 
 
+def merge_batch(stats, rows, labels):
+    """The adapt loop's step: one batch's moments merged into `stats`."""
+    return update_class_stats(stats, class_moments(rows, labels, stats.n_classes))
+
+
 class TestUpdateClassStats:
     def test_single_sample_single_class(self):
         stats = ClassStatistics.empty(3, 2)
         z = np.array([[1.5, -2.0]])
-        out = update_class_stats(stats, z, [1])
+        out = merge_batch(stats, z, [1])
         assert_array_equal(out.means[1], z[0])
         assert_array_equal(out.covs[1], np.zeros((2, 2)))
         assert out.counts[1] == 1
@@ -178,7 +187,7 @@ class TestUpdateClassStats:
     def test_one_batch_equals_oracle(self):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((25, 4))
-        stats = update_class_stats(ClassStatistics.empty(2, 4), rows, [0] * 25)
+        stats = merge_batch(ClassStatistics.empty(2, 4), rows, [0] * 25)
         mean, cov = batch_covariance_oracle(rows)
         assert_allclose(stats.means[0], mean, atol=1e-12)
         assert_allclose(stats.covs[0], cov, atol=1e-12)
@@ -188,10 +197,10 @@ class TestUpdateClassStats:
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((60, 3))
         labels = rng.integers(0, 4, size=60)
-        whole = update_class_stats(ClassStatistics.empty(4, 3), rows, labels)
+        whole = merge_batch(ClassStatistics.empty(4, 3), rows, labels)
         split = ClassStatistics.empty(4, 3)
         for lo, hi in ((0, 10), (10, 30), (30, 60)):
-            split = update_class_stats(split, rows[lo:hi], labels[lo:hi])
+            split = merge_batch(split, rows[lo:hi], labels[lo:hi])
         assert_allclose(split.means, whole.means, atol=1e-10)
         assert_allclose(split.covs, whole.covs, atol=1e-10)
         assert_array_equal(split.counts, whole.counts)
@@ -204,10 +213,10 @@ class TestUpdateClassStats:
         ]
         forward_order = ClassStatistics.empty(3, 2)
         for rows, labels in batches:
-            forward_order = update_class_stats(forward_order, rows, labels)
+            forward_order = merge_batch(forward_order, rows, labels)
         reverse_order = ClassStatistics.empty(3, 2)
         for rows, labels in reversed(batches):
-            reverse_order = update_class_stats(reverse_order, rows, labels)
+            reverse_order = merge_batch(reverse_order, rows, labels)
         assert_allclose(reverse_order.means, forward_order.means, atol=1e-10)
         assert_allclose(reverse_order.covs, forward_order.covs, atol=1e-10)
         assert_array_equal(reverse_order.counts, forward_order.counts)
@@ -217,28 +226,43 @@ class TestUpdateClassStats:
         stats = ClassStatistics.empty(2, 5)
         for _ in range(10):
             rows = rng.standard_normal((9, 5)) * 3.0 + rng.standard_normal(5)
-            stats = update_class_stats(stats, rows, rng.integers(0, 2, size=9))
+            stats = merge_batch(stats, rows, rng.integers(0, 2, size=9))
         for c in range(2):
             assert_array_equal(stats.covs[c], stats.covs[c].T)
             assert np.linalg.eigvalsh(stats.covs[c]).min() >= -1e-12
 
     def test_input_is_not_mutated(self):
         stats = ClassStatistics.empty(2, 2)
-        out = update_class_stats(stats, np.ones((3, 2)), [0, 0, 1])
+        out = merge_batch(stats, np.ones((3, 2)), [0, 0, 1])
         assert_array_equal(stats.counts, [0, 0])
         assert out is not stats
 
     def test_label_out_of_range_rejected(self):
         stats = ClassStatistics.empty(2, 2)
         with pytest.raises(InvalidInputError):
-            update_class_stats(stats, np.ones((1, 2)), [2])
+            merge_batch(stats, np.ones((1, 2)), [2])
         with pytest.raises(InvalidInputError):
-            update_class_stats(stats, np.ones((1, 2)), [-1])
+            merge_batch(stats, np.ones((1, 2)), [-1])
+        # moments of more or fewer classes than the statistics hold
+        for n_classes in (1, 3):
+            with pytest.raises(InvalidInputError, match="class count"):
+                update_class_stats(stats, class_moments(np.ones((1, 2)), [0], n_classes))
 
     def test_width_mismatch_rejected(self):
         stats = ClassStatistics.empty(2, 3)
         with pytest.raises(InvalidInputError):
-            update_class_stats(stats, np.ones((1, 2)), [0])
+            merge_batch(stats, np.ones((1, 2)), [0])
+        counts, means, covs = class_moments(np.ones((1, 3)), [0], 2)
+        for bad in ((counts, means[:, :2], covs), (counts, means, covs[:, :2, :2]), (counts, means, covs[:, :, :2])):
+            with pytest.raises(InvalidInputError, match="feature width"):
+                update_class_stats(stats, bad)
+
+    def test_bad_counts_rejected(self):
+        stats = ClassStatistics.empty(2, 2)
+        counts, means, covs = class_moments(np.ones((3, 2)), [0, 0, 1], 2)
+        for bad_counts in (np.array([-1, 3]), counts.astype(np.float64)):
+            with pytest.raises(InvalidInputError, match="counts"):
+                update_class_stats(stats, (bad_counts, means, covs))
 
     def test_empty_constructor_validates(self):
         with pytest.raises(InvalidInputError):
@@ -284,7 +308,7 @@ class TestStackedPsdCheck:
 
     def test_equals_class_by_class_repair(self):
         stats, rows, labels = self.planted()
-        out = update_class_stats(stats, rows, labels)
+        out = merge_batch(stats, rows, labels)
         means, covs, counts = update_class_by_class(stats, rows, labels)
         assert np.linalg.eigvalsh(stats.covs[2]).min() < 0.0
         assert out.means.tobytes() == means.tobytes()
@@ -294,7 +318,7 @@ class TestStackedPsdCheck:
 
     def test_psd_classes_exactly_symmetrized(self):
         stats, rows, labels = self.planted()
-        out = update_class_stats(stats, rows, labels)
+        out = merge_batch(stats, rows, labels)
         _, batch_means, batch_covs = class_moments(rows, labels, 4)
         for c in (0, 1, 3):
             n, m = int(stats.counts[c]), int((labels == c).sum())
