@@ -2,23 +2,20 @@
 cosine-KNN retrieval.
 
 Bank row i always corresponds to target sample i. The score bank is a plain
-(M, C) array of stored probability rows. When a capacity fraction below 1 is
-configured, arrays keep their full size and each feature-bank row carries a
-write stamp that grows with every write; a row is searchable exactly when
-its stamp is among the `capacity` largest. So the least recently written
-row is evicted first, and rewriting a live row refreshes it.
-
-The searchable rows are also kept compacted in a persistent (d, capacity)
-slot matrix, with slot-to-row and row-to-slot maps that `update_banks`
-keeps current. `knn` scans the slots exactly, one GEMM per block of about
-`_BLOCK_ENTRIES` dot products; the K-th largest maximum of max(`_GROUPS`,
-4K) column groups (at most N) bounds each K-th distance.
+(M, C) array of stored probability rows. The feature bank keeps every row
+and a write stamp per row that grows with every write. Its searchable rows
+are compacted in a persistent (d, capacity) slot matrix, with slot-to-row
+and row-to-slot maps; a row is searchable exactly when it holds a slot.
+`update_banks` gives the slots to the `capacity` most recently written
+rows, so the least recently written row is evicted first, and rewriting a
+live row refreshes it. `knn` scans the slots exactly, one GEMM per block of
+about `_BLOCK_ENTRIES` dot products; the K-th largest maximum of
+max(`_GROUPS`, 4K) column groups (at most N) bounds each K-th distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,36 +29,33 @@ _BLOCK_ENTRIES = 2**19
 _GROUPS = 64
 
 
-@dataclass
 class FeatureBank:
-    normalized: np.ndarray  # (M, d) unit rows; zero rows stay zero
-    valid: np.ndarray  # (M,) bool: stamp among the `capacity` largest
-    capacity: int
-    stamps: np.ndarray  # (M,) int64, distinct; larger means written later
-    slots: np.ndarray = field(init=False, repr=False)  # (d, capacity) searchable rows
-    slot_rows: np.ndarray = field(init=False, repr=False)  # row in each slot
-    row_slots: np.ndarray = field(init=False, repr=False)  # slot of each row, or -1
+    """Feature bank whose rows were written in index order, so the last
+    `capacity` rows, 1 to M of them, hold the slots in ascending order."""
 
-    def __post_init__(self) -> None:
-        self.slot_rows = np.flatnonzero(self.valid)
-        self.row_slots = np.full(self.size, -1, dtype=np.int64)
-        self.row_slots[self.slot_rows] = np.arange(self.slot_rows.size)
-        self.slots = np.ascontiguousarray(self.normalized[self.slot_rows].T)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, capacity: int) -> "FeatureBank":
-        """Bank whose rows were written in index order, so the last
-        `capacity` rows, 1 to M of them, are the searchable ones."""
+    def __init__(self, rows, capacity: int):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] == 0:
+            raise InvalidInputError("bank rows must be a nonempty 2-D array")
+        if not np.all(np.isfinite(rows)):
+            raise InvalidInputError("bank rows contain non-finite entries")
         m = rows.shape[0]
-        if not 1 <= capacity <= m:
+        if not isinstance(capacity, (int, np.integer)) or not 1 <= capacity <= m:
             raise InvalidInputError(f"capacity {capacity} outside [1, {m}]")
-        stamps = np.arange(m, dtype=np.int64)
-        return cls(
-            normalized=_unit_rows(rows),
-            valid=stamps >= m - capacity,
-            capacity=capacity,
-            stamps=stamps,
-        )
+        self.normalized = _unit_rows(rows)  # (M, d) unit rows; zero rows stay zero
+        self.stamps = np.arange(m, dtype=np.int64)  # distinct; larger means written later
+        self.slot_rows = np.arange(m - capacity, m)  # row in each slot
+        self.row_slots = np.full(m, -1, dtype=np.int64)  # slot of each row, or -1
+        self.row_slots[self.slot_rows] = np.arange(capacity)
+        self.slots = np.ascontiguousarray(self.normalized[self.slot_rows].T)  # (d, capacity)
+
+    @property
+    def valid(self) -> np.ndarray:  # (M,) bool: the rows that hold a slot
+        return self.row_slots >= 0
+
+    @property
+    def capacity(self) -> int:
+        return self.slot_rows.size
 
     @property
     def size(self) -> int:
@@ -74,30 +68,36 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
+def _indices(values, name: str, size: int) -> np.ndarray:
+    """Flat int64 row indices in [0, size); an empty list passes whatever its dtype."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidInputError(f"{name} indices must be integers")
+    idx = arr.astype(np.int64, copy=False).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise InvalidInputError(f"{name} index out of range")
+    return idx
+
+
 def init_banks(
     model: Model, target_inputs, capacity_fraction: float = 1.0
 ) -> tuple[FeatureBank, np.ndarray]:
     """Populate the feature bank and the (M, C) score bank with one full
     forward pass, dataset order."""
-    inputs = np.asarray(target_inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise InvalidInputError("target set must be a nonempty 2-D batch")
     if not (0.0 < capacity_fraction <= 1.0):
         raise InvalidInputError("capacity fraction must be in (0, 1]")
-    features, probs, _ = forward(model, inputs)
-    capacity = max(1, math.ceil(capacity_fraction * inputs.shape[0]))
-    return FeatureBank.from_rows(features, capacity), probs.copy()
+    features, probs, _ = forward(model, target_inputs)
+    capacity = max(1, math.ceil(capacity_fraction * features.shape[0]))
+    return FeatureBank(features, capacity), probs.copy()
 
 
 def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, probs) -> None:
     """Overwrite the addressed rows; duplicates apply in order (last wins)."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+    idx = _indices(indices, "bank", fbank.size)
     feats = np.asarray(features, dtype=np.float64)
     prob_rows = np.asarray(probs, dtype=np.float64)
     if idx.size == 0:
         return
-    if idx.min() < 0 or idx.max() >= fbank.size:
-        raise InvalidInputError("bank index out of range")
     if feats.shape != (idx.size, fbank.normalized.shape[1]):
         raise InvalidInputError("feature rows shape mismatch")
     if prob_rows.shape != (idx.size, score_bank.shape[1]):
@@ -112,19 +112,20 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
     last = idx.size - 1 - reversed_pos
     fbank.normalized[reversed_unique] = _unit_rows(feats[last])
     score_bank[reversed_unique] = prob_rows[last]
-    fbank.stamps[reversed_unique] = fbank.stamps.max() + 1 + last
-    evicted = fbank.size - fbank.capacity
-    fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
-    # Only written rows can become searchable; they take the freed slots.
-    live = reversed_unique[fbank.valid[reversed_unique]]
-    entered = live[fbank.row_slots[live] < 0]
-    freed = np.flatnonzero(~fbank.valid[fbank.slot_rows])
-    if entered.size != freed.size or np.count_nonzero(fbank.valid) != fbank.slot_rows.size:
-        fbank.__post_init__()  # built with other searchable rows than the stamps give
-        return
+    # The newest row always holds a slot, so its stamp is the slotted maximum.
+    fbank.stamps[reversed_unique] = fbank.stamps[fbank.slot_rows].max() + 1 + last
+    # Every unslotted row is older than every slotted one, so only written
+    # rows can enter: of the slotted rows and the written outsiders, the
+    # `capacity` newest keep or take a slot, newcomers in the freed slots.
+    outside = reversed_unique[fbank.row_slots[reversed_unique] < 0]
+    stamps = fbank.stamps[np.concatenate([fbank.slot_rows, outside])]
+    keep = stamps >= np.partition(stamps, outside.size)[outside.size]
+    freed = np.flatnonzero(~keep[: fbank.capacity])
+    entered = outside[keep[fbank.capacity :]]
     fbank.row_slots[fbank.slot_rows[freed]] = -1
     fbank.row_slots[entered] = freed
     fbank.slot_rows[freed] = entered
+    live = reversed_unique[fbank.row_slots[reversed_unique] >= 0]
     fbank.slots[:, fbank.row_slots[live]] = fbank.normalized[live].T
 
 
@@ -149,20 +150,18 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     near b are 2^-52 apart, so fl(b - 4e-16) = b - 2^-51; if
     b = -1 + 2^-53, then y = 2, dot >= -1 - 2^-52 = fl(b - 4e-16).
     """
-    queries = np.asarray(query_indices, dtype=np.int64).ravel()
-    if queries.size and (queries.min() < 0 or queries.max() >= fbank.size):
-        raise InvalidInputError("query index out of range")
-    if k < 1:
-        raise InvalidInputError("K must be >= 1")
+    queries = _indices(query_indices, "query", fbank.size)
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise InvalidInputError(f"K must be an integer >= 1, got {k!r}")
     n = fbank.slot_rows.size
     self_slot = fbank.row_slots[queries]
     candidates = n - (self_slot >= 0)
     if queries.size and k > candidates.min():
         raise InvalidInputError(f"K={k} exceeds the {candidates.min()} searchable rows")
 
-    block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    block = max(1, _BLOCK_ENTRIES // n)
     groups = min(n, max(_GROUPS, 4 * k))
-    starts = np.arange(groups) * n // max(groups, 1)  # groups <= n: none empty
+    starts = np.arange(groups) * n // groups  # 1 <= groups <= n: none empty
     out = np.empty((queries.size, k), dtype=np.int64)
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)

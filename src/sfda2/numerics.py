@@ -29,8 +29,8 @@ class RngState:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not isinstance(seed, (int, np.integer)):
-            raise InvalidInputError("seed must be an integer")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in _spawn_key)
         sequence = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)

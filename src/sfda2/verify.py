@@ -189,7 +189,7 @@ def verify_snc_factorization(
     for t, trial_rng in enumerate(RngState(seed).split(trials)):
         g = trial_rng.generator
         points = g.standard_normal((n_points, 8))
-        neighbors = knn(FeatureBank.from_rows(points, n_points), np.arange(n_points), k)
+        neighbors = knn(FeatureBank(points, n_points), np.arange(n_points), k)
         adjacency = np.zeros((n_points, n_points))
         adjacency[np.arange(n_points)[:, None], neighbors] = 1.0
 
@@ -594,7 +594,7 @@ def verify_oracles(
 
     g = rngs[streams].generator
     rows = g.standard_normal((bank_points, bank_dim))
-    bank = FeatureBank.from_rows(rows, bank_points)
+    bank = FeatureBank(rows, bank_points)
     queries = g.choice(bank_points, n_queries, replace=False)
     knn_mismatches = 0
     # Oracle scan; the negative control plants the bug of skipping row

@@ -57,6 +57,35 @@ class TestInitBanks:
             init_banks(passthrough_model(2), np.zeros((0, 2)))
 
 
+class TestFeatureBankConstructor:
+    def test_array_like_rows(self):
+        fbank = FeatureBank([[3.0, 4.0], [0.0, 2.0]], 1)
+        assert_allclose(fbank.normalized, [[0.6, 0.8], [0.0, 1.0]])
+        assert fbank.valid.tolist() == [False, True] and fbank.capacity == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.ones(3), "nonempty 2-D"),
+            (np.ones((2, 2, 2)), "nonempty 2-D"),
+            (np.zeros((0, 2)), "nonempty 2-D"),
+            ([[1.0, 0.0], [np.nan, 1.0]], "non-finite"),
+            ([[1.0, 0.0], [0.0, -np.inf]], "non-finite"),
+        ],
+        ids=["1-d", "3-d", "no-rows", "nan", "inf"],
+    )
+    def test_bad_rows_rejected(self, rows, message):
+        with pytest.raises(InvalidInputError, match=message):
+            FeatureBank(rows, 1)
+
+    def test_finite_rows_whose_norm_overflows_build(self):
+        # A diverged forward pass gives such rows; they become zero rows.
+        with np.errstate(over="ignore"):
+            fbank = FeatureBank([[1e200, 1e200], [1.0, 0.0], [0.0, 1.0]], 3)
+        assert_array_equal(fbank.normalized[0], [0.0, 0.0])
+        assert_array_equal(knn(fbank, [1], 2), [[0, 2]])
+
+
 class TestUpdateBanks:
     def test_empty_index_list_is_noop(self):
         fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -89,6 +118,17 @@ class TestUpdateBanks:
         fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             update_banks(fbank, scores, [2], np.ones((1, 2)), np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "indices", [[1.7], np.array([1.0]), [True]], ids=["fraction", "integral-float", "bool"]
+    )
+    def test_non_integer_indices_rejected_before_any_write(self, indices):
+        fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        normalized, stamps = fbank.normalized.copy(), fbank.stamps.copy()
+        with pytest.raises(InvalidInputError, match="bank indices must be integers"):
+            update_banks(fbank, scores, indices, np.ones((1, 2)), np.array([[0.5, 0.5]]))
+        assert_array_equal(fbank.normalized, normalized)
+        assert_array_equal(fbank.stamps, stamps)
 
     def test_invalid_distribution_rejected(self):
         fbank, scores = banks_from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -290,6 +330,15 @@ class TestKnnBatch:
         for row, q in enumerate(queries):
             assert_array_equal(got[row], knn(fbank, [q], 4)[0])
         assert knn(fbank, [], 4).shape == (0, 4)
+
+    def test_non_integer_queries_and_k_rejected(self):
+        fbank, _ = banks_from_rows(np.eye(3))
+        with pytest.raises(InvalidInputError, match="query indices must be integers"):
+            knn(fbank, [0.9], 1)
+        with pytest.raises(InvalidInputError, match="K must be an integer >= 1, got 1.5"):
+            knn(fbank, [0], 1.5)
+        # any integer dtype is fine
+        assert knn(fbank, np.array([2], dtype=np.uint8), np.int64(1)).tolist() == [[0]]
 
     def test_query_out_of_range_rejected(self):
         fbank, _ = banks_from_rows(np.eye(3))
@@ -507,18 +556,20 @@ class TestKnnGroupBound:
         fbank, _ = banks_from_rows(np.array([[1.0, 2.0]]))
         assert knn(fbank, [], 1).shape == (0, 1)
         assert knn(fbank, np.array([], dtype=np.int64), 3).shape == (0, 3)
-        empty = FeatureBank(
-            normalized=np.eye(3), valid=np.zeros(3, dtype=bool), capacity=1,
-            stamps=np.arange(3, dtype=np.int64),
-        )
-        assert knn(empty, [], 2).shape == (0, 2)
+        # One searchable row, row 2: it is the only candidate of the other
+        # rows and leaves none for itself.
+        tiny = FeatureBank(np.eye(3), 1)
+        assert knn(tiny, [], 2).shape == (0, 2)
+        assert knn(tiny, [0, 1], 1).tolist() == [[2], [2]]
         with pytest.raises(InvalidInputError, match="exceeds the 0 searchable rows"):
-            knn(empty, [0], 1)
+            knn(tiny, [2], 1)
 
 
 def update_banks_row_loop(fbank, score_bank, indices, features, probs):
-    """Per-row form of `update_banks`: rows are written in order, so the last
-    of repeated indices wins. Norms are taken as in `FeatureBank.from_rows`."""
+    """Per-row form of `update_banks` on the rows, scores and stamps: rows are
+    written in order, so the last of repeated indices wins. Norms are taken as
+    in the `FeatureBank` constructor. Returns the searchable mask, the rows
+    whose stamps are among the `capacity` largest."""
     first_stamp = fbank.stamps.max() + 1
     for pos, i in enumerate(indices):
         row = features[pos]
@@ -527,7 +578,7 @@ def update_banks_row_loop(fbank, score_bank, indices, features, probs):
         score_bank[i] = probs[pos]
         fbank.stamps[i] = first_stamp + pos
     evicted = fbank.size - fbank.capacity
-    fbank.valid[:] = fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
+    return fbank.stamps >= np.partition(fbank.stamps, evicted)[evicted]
 
 
 class TestUpdateBanksMatchesRowLoop:
@@ -547,12 +598,12 @@ class TestUpdateBanksMatchesRowLoop:
                 feats[0] = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
             probs = rng.dirichlet(np.ones(3), size=batch)
             update_banks(fbank, scores, idx, feats, probs)
-            update_banks_row_loop(ref_bank, ref_scores, idx, feats, probs)
+            ref_valid = update_banks_row_loop(ref_bank, ref_scores, idx, feats, probs)
             for got, want in (
                 (fbank.normalized, ref_bank.normalized),
                 (scores, ref_scores),
                 (fbank.stamps, ref_bank.stamps),
-                (fbank.valid, ref_bank.valid),
+                (fbank.valid, ref_valid),
             ):
                 assert got.tobytes() == want.tobytes(), f"call {call}"
 
@@ -586,15 +637,15 @@ class TestCapacityEviction:
         with pytest.raises(InvalidInputError):
             banks_from_rows(np.eye(3), capacity_fraction=0.0)
 
-    @pytest.mark.parametrize("capacity", [0, -1, 5, 6])
+    @pytest.mark.parametrize("capacity", [0, -1, 5, 6, 2.5])
     def test_from_rows_capacity_outside_row_count_rejected(self, capacity):
         # Above M, a write would evict searchable rows; at 0 none is searchable.
         with pytest.raises(InvalidInputError, match=rf"capacity {capacity} outside \[1, 4\]"):
-            FeatureBank.from_rows(np.eye(4), capacity)
+            FeatureBank(np.eye(4), capacity)
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_from_rows_capacity_at_the_ends_accepted(self, capacity):
-        fbank = FeatureBank.from_rows(np.eye(4), capacity)
+        fbank = FeatureBank(np.eye(4), capacity)
         update_banks(fbank, np.zeros((4, 2)), [0], np.ones((1, 4)), np.full((1, 2), 0.5))
         assert fbank.valid.sum() == capacity and fbank.valid[0]
 
@@ -650,21 +701,30 @@ class TestStampsMatchFifoReference:
                 idx = rng.choice(live, size=batch, replace=True)
             else:
                 idx = rng.integers(0, m, size=batch)  # may repeat an index
+            before = fbank.stamps.copy()
             update_banks(
                 fbank, scores, idx, rng.standard_normal((batch, 3)), np.full((batch, 2), 0.5)
             )
+            check_stamps(fbank, before, idx)
             fifo.write(idx.tolist())
             assert_array_equal(fbank.valid, fifo.valid(), err_msg=f"call {call}")
             assert fbank.valid.sum() == fbank.capacity
 
 
+def check_stamps(fbank, before, written):
+    """The newest row holds a slot, and only written rows took new stamps."""
+    assert fbank.valid[fbank.stamps.argmax()]
+    unwritten = np.setdiff1d(np.arange(fbank.size), written)
+    assert_array_equal(fbank.stamps[unwritten], before[unwritten])
+
+
 def check_slot_layout(fbank):
-    """The slot matrix holds exactly the searchable rows, contiguous, and the
-    slot-to-row and row-to-slot maps are inverse and agree with `valid`."""
+    """The slot matrix holds exactly the rows with the `capacity` largest
+    stamps, contiguous, and the slot-to-row and row-to-slot maps are inverse."""
     positions = np.arange(fbank.slot_rows.size)
     assert_array_equal(np.sort(fbank.slot_rows), np.flatnonzero(fbank.valid))
     assert_array_equal(fbank.row_slots[fbank.slot_rows], positions)
-    assert_array_equal(fbank.row_slots >= 0, fbank.valid)
+    assert_array_equal(np.sort(fbank.slot_rows), np.sort(np.argsort(fbank.stamps)[-positions.size:]))
     assert fbank.slots.flags.c_contiguous
     assert fbank.slots.tobytes() == fbank.normalized[fbank.slot_rows].T.tobytes(), "stale slot"
 
@@ -693,7 +753,9 @@ def random_writes(update, fraction, seed):
             idx = rng.integers(0, m, size=fbank.capacity + 4)
         else:
             idx = rng.integers(0, m, size=int(rng.integers(1, 12)))
+        before = fbank.stamps.copy()
         update(fbank, scores, idx, rng.standard_normal((idx.size, 4)), np.full((idx.size, 2), 0.5))
+        check_stamps(fbank, before, idx)
         check_slot_layout(fbank)
         queries = rng.integers(0, m, size=12)
         got = knn(fbank, queries, k)
@@ -711,22 +773,10 @@ class TestSlotLayout:
         with pytest.raises(AssertionError, match="stale slot"):
             random_writes(update_leaving_live_slots_stale, fraction, seed=40)
 
-    @pytest.mark.parametrize(
-        "valid, searchable_after",
-        [
-            ([False, False, False, False], [True, False, False, True]),  # row 3 enters
-            ([True, False, False, False], [True, False, False, True]),  # row 0 keeps its slot
-        ],
-    )
-    def test_bank_built_with_fewer_searchable_rows(self, valid, searchable_after):
-        # Fewer searchable rows than the capacity: writing row 0 also makes
-        # row 3, which was not written, searchable.
-        fbank = FeatureBank(
-            normalized=np.eye(4), valid=np.array(valid), capacity=2,
-            stamps=np.arange(4, dtype=np.int64),
-        )
-        check_slot_layout(fbank)
-        update_banks(fbank, np.zeros((4, 2)), [0], np.ones((1, 4)), np.full((1, 2), 0.5))
-        check_slot_layout(fbank)
-        assert_array_equal(fbank.valid, searchable_after)
-        assert knn(fbank, [0], 1).tolist() == [[3]]
+    def test_searchable_set_is_derived_and_read_only(self):
+        fbank = FeatureBank(np.eye(4), 2)
+        with pytest.raises(AttributeError):
+            fbank.valid = np.ones(4, dtype=bool)
+        with pytest.raises(AttributeError):
+            fbank.capacity = 3
+        assert fbank.valid.tolist() == [False, False, True, True] and fbank.capacity == 2

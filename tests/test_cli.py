@@ -420,6 +420,36 @@ class TestVerifyCommand:
         assert payload["suites"] == [json.loads(verify_snc_factorization(seed=0).to_json())]
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "route, seed",
+        [("gen-data-flag", -1), ("env", -3), ("pretrain-config", -2), ("verify-flag", -1)],
+    )
+    def test_each_route_exits_one_with_one_error_line(
+        self, route, seed, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        if route == "env":
+            monkeypatch.setenv("SFDA2_SEED", str(seed))
+        if route == "pretrain-config":
+            assert run_cli(["gen-data", "--seed", "0", "--out", str(tmp_path / "data")]) == 0
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": seed, "epochs": 1}))
+        argv = {
+            "gen-data-flag": ["gen-data", "--seed", str(seed), "--out", str(out)],
+            "env": ["gen-data", "--out", str(out)],
+            "pretrain-config": ["pretrain", "--source", str(tmp_path / "data" / "source.csv"),
+                                "--config", str(tmp_path / "run.json"), "--out", str(out)],
+            "verify-flag": ["verify", "--suite", "oracles", "--seed", str(seed), "--out", str(out)],
+        }[route]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: seed must be a non-negative integer, got {seed}"]
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 1

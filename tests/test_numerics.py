@@ -289,6 +289,12 @@ class TestRngState:
         for c, f in zip(children, fresh):
             assert_array_equal(c.generator.standard_normal(3), f.generator.standard_normal(3))
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.0, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+            RngState(seed)
+        assert RngState(np.uint8(0)).seed == 0
+
 
 class TestCheckDistributionRows:
     @pytest.mark.parametrize("shape", [(0, 3), (0,), (3, 0), (0, 0)])
