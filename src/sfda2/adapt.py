@@ -17,12 +17,12 @@ from .banks import init_banks, knn, update_banks
 from .errors import InvalidInputError, NumericalError
 from .losses import (
     LossBreakdown,
+    _ifa_loss_batch,
+    _snc_loss_batch,
     affinity_weights,
     decay_factor,
     fd_loss,
-    ifa_loss_batch,
     lambda_schedule,
-    snc_loss_batch,
     softmax_vjp,
 )
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
     validate_model,
 )
 from .numerics import RngState
-from .stats import ClassStatistics, class_moments, update_class_stats
+from .stats import ClassStatistics, _class_moments, update_class_stats
 
 
 @dataclass
@@ -70,6 +70,8 @@ def validate_config(config: AdaptConfig) -> None:
         raise InvalidInputError("epochs must be >= 1")
     if not 0.0 < config.bank_fraction <= 1.0:
         raise InvalidInputError("bank_fraction must lie in (0, 1]")
+    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {config.seed!r}")
 
 
 @dataclass
@@ -239,6 +241,10 @@ def batch_objective(
     `class_covs` the (C, d, d) class covariances of the alignment term.
     Feature-alignment and dispersal terms are skipped (reported as 0) when
     their weight is exactly 0.
+
+    The SNC and IFA terms run unchecked, so the arrays must be the kind
+    `adapt` builds: float64 probability rows, int64 labels and exactly
+    symmetric covariances. `fd_loss` checks its own arguments.
     """
     features = acts[-1]
     b = features.shape[0]
@@ -246,7 +252,7 @@ def batch_objective(
         raise InvalidInputError("batch must contain at least 2 samples")
     labels = np.asarray(batch_pseudo_labels, dtype=np.int64)
 
-    snc_values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_batch_probs, decay)
+    snc_values, dprobs = _snc_loss_batch(probs, neighbor_probs, bank_batch_probs, decay)
     dlogits = softmax_vjp(probs, dprobs) / b
     dfeatures = np.zeros((b, model.feature_dim))
     clf_w_extra = np.zeros_like(model.clf_weights)
@@ -254,7 +260,7 @@ def batch_objective(
 
     ifa_mean = 0.0
     if alpha1 != 0.0:
-        ifa_values, dz, dw, db = ifa_loss_batch(
+        ifa_values, dz, dw, db = _ifa_loss_batch(
             features, labels, class_covs, model.clf_weights, model.clf_bias, lam
         )
         ifa_mean = float(ifa_values.sum()) / b
@@ -296,6 +302,15 @@ def adapt(
     `target` must be the unlabeled view; pass `eval_data` (labeled, for
     diagnostics only) to record per-epoch metrics. Raises NumericalError
     with iteration diagnostics if the objective stops being finite.
+
+    Each array the loop builds is checked once, at the first public call
+    that receives it. Per iteration: `update_banks` checks the batch's
+    features and probability rows (one `check_distribution_rows`),
+    `update_class_stats` and `fd_loss` the moments (two `_checked_moments`)
+    and `fd_loss` the batch (one `_checked_batch`). The moments and the SNC
+    and IFA terms run unchecked, so no covariance goes through
+    `check_symmetric`. `affinity_weights` checks the score bank once per
+    epoch.
     """
     validate_config(config)
     validate_model(model)
@@ -349,7 +364,7 @@ def adapt(
                     update_banks(fbank, score_bank, batch, features, probs)
                     neighbor_probs = score_bank[knn(fbank, batch, config.k)]
                     labels = np.argmax(probs, axis=1)
-                    moments = class_moments(features, labels, model.n_classes)
+                    moments = _class_moments(features, labels, model.n_classes)
                     stats = update_class_stats(stats, moments)
                     breakdown, grads = batch_objective(
                         current,

@@ -3,14 +3,18 @@ cosine-KNN retrieval.
 
 Bank row i always corresponds to target sample i. The score bank is a plain
 (M, C) array of stored probability rows. The feature bank keeps every row
-and a write stamp per row that grows with every write. Its searchable rows
-are compacted in a persistent (d, capacity) slot matrix, with slot-to-row
-and row-to-slot maps; a row is searchable exactly when it holds a slot.
-`update_banks` gives the slots to the `capacity` most recently written
-rows, so the least recently written row is evicted first, and rewriting a
-live row refreshes it. `knn` scans the slots exactly, one GEMM per block of
-about `_BLOCK_ENTRIES` dot products; the K-th largest maximum of
-max(`_GROUPS`, 4K) column groups (at most N) bounds each K-th distance.
+as a float64 unit row and a write stamp per row that grows with every
+write. Its searchable rows are compacted, rounded to float32, in a
+persistent (d, capacity) slot matrix, with slot-to-row and row-to-slot
+maps; a row is searchable exactly when it holds a slot. `update_banks`
+gives the slots to the `capacity` most recently written rows, so the least
+recently written row is evicted first, and rewriting a live row refreshes
+it. `knn` screens the slots in float32, one GEMM per block of about
+`_BLOCK_ENTRIES` dot products: the K-th largest maximum of max(`_GROUPS`,
+4K) column groups (at most N) bounds each K-th distance, and an entry
+survives within a margin of `_SLACK` (d + 2) float32 units of it. Only the
+survivors are ranked, by float64 distances formed per pair from the unit
+rows.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .numerics import check_distribution_rows
 _BLOCK_ENTRIES = 2**19
 # Column groups per row for `knn`'s bound, raised to 4K and capped at N.
 _GROUPS = 64
+# `knn`'s float32 screen keeps the dots within _SLACK * (d + 2) * 2^-24 of
+# the bound; the proof in its docstring needs a little more than
+# 2 + 1 / (d + 2).
+_SLACK = 4
 
 
 class FeatureBank:
@@ -47,7 +55,7 @@ class FeatureBank:
         self.slot_rows = np.arange(m - capacity, m)  # row in each slot
         self.row_slots = np.full(m, -1, dtype=np.int64)  # slot of each row, or -1
         self.row_slots[self.slot_rows] = np.arange(capacity)
-        self.slots = np.ascontiguousarray(self.normalized[self.slot_rows].T)  # (d, capacity)
+        self.slots = np.ascontiguousarray(self.normalized[self.slot_rows].T, dtype=np.float32)  # (d, capacity)
 
     @property
     def valid(self) -> np.ndarray:  # (M,) bool: the rows that hold a slot
@@ -132,28 +140,49 @@ def update_banks(fbank: FeatureBank, score_bank: np.ndarray, indices, features, 
 def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     """(B, K) indices of each query's K nearest searchable rows by cosine
     distance (1 - cosine similarity) on the normalized copies, ordered by
-    (distance, index); the query's own row is excluded.
+    (distance, index); the query's own row is excluded. A distance is
+    fl(1 - dot), the float64 dot of the two unit rows formed per pair, so the
+    result depends neither on the block size nor on the slot order.
 
-    Per block of max(1, _BLOCK_ENTRIES // N) queries: one GEMM of dot
-    products with the (d, N) slot matrix, each query's own slot set to
-    -inf; the maxima of min(N, max(_GROUPS, 4K)) contiguous column groups,
-    whose K-th largest b bounds the K-th distance by fl(1 - b) (rounding is
-    monotone, and K groups each hold an entry at or below it); and one
-    lexsort by (query, distance, row index) of the survivors,
-    dot >= fl(b - 4e-16), the only entries whose distances are formed.
+    Per block of max(1, _BLOCK_ENTRIES // N) queries, a float32 screen: one
+    GEMM of the query rows, rounded to float32, with the (d, N) slot matrix,
+    each query's own slot set to -inf; the maxima of min(N, max(_GROUPS, 4K))
+    contiguous column groups, whose K-th largest is b; and the survivors,
+    dot32 >= fl32(b - m) with m = _SLACK (d + 2) 2^-24. Only the survivors'
+    distances are formed, and one lexsort by (query, distance, row index)
+    ranks them.
 
-    Every entry at distance <= fl(1 - b) survives: if dot < b, then
-    fl(1 - dot) = fl(1 - b) = y by monotonicity, so b - dot is at most the
-    width of y's rounding interval (|dot| < 2 for unit rows). For y < 2 that
-    is <= 2^-52, and fl(b - 4e-16) <= b - 4e-16 + 2^-53 < b - 2^-52. For
-    y >= 2, b <= -1 + 2^-53: if b <= -1 the width is <= 2^-51 and floats
-    near b are 2^-52 apart, so fl(b - 4e-16) = b - 2^-51; if
-    b = -1 + 2^-53, then y = 2, dot >= -1 - 2^-52 = fl(b - 4e-16).
+    Every entry at or inside the K-th distance survives, for d < 2^12 and
+    stored rows of norm at most 1 + 2^-40 (a row divided by its norm is
+    within (d + 3) 2^-53 of unit length when its squared norm is a normal
+    float; zero rows and rows whose norm overflows are zero). Let u = 2^-24
+    and, for two stored rows, D be their exact dot, D64 the float64 and D32
+    the float32 one.
+    - Rounding both rows to float32 moves D by at most (2u + u^2)(1 + 2^-40)^2,
+      and a d-term float32 dot, in any summation order, errs by at most
+      gamma_d = du / (1 - du) times the product of the rounded norms
+      (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1);
+      float32 underflow adds at most 2d 2^-149. So
+      |D32 - D| <= e32 := (d + 2) u (1 + 2^-9), and likewise
+      |D64 - D| <= e64 := 2^-40.
+    - b is finite: only a group holding nothing but the query's own slot
+      has maximum -inf, and K is below the group count when the query holds
+      a slot. K groups hold an entry with D32 >= b, none the query's own, so
+      K candidates have D64 >= a := b - e32 - e64, and the K-th distance is
+      at most y = fl(1 - a), since rounding is monotone.
+    - An entry t at or inside it has fl(1 - D64_t) <= y. If D64_t < a, then
+      fl(1 - D64_t) >= y too, so 1 - D64_t and 1 - a both round to y; as
+      |y| < 4 they lie within 2^-51 of each other. Either way
+      D64_t >= a - 2^-51, so D32_t >= b - 2 e32 - 2 e64 - 2^-51.
+    - |b - m| < 2, so the float32 subtraction errs by at most u, and
+      fl32(b - m) <= b - m + u. With _SLACK = 4, m - u exceeds
+      2 e32 + 2 e64 + 2^-51 = 2 (d + 2) u (1 + 2^-9) + 2^-39 + 2^-51 by
+      about (2d + 3) u, so t survives.
     """
     queries = _indices(query_indices, "query", fbank.size)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidInputError(f"K must be an integer >= 1, got {k!r}")
-    n = fbank.slot_rows.size
+    d, n = fbank.slots.shape
     self_slot = fbank.row_slots[queries]
     candidates = n - (self_slot >= 0)
     if queries.size and k > candidates.min():
@@ -162,18 +191,21 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
     block = max(1, _BLOCK_ENTRIES // n)
     groups = min(n, max(_GROUPS, 4 * k))
     starts = np.arange(groups) * n // groups  # 1 <= groups <= n: none empty
+    margin = np.float32(_SLACK * (d + 2) * 2.0**-24)
     out = np.empty((queries.size, k), dtype=np.int64)
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
-        dot = fbank.normalized[queries[start:stop]] @ fbank.slots
+        block_rows = fbank.normalized[queries[start:stop]]
+        dot = block_rows.astype(np.float32) @ fbank.slots
         live = np.flatnonzero(self_slot[start:stop] >= 0)
         dot[live, self_slot[start + live]] = -np.inf
         group_max = np.maximum.reduceat(dot, starts, axis=1)
         bound = np.partition(group_max, groups - k, axis=1)[:, groups - k]
-        near = np.flatnonzero(dot >= (bound - 4e-16)[:, None])
+        near = np.flatnonzero(dot >= (bound - margin)[:, None])
         query, col = np.divmod(near, n)
         rows = fbank.slot_rows[col]
-        order = np.lexsort((rows, 1.0 - dot.ravel()[near], query))
+        pair_dot = np.einsum("ij,ij->i", block_rows[query], fbank.normalized[rows])
+        order = np.lexsort((rows, 1.0 - pair_dot, query))
         # Every query has at least k survivors; its first k follow the
         # survivors of the queries before it.
         first = np.searchsorted(query, np.arange(stop - start))

@@ -3,11 +3,14 @@ with its decay schedule, the closed-form augmentation alignment bound with
 its Monte Carlo oracle, the between-class dispersal penalty with affinity
 weights, and the schedule helpers.
 
-The adaptation loop evaluates a whole batch with `snc_loss_batch` and
-`ifa_loss_batch`; the per-sample `snc_loss` and `ifa_loss` are their
-reference forms. `fd_loss` is one class-matrix kernel on the caller's
-`stats.class_moments`: the covariances, flattened and stacked, give every
-pair's trace in one Gram matrix, whose diagonal holds the squared norms.
+A whole batch is evaluated by `snc_loss_batch` and `ifa_loss_batch`; the
+per-sample `snc_loss` and `ifa_loss` are their reference forms. Each batch
+kernel checks its arguments and calls an unchecked core, `_snc_loss_batch`
+or `_ifa_loss_batch`, which the adaptation loop calls directly on the
+arrays it built and checked. `fd_loss` is one class-matrix kernel on the
+caller's `stats.class_moments`: the covariances, flattened and stacked,
+give every pair's trace in one Gram matrix, whose diagonal holds the
+squared norms.
 Every loss returns its value together with exact analytic gradients with
 respect to its live inputs. Rows fetched from memory banks and the running
 class covariances are constants by contract; only the quantities produced
@@ -133,7 +136,11 @@ def snc_loss_batch(
         raise InvalidInputError("batch, bank and neighbor rows disagree in shape")
     if not np.isfinite(decay) or decay < 0.0:
         raise InvalidInputError("decay must be finite and >= 0")
+    return _snc_loss_batch(p, neighbors, bank, decay)
 
+
+def _snc_loss_batch(p, neighbors, bank, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """`snc_loss_batch` without its checks, on float64 arrays it accepts."""
     k = neighbors.shape[1]
     neighbor_sum = neighbors.sum(axis=1)
     self_dots = (p * p).sum(axis=1)
@@ -230,7 +237,14 @@ def ifa_loss_batch(
         raise InvalidInputError("covs must be one (d, d) matrix per class")
     if labels.size and (labels.min() < 0 or labels.max() >= sigma.shape[0]):
         raise InvalidInputError("label out of range for the covariances")
+    return _ifa_loss_batch(z, labels, sigma, weights, bias, lam)
 
+
+def _ifa_loss_batch(
+    z, labels, sigma, weights, bias, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`ifa_loss_batch` without its checks: float64 arrays it accepts, int64
+    labels and exactly symmetric covariances."""
     b, c = z.shape[0], weights.shape[0]
     logits = z @ weights.T + bias
     grams = weights @ sigma @ weights.T  # (classes, C, C)

@@ -2,7 +2,9 @@
 
 `class_moments` gives a batch's per-class counts, means and population
 covariances, computed once per batch for `losses.fd_loss` and for
-`update_class_stats`, which merges them into the running ones:
+`update_class_stats` (`adapt` calls the unchecked core `_class_moments` on
+rows its bank write checked). `update_class_stats` merges them into the
+running ones:
 
     n_new = n + m
     mu_new = (n*mu + m*mu') / n_new
@@ -83,7 +85,12 @@ def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndar
     covariances average the outer products of rows centred by their own
     class mean, not E[xx^T] - mu mu^T, which cancels.
     """
-    arr, labels = _checked_batch(features, labels, n_classes)
+    return _class_moments(*_checked_batch(features, labels, n_classes), n_classes)
+
+
+def _class_moments(arr, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`class_moments` without its checks, on float64 (B, d) rows and int64
+    labels in [0, n_classes)."""
     b, d = arr.shape
     counts = np.bincount(labels, minlength=n_classes)
     onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)

@@ -23,6 +23,8 @@ from .banks import FeatureBank, knn
 from .data import dumps_json
 from .errors import InvalidInputError
 from .losses import (
+    _ifa_loss_batch,
+    _snc_loss_batch,
     efa_mc_estimate,
     fd_loss,
     ifa_loss,
@@ -33,7 +35,7 @@ from .losses import (
 )
 from .model import finite_diff_check, finite_diff_errors, forward, grad_params, init_model
 from .numerics import RngState, row_logsumexp, row_softmax
-from .stats import ClassStatistics, batch_covariance_oracle, class_moments, update_class_stats
+from .stats import ClassStatistics, _class_moments, batch_covariance_oracle, class_moments, update_class_stats
 
 
 @dataclass
@@ -397,10 +399,12 @@ def verify_gradients(
         def values(m):
             # One forward pass serves the perturbed point of all four checks;
             # the composite is batch_objective's total, summed in its order.
+            # The base point checked the constant inputs, so the perturbed
+            # points take the unchecked cores, as `adapt` does.
             feats, probs, _ = forward(m, x)
-            snc = float(snc_loss_batch(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
-            ifa = float(ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
-            fd = fd_loss(feats, labels, class_moments(feats, labels, n_classes), affinity)[0]
+            snc = float(_snc_loss_batch(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
+            ifa = float(_ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
+            fd = fd_loss(feats, labels, _class_moments(feats, labels, n_classes), affinity)[0]
             return snc, ifa, fd, snc + alpha1 * ifa + alpha2 * fd
 
         closures = (snc_closure, ifa_closure, fd_closure, composite_closure)

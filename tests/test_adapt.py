@@ -1,5 +1,6 @@
 import importlib
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -20,10 +21,11 @@ from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import fd_loss
 from sfda2.model import Layer, Model, init_model
 from sfda2.numerics import RngState
-from sfda2.stats import class_moments, update_class_stats
+from sfda2.stats import update_class_stats
 
 # The package exports the `adapt` function under the submodule's name.
 adapt_module = importlib.import_module("sfda2.adapt")
+stats_module = importlib.import_module("sfda2.stats")
 
 
 def blob_pair(n=100, seed=0, gap=3.0):
@@ -250,12 +252,14 @@ class TestAdapt:
             assert abs(step.total - claimed) <= 1e-12
 
     def test_one_moments_pass_and_one_forward_per_iteration(self, monkeypatch):
-        # Wraps every import site of forward and class_moments: a second
-        # extractor pass (say, inside grad_params) or a second moments
-        # computation (say, inside fd_loss) would raise the counts.
+        # Wraps every import site of forward and the moments kernel (the
+        # loop calls its unchecked core): a second extractor pass (say,
+        # inside grad_params) or a second moments computation (say, inside
+        # fd_loss) would raise the counts.
         model, target = self.pretrained()
         forwards, received = [], {"update_class_stats": [], "fd_loss": []}
-        moments = {"sfda2.adapt": [], "sfda2.losses": []}  # per call site
+        kernels = {"sfda2.adapt": "_class_moments", "sfda2.losses": "class_moments"}
+        moments = {site: [] for site in kernels}  # per call site
 
         def counting_forward(fn):
             def wrapper(*args):
@@ -265,8 +269,10 @@ class TestAdapt:
             return wrapper
 
         def recording_moments(site):
+            kernel = getattr(stats_module, kernels[site])
+
             def wrapper(*args):
-                moments[site].append(class_moments(*args))
+                moments[site].append(kernel(*args))
                 return moments[site][-1]
 
             return wrapper
@@ -281,8 +287,8 @@ class TestAdapt:
         for name in ("sfda2.model", "sfda2.adapt", "sfda2.banks"):
             module = importlib.import_module(name)
             monkeypatch.setattr(module, "forward", counting_forward(module.forward))
-        for name in moments:
-            monkeypatch.setattr(importlib.import_module(name), "class_moments", recording_moments(name))
+        for name, kernel in kernels.items():
+            monkeypatch.setattr(importlib.import_module(name), kernel, recording_moments(name))
         monkeypatch.setattr(adapt_module, "update_class_stats", receiving("update_class_stats", update_class_stats, 1))
         monkeypatch.setattr(adapt_module, "fd_loss", receiving("fd_loss", fd_loss, 2))
 
@@ -298,6 +304,45 @@ class TestAdapt:
         for name, args in received.items():
             assert len(args) == iterations
             assert all(got is sent for got, sent in zip(args, moments["sfda2.adapt"])), name
+
+    def test_each_loop_array_is_checked_once(self, monkeypatch):
+        # Counts the checks at every import site over a 1-epoch run. Per
+        # iteration the loop's design has one probability check (the bank
+        # write), one batch check (fd_loss) and two moment checks
+        # (update_class_stats and fd_loss), and no covariance check;
+        # affinity_weights checks the score bank once per epoch.
+        model, target = self.pretrained()
+        calls = dict.fromkeys(("check_distribution_rows", "check_symmetric", "_checked_batch", "_checked_moments"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "sfda2":
+                for name in calls:
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        _, trace = adapt(AdaptConfig(seed=4, epochs=1, batch_size=16), model, target.unlabeled())
+        n = len(trace.iterations)
+        assert n > 1
+        assert calls == {
+            "check_distribution_rows": n,
+            "check_symmetric": 0,
+            "_checked_batch": n + 1,
+            "_checked_moments": 2 * n,
+        }
+
+    def test_negative_seed_rejected_before_the_banks(self, monkeypatch):
+        model, target = self.pretrained()
+        built = []
+        monkeypatch.setattr(adapt_module, "init_banks", lambda *args: built.append(args))
+        with pytest.raises(InvalidInputError, match="^seed must be a non-negative integer, got -1$"):
+            adapt(AdaptConfig(seed=-1), model, target.unlabeled())
+        assert built == []
 
     def test_schedule_endpoints(self):
         model, target = self.pretrained()
@@ -343,13 +388,13 @@ class TestAdapt:
             adapt(AdaptConfig(), model, wrong)
 
     def test_non_finite_objective_message_shows_plain_floats(self, monkeypatch):
-        real_snc = adapt_module.snc_loss_batch
+        real_snc = adapt_module._snc_loss_batch
 
         def infinite_snc(*args):
             values, dprobs = real_snc(*args)
             return np.full_like(values, np.inf), dprobs
 
-        monkeypatch.setattr(adapt_module, "snc_loss_batch", infinite_snc)
+        monkeypatch.setattr(adapt_module, "_snc_loss_batch", infinite_snc)
         model, target = self.pretrained()
         with pytest.raises(NumericalError) as info:
             adapt(AdaptConfig(seed=0, epochs=1), model, target.unlabeled())

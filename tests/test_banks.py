@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import sfda2.banks
@@ -565,6 +567,95 @@ class TestKnnGroupBound:
             knn(tiny, [2], 1)
 
 
+def pair_reference(fbank, q, k):
+    """One query by `knn`'s own distance, 1 - dot with the dot of the two
+    unit rows formed per pair, over every searchable row but the query's."""
+    rows = np.flatnonzero(fbank.valid & (np.arange(fbank.size) != q))
+    dots = np.einsum("ij,ij->i", fbank.normalized[np.full(rows.size, q)], fbank.normalized[rows])
+    return rows[np.lexsort((rows, 1.0 - dots))[:k]]
+
+
+def rounding_tie(fbank, q, k, tol=2.0**-40):
+    """Whether two of the query's k + 1 nearest rows, not both zero, lie
+    within `tol` in distance. There the references, which form their dots in
+    other summation orders than `knn` (the full-bank GEMV even differs
+    between two copies of a row), may order them apart from it and from each
+    other."""
+    rows = np.flatnonzero(fbank.valid & (np.arange(fbank.size) != q))
+    dist = 1.0 - fbank.normalized[rows] @ fbank.normalized[q]
+    order = np.lexsort((rows, dist))[: k + 1]
+    zero = ~fbank.normalized[rows[order]].any(axis=1)
+    return bool((np.diff(dist[order]) <= tol)[~(zero[1:] & zero[:-1])].any())
+
+
+@st.composite
+def near_tie_banks(draw):
+    """(bank, K): d in 2..32 and K in 1..8, random rows, some replaced by
+    another row times a power of two (the same unit row), by zeros, or by
+    another row with each entry moved by a relative 2^-e, e in 25..34, below
+    float32 resolution. The last `capacity` rows are searchable."""
+    d = draw(st.integers(2, 32))
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(k + 2, 40))
+    capacity = draw(st.integers(k + 1, m))
+    kinds = draw(st.lists(st.sampled_from(["fresh", "copy", "zero", "near"]), min_size=m, max_size=m))
+    exponent = draw(st.integers(25, 34))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, d))
+    for i, kind in enumerate(kinds[1:], start=1):
+        j = int(rng.integers(0, i))
+        if kind == "copy":
+            rows[i] = rows[j] * 2.0 ** int(rng.integers(-3, 4))
+        elif kind == "zero":
+            rows[i] = 0.0
+        elif kind == "near":
+            rows[i] = rows[j] * (1.0 + rng.choice([-1.0, 1.0], d) * 2.0**-exponent)
+    return FeatureBank(rows, capacity), k
+
+
+class TestKnnFloat32Screen:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(near_tie_banks())
+    def test_matches_the_references_on_near_tie_banks(self, bank_and_k):
+        fbank, k = bank_and_k
+        queries = np.arange(fbank.size)
+        got = knn(fbank, queries, k)
+        for q in queries:
+            assert_array_equal(got[q], pair_reference(fbank, q, k), err_msg=f"query {q}")
+        # Where two rows tie to within rounding, the references' own
+        # summation orders decide; elsewhere all three agree.
+        exact = [q for q in queries if not rounding_tie(fbank, q, k)]
+        assume(exact)
+        assert_matches_references(fbank, exact, k)
+
+    @staticmethod
+    def near_tie_bank(seed):
+        """A query (row 0), its antipode, and 40 rows that are copies of one
+        row moved by a relative 2^-26 per entry: their dots with the query
+        differ by less than the float32 dot's rounding."""
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(8)
+        near = base * (1.0 + rng.choice([-1.0, 1.0], (40, 8)) * 2.0**-26)
+        query = rng.standard_normal(8)
+        return FeatureBank(np.vstack([query, -query, near]), 42)
+
+    def test_zero_margin_misses_a_true_neighbour(self, monkeypatch):
+        # Each of the 42 columns is its own group, so with K = 1 the bound is
+        # the largest float32 dot; without a margin only the entries at it
+        # survive, and the float64 nearest is often not among them.
+        banks = [self.near_tie_bank(seed) for seed in range(20)]
+        for fbank in banks:
+            assert_array_equal(knn(fbank, [0], 1)[0], pair_reference(fbank, 0, 1))
+            assert_matches_references(fbank, [0], 1)
+        monkeypatch.setattr(sfda2.banks, "_SLACK", 0)
+        missed = [
+            fbank for fbank in banks if knn(fbank, [0], 1)[0].tolist() != pair_reference(fbank, 0, 1).tolist()
+        ]
+        assert missed, "a zero margin kept every true nearest neighbour"
+        for fbank in missed:
+            assert knn(fbank, [0], 1)[0].tolist() != scan_oracle(fbank, 0, 1)
+
+
 def update_banks_row_loop(fbank, score_bank, indices, features, probs):
     """Per-row form of `update_banks` on the rows, scores and stamps: rows are
     written in order, so the last of repeated indices wins. Norms are taken as
@@ -726,7 +817,8 @@ def check_slot_layout(fbank):
     assert_array_equal(fbank.row_slots[fbank.slot_rows], positions)
     assert_array_equal(np.sort(fbank.slot_rows), np.sort(np.argsort(fbank.stamps)[-positions.size:]))
     assert fbank.slots.flags.c_contiguous
-    assert fbank.slots.tobytes() == fbank.normalized[fbank.slot_rows].T.tobytes(), "stale slot"
+    expected = fbank.normalized[fbank.slot_rows].T.astype(np.float32)
+    assert fbank.slots.tobytes() == expected.tobytes(), "stale slot"
 
 
 def update_leaving_live_slots_stale(fbank, scores, indices, features, probs):

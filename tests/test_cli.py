@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -448,6 +449,30 @@ class TestNegativeSeed:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: seed must be a non-negative integer, got {seed}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("route, seed", [("flag", -1), ("config", -2)])
+    def test_adapt_fails_before_reading_inputs_or_building_banks(
+        self, route, seed, tmp_path, monkeypatch, capsys
+    ):
+        # The checkpoint and target do not exist, so reading either would
+        # fail with another message.
+        built = []
+        monkeypatch.setattr(importlib.import_module("sfda2.adapt"), "init_banks", lambda *args: built.append(args))
+        out = tmp_path / "out"
+        argv = ["adapt", "--model", str(tmp_path / "missing.ckpt"), "--target", str(tmp_path / "missing.csv"),
+                "--out", str(out)]
+        if route == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: seed must be a non-negative integer, got {seed}"]
+        assert built == [] and not out.exists()
 
 
 class TestUsageErrors:
