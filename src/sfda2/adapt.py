@@ -148,6 +148,8 @@ def evaluate(model: Model, dataset) -> EvalMetrics:
     if dataset.labels is None:
         raise InvalidInputError("evaluate requires a labeled dataset")
     labels = np.asarray(dataset.labels, dtype=np.int64)
+    if labels.size == 0:
+        raise InvalidInputError("evaluate requires at least one labeled sample")
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise InvalidInputError("labels out of range for the model's classes")
     _, probs, _ = forward(model, dataset.inputs)
@@ -191,6 +193,8 @@ def pretrain_source(
     if source.n_classes is None or source.n_classes < 2:
         raise InvalidInputError("source dataset must declare >= 2 classes")
     labels = np.asarray(source.labels, dtype=np.int64)
+    if labels.size == 0:
+        raise InvalidInputError("pretraining requires at least one labeled sample")
     if labels.min() < 0 or labels.max() >= source.n_classes:
         raise InvalidInputError("source labels out of range")
     if config.batch_size < 1 or config.epochs < 0:
@@ -310,7 +314,9 @@ def adapt(
     and `fd_loss` the batch (one `_checked_batch`). The moments and the SNC
     and IFA terms run unchecked, so no covariance goes through
     `check_symmetric`. `affinity_weights` checks the score bank once per
-    epoch.
+    epoch. Nothing checks the merged class covariances: one that overflows
+    reaches the IFA term, whose softmax rejects it, and the loop reports a
+    NumericalError; with alpha1 = 0 nothing reads them.
     """
     validate_config(config)
     validate_model(model)
@@ -330,7 +336,7 @@ def adapt(
     # lambda 0, the last sees the terminal values.
     denom = max(total_iters - 1, 1)
 
-    # Diverged features overflow the bank's row norms; the loop reports that.
+    # A diverged model can overflow this forward pass; its check reports that.
     with np.errstate(over="ignore", invalid="ignore"):
         fbank, score_bank = init_banks(model, target.inputs, config.bank_fraction)
     if fbank.capacity < config.k + 1:
@@ -381,10 +387,9 @@ def adapt(
                         config.alpha1,
                         config.alpha2,
                     )
-            except (InvalidInputError, np.linalg.LinAlgError) as exc:
+            except InvalidInputError as exc:
                 # Every argument was produced by this loop, so a precondition
-                # trip or a failed eigensolve here means diverged parameters
-                # or statistics overflowed.
+                # trip here means diverged parameters or statistics overflowed.
                 raise NumericalError(
                     f"non-finite loss evaluation at epoch {epoch}, iteration {t}: {exc}"
                 ) from exc

@@ -71,7 +71,11 @@ class FeatureBank:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows divided by their Euclidean norms; zero rows stay zero."""
+    """Rows divided by their Euclidean norms; zero rows stay zero. A row is
+    first scaled by the power of two that puts its largest |entry| in
+    [0.5, 1), so its squared norm, in [0.25, d), neither overflows nor
+    underflows."""
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
     norms = np.linalg.norm(rows, axis=1)
     return rows / np.where(norms == 0.0, 1.0, norms)[:, None]
 
@@ -154,8 +158,8 @@ def knn(fbank: FeatureBank, query_indices, k: int) -> np.ndarray:
 
     Every entry at or inside the K-th distance survives, for d < 2^12 and
     stored rows of norm at most 1 + 2^-40 (a row divided by its norm is
-    within (d + 3) 2^-53 of unit length when its squared norm is a normal
-    float; zero rows and rows whose norm overflows are zero). Let u = 2^-24
+    within (d + 3) 2^-53 of unit length, as `_unit_rows` scales it so that
+    its squared norm lies in [0.25, d); zero rows stay zero). Let u = 2^-24
     and, for two stored rows, D be their exact dot, D64 the float64 and D32
     the float32 one.
     - Rounding both rows to float32 moves D by at most (2u + u^2)(1 + 2^-40)^2,

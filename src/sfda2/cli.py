@@ -129,18 +129,14 @@ def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ..
 
 
 def _load_shift_spec(path: str) -> ShiftSpec:
-    raw = _read_json_object(path, "spec", {f.name for f in fields(ShiftSpec)})
-    base = default_shift_spec()
+    base = vars(default_shift_spec())
+    raw = _read_json_object(path, "spec", base)
     try:
-        spec = ShiftSpec(
-            means=np.asarray(raw.get("means", base.means), dtype=np.float64),
-            covariances=np.asarray(raw.get("covariances", base.covariances), dtype=np.float64),
-            source_counts=np.asarray(raw.get("source_counts", base.source_counts), dtype=np.int64),
-            target_counts=np.asarray(raw.get("target_counts", base.target_counts), dtype=np.int64),
-            angle_degrees=float(raw.get("angle_degrees", base.angle_degrees)),
-            translation=np.asarray(raw.get("translation", base.translation), dtype=np.float64),
-            noise_scale=float(raw.get("noise_scale", base.noise_scale)),
-        )
+        spec = ShiftSpec(**{
+            name: np.asarray(raw.get(name, value), dtype=value.dtype)
+            if isinstance(value, np.ndarray) else float(raw.get(name, value))
+            for name, value in base.items()
+        })
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed spec value: {exc}") from exc
     validate_shift_spec(spec)

@@ -132,17 +132,6 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def psd_repair(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize and clamp negative eigenvalues to zero (only when present)."""
-    sym = (matrix + matrix.T) / 2.0
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals.min() >= 0.0:
-        return sym
-    vals, vecs = np.linalg.eigh(sym)
-    repaired = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return (repaired + repaired.T) / 2.0
-
-
 def _gaussian_lift(mean, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate N(mean, cov) and factor its active block once. Returns the
     mean, the (d, k) lift and the (d,) mask of the k active coordinates

@@ -10,9 +10,10 @@ running ones:
     mu_new = (n*mu + m*mu') / n_new
     cov_new = (n*cov + m*cov') / n_new + n*m*(mu - mu')(mu - mu')^T / n_new^2
 
-followed by symmetrization. One stacked `eigvalsh` call checks the updated
-classes, and `psd_repair` clamps only those with a negative eigenvalue, so
-the update stays bit-faithful to the pooled arithmetic on ordinary data.
+followed by the exact symmetrization (cov + cov^T) / 2, since the products
+need not give a symmetric result. The merge is a convex combination of PSD
+matrices plus a PSD outer product, so the running covariances are PSD up to
+rounding and nothing clamps them (as in ISDA's online estimate).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import psd_repair
 
 
 @dataclass
 class ClassStatistics:
     means: np.ndarray  # (C, d)
-    covs: np.ndarray  # (C, d, d) symmetric, PSD-repaired
+    covs: np.ndarray  # (C, d, d) symmetric; PSD up to rounding
     counts: np.ndarray  # (C,) int64
 
     @property
@@ -129,7 +129,4 @@ def update_class_stats(stats: ClassStatistics, moments) -> ClassStatistics:
     cov_new = (n * covs[updated] + m * batch_covs[updated]) / total + (n * m) * outer / total**2
     covs[updated] = (cov_new + cov_new.transpose(0, 2, 1)) / 2.0
     means[updated] = (n[:, 0] * means[updated] + m[:, 0] * batch_means[updated]) / total[:, 0]
-    negative = np.linalg.eigvalsh(covs[updated]).min(axis=1) < 0.0
-    for c in updated[negative]:
-        covs[c] = psd_repair(covs[c])
     return ClassStatistics(means=means, covs=covs, counts=stats.counts + batch_counts)

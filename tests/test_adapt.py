@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from sfda2.adapt import (
     AdaptConfig,
     adapt,
+    batch_objective,
     evaluate,
     iterations_per_epoch,
     metrics_from_confusion,
@@ -19,9 +20,9 @@ from sfda2.adapt import (
 from sfda2.data import Dataset, ShiftSpec, default_shift_spec, gen_synthetic
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import fd_loss
-from sfda2.model import Layer, Model, init_model
+from sfda2.model import Layer, Model, forward, init_model
 from sfda2.numerics import RngState
-from sfda2.stats import update_class_stats
+from sfda2.stats import class_moments, update_class_stats
 
 # The package exports the `adapt` function under the submodule's name.
 adapt_module = importlib.import_module("sfda2.adapt")
@@ -109,6 +110,13 @@ class TestMetrics:
         with pytest.raises(InvalidInputError):
             evaluate(model, data)
 
+    def test_evaluate_rejects_empty_dataset(self):
+        # Once NumPy's bare "zero-size array" ValueError from labels.min().
+        model = init_model(2, (4,), 3, 2, RngState(0))
+        data = Dataset(inputs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64), n_classes=2)
+        with pytest.raises(InvalidInputError, match="^evaluate requires at least one labeled sample$"):
+            evaluate(model, data)
+
 
 class TestPretrainSource:
     def test_separable_blobs_learned(self):
@@ -148,6 +156,11 @@ class TestPretrainSource:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match=r"at epoch 0, iteration \d+: "):
                 pretrain_source(config, source)
+
+    def test_empty_source_rejected(self):
+        empty = Dataset(inputs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64), n_classes=2)
+        with pytest.raises(InvalidInputError, match="^pretraining requires at least one labeled sample$"):
+            pretrain_source(AdaptConfig(), empty)
 
     def test_bad_source_rejected(self):
         source, _ = blob_pair(n=10, seed=6)
@@ -310,9 +323,11 @@ class TestAdapt:
         # iteration the loop's design has one probability check (the bank
         # write), one batch check (fd_loss) and two moment checks
         # (update_class_stats and fd_loss), and no covariance check;
-        # affinity_weights checks the score bank once per epoch.
+        # affinity_weights checks the score bank once per epoch. Nothing
+        # runs an eigensolve on the class covariances.
         model, target = self.pretrained()
-        calls = dict.fromkeys(("check_distribution_rows", "check_symmetric", "_checked_batch", "_checked_moments"), 0)
+        checks = ("check_distribution_rows", "check_symmetric", "_checked_batch", "_checked_moments")
+        calls = dict.fromkeys(checks + ("eigvalsh", "eigh"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -323,9 +338,11 @@ class TestAdapt:
 
         for key, module in list(sys.modules.items()):
             if key.split(".")[0] == "sfda2":
-                for name in calls:
+                for name in checks:
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         _, trace = adapt(AdaptConfig(seed=4, epochs=1, batch_size=16), model, target.unlabeled())
         n = len(trace.iterations)
         assert n > 1
@@ -334,6 +351,8 @@ class TestAdapt:
             "check_symmetric": 0,
             "_checked_batch": n + 1,
             "_checked_moments": 2 * n,
+            "eigvalsh": 0,
+            "eigh": 0,
         }
 
     def test_negative_seed_rejected_before_the_banks(self, monkeypatch):
@@ -415,6 +434,27 @@ class TestAdapt:
         with pytest.raises(NumericalError) as info:
             adapt(AdaptConfig(seed=0, epochs=1), model, target.unlabeled())
         assert str(info.value) == "non-finite loss evaluation at epoch 0, iteration 0: planted"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_overflowed_class_covariance_rejected_by_the_ifa_term(self, lam):
+        # No eigensolve checks the merged covariances; an overflowed one
+        # reaches the IFA term, whose softmax rejects it, and the loop
+        # reports that as a NumericalError.
+        model, target = self.pretrained()
+        x = target.inputs[:8]
+        features, probs, acts = forward(model, x)
+        labels = np.argmax(probs, axis=1)
+        moments = class_moments(features, labels, model.n_classes)
+        covs = np.zeros((model.n_classes, model.feature_dim, model.feature_dim))
+        covs[labels[0]] = np.inf
+        neighbors = np.repeat(probs[:, None, :], 2, axis=1)
+        affinity = np.eye(model.n_classes)
+        args = (model, acts, probs, neighbors, probs, labels, moments, covs, affinity, 1.0, lam)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            batch_objective(*args, 1e-4, 10.0)
+        breakdown, _ = batch_objective(*args, 0.0, 10.0)  # alpha1 = 0 never reads them
+        assert np.isfinite(breakdown.total) and breakdown.ifa == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_numerical_error(self):

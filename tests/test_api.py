@@ -24,3 +24,8 @@ def test_vector_softmax_forms_removed():
     # the row kernels are the one copy; a vector is a one-row array
     for name in ("softmax", "logsumexp"):
         assert not hasattr(sfda2.numerics, name), name
+
+
+def test_psd_repair_removed():
+    # the class-covariance merge is PSD up to rounding, so nothing clamps it
+    assert not hasattr(sfda2.numerics, "psd_repair")

@@ -81,10 +81,26 @@ class TestFeatureBankConstructor:
             FeatureBank(rows, 1)
 
     def test_finite_rows_whose_norm_overflows_build(self):
-        # A diverged forward pass gives such rows; they become zero rows.
-        with np.errstate(over="ignore"):
-            fbank = FeatureBank([[1e200, 1e200], [1.0, 0.0], [0.0, 1.0]], 3)
-        assert_array_equal(fbank.normalized[0], [0.0, 0.0])
+        # A diverged forward pass gives such rows; scaled by a power of two
+        # first, they become unit rows.
+        fbank = FeatureBank([[1e200, 1e200], [1.0, 0.0], [0.0, 1.0]], 3)
+        assert_allclose(fbank.normalized[0], [0.5**0.5, 0.5**0.5], rtol=1e-15)
+        assert_array_equal(knn(fbank, [1], 2), [[0, 2]])
+
+    def test_zero_width_rows_build(self):
+        # The row scaling takes a maximum over no entries.
+        fbank = FeatureBank(np.zeros((3, 0)), 2)
+        assert fbank.normalized.shape == (3, 0)
+        assert_array_equal(knn(fbank, [0], 1), [[1]])
+
+    def test_rows_with_subnormal_squares_become_unit_rows(self):
+        # Squared, 2.7e-162 rounds to one subnormal unit and 1.5e-162 to
+        # zero, so a norm taken unscaled stored this row with norm 2.16.
+        rows = np.array([[2.7e-162] + [1.5e-162] * 7, [1.0] + [0.0] * 7, [0.0] * 7 + [1.0]])
+        fbank = FeatureBank(rows, 3)
+        assert_allclose(np.linalg.norm(fbank.normalized, axis=1), [1.0, 1.0, 1.0], rtol=1e-15)
+        scaled = rows[0] * 2.0**500
+        assert_allclose(fbank.normalized[0], scaled / np.linalg.norm(scaled), rtol=1e-15)
         assert_array_equal(knn(fbank, [1], 2), [[0, 2]])
 
 

@@ -12,7 +12,6 @@ from sfda2.numerics import (
     check_distribution_rows,
     check_symmetric,
     psd_factor,
-    psd_repair,
     row_logsumexp,
     row_softmax,
     sample_gaussian,
@@ -314,19 +313,3 @@ class TestCheckSymmetric:
         with pytest.raises(InvalidInputError, match="m"):
             check_symmetric(np.array([[1.0, 0.2], [0.0, 1.0]]), "m")
 
-
-class TestPsdRepair:
-    def test_psd_input_only_symmetrized(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert_array_equal(psd_repair(a), a)
-
-    def test_negative_eigenvalue_clamped(self):
-        # eigenvalues 3 and -1 along (1,1)/(1,-1)
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        out = psd_repair(a)
-        assert_array_equal(out, out.T)
-        vals = np.linalg.eigvalsh(out)
-        assert vals.min() >= 0
-        assert_allclose(vals.max(), 3.0, atol=1e-12)
-        # the positive eigenspace is preserved
-        assert_allclose(out @ np.ones(2), 3.0 * np.ones(2), atol=1e-12)
