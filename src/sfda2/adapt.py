@@ -310,13 +310,14 @@ def adapt(
     Each array the loop builds is checked once, at the first public call
     that receives it. Per iteration: `update_banks` checks the batch's
     features and probability rows (one `check_distribution_rows`),
-    `update_class_stats` and `fd_loss` the moments (two `_checked_moments`)
-    and `fd_loss` the batch (one `_checked_batch`). The moments and the SNC
-    and IFA terms run unchecked, so no covariance goes through
-    `check_symmetric`. `affinity_weights` checks the score bank once per
-    epoch. Nothing checks the merged class covariances: one that overflows
-    reaches the IFA term, whose softmax rejects it, and the loop reports a
-    NumericalError; with alpha1 = 0 nothing reads them.
+    `update_class_stats` and `fd_loss` the moments (two `_checked_moments`,
+    one at alpha1 = 0) and `fd_loss` the batch (one `_checked_batch`). The
+    moments and the SNC and IFA terms run unchecked, so no covariance goes
+    through `check_symmetric`. `affinity_weights` checks the score bank once
+    per epoch. Nothing checks the merged class covariances: one that
+    overflows reaches the IFA term, whose softmax rejects it, and the loop
+    reports a NumericalError. The IFA term is their only reader, so with
+    alpha1 = 0 nothing merges them.
     """
     validate_config(config)
     validate_model(model)
@@ -371,7 +372,8 @@ def adapt(
                     neighbor_probs = score_bank[knn(fbank, batch, config.k)]
                     labels = np.argmax(probs, axis=1)
                     moments = _class_moments(features, labels, model.n_classes)
-                    stats = update_class_stats(stats, moments)
+                    if config.alpha1 != 0.0:
+                        stats = update_class_stats(stats, moments)
                     breakdown, grads = batch_objective(
                         current,
                         acts,

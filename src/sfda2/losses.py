@@ -27,9 +27,9 @@ from .errors import InvalidInputError, NumericalError
 from .numerics import RngState, _gaussian_lift, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
 from .stats import _checked_batch, _checked_moments, class_moments
 
-# Draws per chunk of `efa_mc_estimate`'s stream: a chunk stays in L2, and at
-# verify's sizes (C <= 5, d <= 8) its logits GEMM stays under OpenBLAS's
-# threading threshold, so concurrent trials do not oversubscribe the BLAS.
+# Pairs per chunk of `efa_mc_estimate` (2 * _MC_ROWS draws): a chunk stays in
+# L2, and at verify's C <= 5 its logits GEMM stays under OpenBLAS's threading
+# threshold, so concurrent trials do not oversubscribe the BLAS.
 _MC_ROWS = 6144
 
 
@@ -285,17 +285,17 @@ def efa_mc_estimate(
 
     The logits W z + b are N(W f + b, M M^T) with M = W lift, lift the
     (d, k) factor of lam*cov's k active coordinates (factored once), so
-    they are drawn directly, r = min(C, k) normals each: for k > C, M is
-    replaced by the (C, C) R^T of M^T = QR, which has the same M M^T. The
-    2n draws come from `rng` in chunks of _MC_ROWS, draw j paired with draw
-    n + j; only the (n, C) first-half probabilities and one chunk are held.
-    Each chunk's logits are class-major (C, rows), so softmax and pair dots
-    reduce over C long rows, in noise, logit and row-reduction buffers
-    allocated once per call (so concurrent calls share nothing). The result
-    equals one pass that draws all (2n, r) normals at once into sample-major
-    (2n, C) logits: bit for bit for C <= 7, where both add in the same
-    order; for C >= 8 NumPy sums long rows pairwise and the two differ by up
-    to about 1e-15 absolute.
+    they are drawn directly. softmax(l + t 1) = softmax(l), so subtracting
+    M's last row from every row keeps each pair loss's law; for k > C - 1
+    the other rows become R^T of their transpose's QR (same Gram matrix),
+    so a draw costs r = min(C - 1, k) normals. A chunk of up to _MC_ROWS
+    pairs draws 2 * rows logit vectors from `rng`, row j paired with row
+    rows + j, class-major (C, 2 * rows) so softmax and pair dots reduce over
+    C long rows, in buffers allocated once per call (concurrent calls share
+    nothing); besides them only the (n_pairs,) losses are held. The result
+    equals drawing each chunk's (2 * rows, r) normals at once into
+    sample-major logits: bit for bit for C <= 7; for C >= 8 NumPy sums long
+    rows pairwise and the two differ by up to about 1e-15 absolute.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
@@ -303,39 +303,34 @@ def efa_mc_estimate(
         raise InvalidInputError("lambda must be finite and >= 0")
     weights = np.asarray(clf_weights, dtype=np.float64)
     bias = np.asarray(clf_bias, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != np.size(feature) or bias.shape != weights.shape[:1]:
-        raise InvalidInputError("classifier must be (C, d) weights and a (C,) bias, d the feature size")
+    if weights.ndim != 2 or weights.shape[1] != np.size(feature) or bias.shape != weights.shape[:1] or not bias.size:
+        raise InvalidInputError("classifier must be (C, d) weights and a (C,) bias, d the feature size, C >= 1")
     mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
     factor = weights @ lift
-    if factor.shape[1] > factor.shape[0]:
-        factor = np.linalg.qr(factor.T, mode="r").T
+    factor -= factor[-1]
+    if factor.shape[1] >= factor.shape[0]:
+        r = np.linalg.qr(factor[:-1].T, mode="r")
+        factor = np.vstack([r.T, np.zeros((1, r.shape[0]))])
     centre = (weights @ mean + bias)[:, None]
     n_classes = weights.shape[0]
-    noise = np.empty((_MC_ROWS, factor.shape[1]))
-    logit_buffer = np.empty(n_classes * _MC_ROWS)
-    row_buffer = np.empty((_MC_ROWS, 1))
-
-    def chunk_probs(start: int, out: np.ndarray | None = None) -> np.ndarray:
-        rows = min(_MC_ROWS, n_pairs - start)
-        rng.generator.standard_normal(out=noise[:rows])
-        logits = np.matmul(factor, noise[:rows].T, out=logit_buffer[: n_classes * rows].reshape(n_classes, rows))
-        logits += centre
-        try:
-            return row_softmax(logits.T, out=logits.T if out is None else out, row=row_buffer[:rows])
-        except InvalidInputError as exc:
-            raise NumericalError("Monte Carlo logits are non-finite") from exc
-
-    first = np.empty((n_classes, n_pairs)).T  # class-major, like each chunk
-    for s in range(0, n_pairs, _MC_ROWS):
-        chunk_probs(s, out=first[s : s + _MC_ROWS])
+    noise = np.empty((2 * _MC_ROWS, factor.shape[1]))
+    logit_buffer = np.empty(2 * n_classes * _MC_ROWS)
+    row_buffer = np.empty((2 * _MC_ROWS, 1))
     values = np.empty(n_pairs)
     for s in range(0, n_pairs, _MC_ROWS):
-        pair = chunk_probs(s)
-        pair *= first[s : s + _MC_ROWS]
-        dots = pair.sum(axis=1, out=values[s : s + _MC_ROWS])
-        np.log(dots, out=dots)  # dots >= 1/C by Cauchy-Schwarz, so log is safe
+        rows = min(_MC_ROWS, n_pairs - s)
+        rng.generator.standard_normal(out=noise[: 2 * rows])
+        logits = logit_buffer[: 2 * n_classes * rows].reshape(n_classes, 2 * rows)
+        np.matmul(factor, noise[: 2 * rows].T, out=logits)
+        logits += centre
+        try:
+            probs = row_softmax(logits.T, out=logits.T, row=row_buffer[: 2 * rows])
+        except InvalidInputError as exc:
+            raise NumericalError("Monte Carlo logits are non-finite") from exc
+        pair = np.multiply(probs[:rows], probs[rows:], out=probs[:rows])
+        dots = pair.sum(axis=1, out=values[s : s + rows])
+        np.log(dots, out=dots)  # dots > 0 unless both draws saturate on different classes; ifa-bound's do not
         np.negative(dots, out=dots)
-    del first  # before std's (n,) temporary, which would otherwise set the peak
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n_pairs))
     return mean, stderr

@@ -89,9 +89,10 @@ def verify_ifa_bound(
     fills, GEMMs and ufuncs release the GIL). Each owns a stream split from
     the seed and the report is assembled in trial order, so it does not
     depend on the worker count; a failing trial raises the first error in
-    trial order. Each oracle draws min(C, k) normals per logit vector, k the
-    active covariance coordinates, and holds about n_pairs * (C + 1) floats
-    plus one set of (C, 6144) chunk buffers; it forms no (n, d) feature draw.
+    trial order. Each oracle draws min(C - 1, k) normals per logit vector, k
+    the active covariance coordinates, pairs the draws within each chunk,
+    and holds n_pairs floats plus one set of (C, 2 * 6144) chunk buffers; it
+    forms no (n, d) feature draw.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off the CLI's import
 

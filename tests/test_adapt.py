@@ -22,7 +22,7 @@ from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import fd_loss
 from sfda2.model import Layer, Model, forward, init_model
 from sfda2.numerics import RngState
-from sfda2.stats import class_moments, update_class_stats
+from sfda2.stats import ClassStatistics, class_moments, update_class_stats
 
 # The package exports the `adapt` function under the submodule's name.
 adapt_module = importlib.import_module("sfda2.adapt")
@@ -230,6 +230,31 @@ class TestAdapt:
             assert step.ifa == 0.0
             assert step.fd == 0.0
             assert step.total == step.snc
+
+    def test_alpha1_zero_merges_no_class_statistics(self, monkeypatch):
+        # The IFA term is the only reader of the merged covariances. The
+        # wrapper replays the merges the loop made before it skipped them and
+        # checks that every step's objective and gradient stay the same.
+        model, target = self.pretrained()
+        merges, replayed = [], [ClassStatistics.empty(model.n_classes, model.feature_dim)]
+
+        def counting(*args):
+            merges.append(args)
+            return update_class_stats(*args)
+
+        def replaying(*args):
+            breakdown, grads = batch_objective(*args)
+            replayed[0] = update_class_stats(replayed[0], args[6])
+            again, again_grads = batch_objective(*args[:7], replayed[0].covs, *args[8:])
+            assert again == breakdown
+            assert_array_equal(again_grads.params, grads.params)
+            return breakdown, grads
+
+        monkeypatch.setattr(adapt_module, "update_class_stats", counting)
+        monkeypatch.setattr(adapt_module, "batch_objective", replaying)
+        _, trace = adapt(AdaptConfig(seed=4, epochs=2, batch_size=16, alpha1=0.0), model, target.unlabeled())
+        assert merges == [] and len(trace.iterations) > 1
+        assert np.any(replayed[0].covs != 0.0)
 
     def test_zero_lr_single_iteration_keeps_parameters(self):
         model, target = self.pretrained()

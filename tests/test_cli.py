@@ -407,6 +407,9 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().out)["passed"] is False
+        ifa = ["--suite", "ifa-bound", "--trials", "40", "--pairs", "10000", "--seed", "3", "--negative-control"]
+        assert run_cli(["verify", *ifa]) == 2
+        assert json.loads(capsys.readouterr().out)["passed"] is False
 
     def test_factorization_suite_via_cli(self, capsys):
         code = run_cli(["verify", "--suite", "snc-factorization", "--trials", "3", "--seed", "0"])

@@ -386,14 +386,19 @@ class TestEfaMcEstimate:
         second = efa_mc_estimate(*args, RngState(9))
         assert first == second
 
+    def test_one_class_draws_nothing(self):
+        rng = RngState(3)
+        assert efa_mc_estimate(np.zeros(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 2.0, 10, rng) == (0.0, 0.0)
+        assert_array_equal(rng.generator.standard_normal(4), RngState(3).generator.standard_normal(4))
+
     def test_needs_two_pairs(self):
         with pytest.raises(InvalidInputError):
             efa_mc_estimate(np.zeros(2), np.eye(2), np.eye(2), np.zeros(2), 1.0, 1, RngState(0))
 
     @pytest.mark.parametrize(
         "weights, bias",
-        [(np.ones((2, 4)), np.zeros(2)), (np.ones((2, 3)), np.zeros(3))],
-        ids=["weights-wider-than-feature", "bias-longer-than-classes"],
+        [(np.ones((2, 4)), np.zeros(2)), (np.ones((2, 3)), np.zeros(3)), (np.ones((0, 3)), np.zeros(0))],
+        ids=["weights-wider-than-feature", "bias-longer-than-classes", "no-classes"],
     )
     def test_classifier_shape_rejected(self, weights, bias):
         with pytest.raises(InvalidInputError, match="classifier"):
@@ -407,25 +412,32 @@ class TestEfaMcEstimate:
 
 
 def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
-    """efa_mc_estimate in one pass: all (2n, r) normals drawn at once and
-    sample-major (2n, C) logits, the layout the streamed class-major form
-    must reproduce."""
+    """efa_mc_estimate with each chunk in one shot: its (2 * rows, r) normals
+    drawn at once into sample-major (2 * rows, C) logits, row j paired with
+    row rows + j, the layout the class-major chunks must reproduce. The
+    factor is M = W lift minus its last row, with its first C - 1 rows
+    replaced by R^T of their transpose's QR when k > C - 1."""
     mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
     factor = clf_weights @ lift
-    if factor.shape[1] > factor.shape[0]:
-        factor = np.linalg.qr(factor.T, mode="r").T
-    noise = rng.generator.standard_normal((2 * n_pairs, factor.shape[1]))
-    return pair_loss_stats(row_softmax(noise @ factor.T + (clf_weights @ mean + clf_bias)), n_pairs)
+    factor = factor - factor[-1]
+    n_classes = factor.shape[0]
+    if factor.shape[1] > n_classes - 1:
+        factor = np.vstack([np.linalg.qr(factor[:-1].T, mode="r").T, np.zeros((1, n_classes - 1))])
+    values = []
+    for start in range(0, n_pairs, _MC_ROWS):
+        rows = min(_MC_ROWS, n_pairs - start)
+        noise = rng.generator.standard_normal((2 * rows, factor.shape[1]))
+        probs = row_softmax(noise @ factor.T + (clf_weights @ mean + clf_bias))
+        values.append(-np.log((probs[:rows] * probs[rows:]).sum(axis=1)))
+    values = np.concatenate(values)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
 
 
 def feature_space_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
     """The oracle the logit-space draw replaced: 2n (d,) features from
     `sample_gaussian`, then the softmax of their logits."""
     draws = sample_gaussian(feature, lam * check_symmetric(cov, "cov"), 2 * n_pairs, rng)
-    return pair_loss_stats(row_softmax(draws @ clf_weights.T + clf_bias), n_pairs)
-
-
-def pair_loss_stats(probs, n_pairs):
+    probs = row_softmax(draws @ clf_weights.T + clf_bias)
     values = -np.log((probs[:n_pairs] * probs[n_pairs:]).sum(axis=1))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
 
@@ -475,8 +487,8 @@ class TestEfaMcEstimateMatchesRowMajor:
 
     @pytest.mark.parametrize("n_pairs", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
     def test_streamed_chunks_equal_one_shot(self, n_pairs):
-        # The one-shot reference draws all 2n noise rows at once; the estimate
-        # streams each half in _MC_ROWS-row chunks, the last one short or full.
+        # The reference draws each chunk's 2 * rows noise rows at once; the
+        # estimate streams _MC_ROWS-pair chunks, the last one short or full.
         for n_classes in (2, 5, 7):
             args = self.instance(n_classes, n_classes, n_pairs)
             expected = row_major_efa_mc_estimate(*args, RngState(n_classes))
@@ -484,7 +496,7 @@ class TestEfaMcEstimateMatchesRowMajor:
 
     @pytest.mark.parametrize("name", sorted(CHUNK_BOUNDARY_CASES))
     def test_chunk_boundary_equals_one_shot(self, name):
-        # One pair past a full chunk, so each half streams a full and a 1-row chunk.
+        # One pair past a full chunk, so the estimate streams a full and a 1-pair chunk.
         feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
         rng = np.random.default_rng(0)
         args = (feature, cov, rng.standard_normal((3, feature.size)), rng.standard_normal(3), lam, _MC_ROWS + 1)
@@ -508,8 +520,9 @@ class TestEfaMcEstimateMatchesRowMajor:
 
 def logit_space_cases():
     """(feature, cov, weights, bias, lam) with C classes and k active
-    coordinates on either side of C, a dead coordinate with a -0.0 mean, a
-    covariance only jitter can factor, and lambda = 0."""
+    coordinates on either side of C - 1 and at it, a dead coordinate with a
+    -0.0 mean, a covariance only jitter can factor (with 2 and 3 classes),
+    and lambda = 0. Cases are appended, so earlier ones keep their draws."""
     rng = np.random.default_rng(11)
 
     def classifier(n_classes, dim):
@@ -521,6 +534,9 @@ def logit_space_cases():
     for name in ("negative-zero-mean-dead-coordinate", "rank-one-jitter", "lambda-zero"):
         feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
         cases[name] = (feature, cov, *classifier(2 if name == "rank-one-jitter" else 4, 3), lam)
+    cases["C=k+1"] = (rng.standard_normal(3), random_psd(rng, 3), *classifier(4, 3), 2.5)
+    feature, cov, lam = CHUNK_BOUNDARY_CASES["rank-one-jitter"]
+    cases["rank-one-jitter-C3"] = (feature, cov, *classifier(3, 3), lam)
     return cases
 
 
@@ -548,23 +564,72 @@ class TestEfaMcEstimateLogitSpace:
         assert agree_with_feature_space(LOGIT_SPACE_CASES[name])
 
     def test_cases_cover_both_sides_of_the_class_count(self):
-        sides = {name: np.sign(np.subtract(*classes_and_active(case))) for name, case in LOGIT_SPACE_CASES.items()}
+        # The estimate draws min(C - 1, k) normals, so C - 1 is the boundary.
+        sides = {}
+        for name, case in LOGIT_SPACE_CASES.items():
+            n_classes, active = classes_and_active(case)
+            sides[name] = np.sign(n_classes - 1 - active)
         assert sides == {
             "C<k": -1,
-            "C=k": 0,
+            "C=k": -1,
+            "C=k+1": 0,
             "C>k": 1,
             "negative-zero-mean-dead-coordinate": 1,
             "rank-one-jitter": -1,
+            "rank-one-jitter-C3": -1,
             "lambda-zero": 1,
         }
 
-    @pytest.mark.parametrize("name", ["C<k", "rank-one-jitter"])
+    @pytest.mark.parametrize("name", ["rank-one-jitter", "C<k", "C=k", "C=k+1", "C>k"])
+    def test_logit_differences_have_the_feature_space_law(self, monkeypatch, name):
+        # Softmax sees a logit vector l only through d = D l = l[:-1] - l[-1].
+        # Under feature draws d ~ N(D (W f + b), D W (lam cov) W^T D^T); the
+        # drawn logits must give that law whether the factor is cut (C = 2
+        # and C - 1 < k), left square (C - 1 = k) or left tall (C - 1 > k).
+        feature, cov, weights, bias, lam = case = LOGIT_SPACE_CASES[name]
+        drawn = []
+        monkeypatch.setattr("sfda2.losses.row_softmax", lambda x, **kw: drawn.append(x.copy()) or row_softmax(x, **kw))
+        efa_mc_estimate(*case, 20000, RngState(0))
+        logits = np.concatenate(drawn)
+        diffs = logits[:, :-1] - logits[:, -1:]
+        to_diffs = np.hstack([np.eye(weights.shape[0] - 1), -np.ones((weights.shape[0] - 1, 1))])
+        mean = to_diffs @ (weights @ feature + bias)
+        covariance = to_diffs @ weights @ (lam * cov) @ weights.T @ to_diffs.T
+        n, sd = diffs.shape[0], np.sqrt(np.diagonal(covariance))
+        assert n == 40000
+        assert np.all(np.abs(diffs.mean(axis=0) - mean) <= 5.0 * sd / np.sqrt(n))
+        # Each sample-covariance entry has variance (S_ii S_jj + S_ij^2) / n.
+        sample = np.atleast_2d(np.cov(diffs, rowvar=False))
+        assert np.all(np.abs(sample - covariance) <= 5.0 * np.sqrt((np.outer(sd, sd) ** 2 + covariance**2) / n))
+
+    @pytest.mark.parametrize("name", ["C<k", "rank-one-jitter-C3"])
     def test_planted_untransposed_r_caught(self, monkeypatch, name):
-        # For k > C the factor is R^T of M^T = QR; R has the Gram matrix
-        # R R^T != M M^T.
+        # For k > C - 1 the shifted factor's first C - 1 rows F become R^T of
+        # F^T = QR, whose Gram matrix R^T R is F F^T. The untransposed R has
+        # R R^T, which differs once R is at least 2 x 2 (here C - 1 = 2).
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode).T)
         assert not agree_with_feature_space(LOGIT_SPACE_CASES[name])
+
+    @pytest.mark.parametrize("name", ["C<k", "C=k"])
+    def test_planted_unshifted_factor_caught(self, monkeypatch, name):
+        # For k > C - 1 the planted QR adds M's last row back to the rows it
+        # factors: the estimate without its shift, which cuts M's first C - 1
+        # rows to C - 1 columns and takes the last logit's noise away. How
+        # far that moves the pair loss depends on which class is last, so
+        # each class takes the last place in turn; the estimate itself
+        # agrees in every order.
+        feature, cov, weights, bias, lam = LOGIT_SPACE_CASES[name]
+        _, lift, _ = _gaussian_lift(feature, lam * cov)
+        orders = [np.roll(np.arange(weights.shape[0]), -last - 1) for last in range(weights.shape[0])]
+        cases = [(feature, cov, weights[order], bias[order], lam) for order in orders]
+        assert all(map(agree_with_feature_space, cases))
+        qr, caught = np.linalg.qr, []
+        for case in cases:
+            last_row = case[2][-1] @ lift
+            monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a + last_row[:, None], mode=mode))
+            caught.append(not agree_with_feature_space(case))
+        assert any(caught)
 
     @pytest.mark.parametrize("name", ["C<k", "C=k", "C>k"])
     def test_planted_dropped_lambda_caught(self, monkeypatch, name):
@@ -577,7 +642,8 @@ class TestEfaMcEstimateLogitSpace:
     @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
     def test_draws_two_n_times_min_c_k_normals(self, name, n_pairs):
         case = LOGIT_SPACE_CASES[name]
-        rank = min(classes_and_active(case))
+        n_classes, active = classes_and_active(case)
+        rank = min(n_classes - 1, active)
         rng, twin = RngState(5), RngState(5)
         efa_mc_estimate(*case, n_pairs, rng)
         twin.generator.standard_normal(2 * n_pairs * rank)
