@@ -10,11 +10,15 @@ or `_ifa_loss_batch`, which the adaptation loop calls directly on the
 arrays it built and checked. `fd_loss` is one class-matrix kernel on the
 caller's `stats.class_moments`: the covariances, flattened and stacked,
 give every pair's trace in one Gram matrix, whose diagonal holds the
-squared norms.
+squared norms; it checks its arguments and calls the core `_fd_loss`.
 Every loss returns its value together with exact analytic gradients with
 respect to its live inputs. Rows fetched from memory banks and the running
 class covariances are constants by contract; only the quantities produced
-by the current forward pass carry gradient.
+by the current forward pass carry gradient. Each core is a value stage
+(`_snc_values`, `_ifa_values`, `_fd_value`), which returns the values and
+the intermediates the gradient reuses, and a gradient tail that calls it,
+so each value has one formula; value-only callers, such as the perturbed
+points of `verify`'s finite differences, call the value stages alone.
 """
 
 from __future__ import annotations
@@ -139,18 +143,23 @@ def snc_loss_batch(
     return _snc_loss_batch(p, neighbors, bank, decay)
 
 
-def _snc_loss_batch(p, neighbors, bank, decay: float) -> tuple[np.ndarray, np.ndarray]:
-    """`snc_loss_batch` without its checks, on float64 arrays it accepts."""
-    k = neighbors.shape[1]
+def _snc_values(p, neighbors, bank, decay: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_snc_loss_batch`'s values, with the neighbor sums, self-dots and
+    dots (self-dots on the diagonal) its gradient reuses."""
     neighbor_sum = neighbors.sum(axis=1)
     self_dots = (p * p).sum(axis=1)
     dots = p @ bank.T
     np.fill_diagonal(dots, self_dots)
-    values = -(2.0 / k) * (neighbor_sum * p).sum(axis=1) + decay * (dots**2).sum(axis=1)
+    values = -(2.0 / neighbors.shape[1]) * (neighbor_sum * p).sum(axis=1) + decay * (dots**2).sum(axis=1)
+    return values, neighbor_sum, self_dots, dots
 
+
+def _snc_loss_batch(p, neighbors, bank, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """`snc_loss_batch` without its checks, on float64 arrays it accepts."""
+    values, neighbor_sum, self_dots, dots = _snc_values(p, neighbors, bank, decay)
     np.fill_diagonal(dots, 0.0)
     grad_quad = 2.0 * dots @ bank + 4.0 * self_dots[:, None] * p
-    grads = -(2.0 / k) * neighbor_sum + decay * grad_quad
+    grads = -(2.0 / neighbors.shape[1]) * neighbor_sum + decay * grad_quad
     return values, grads
 
 
@@ -240,11 +249,9 @@ def ifa_loss_batch(
     return _ifa_loss_batch(z, labels, sigma, weights, bias, lam)
 
 
-def _ifa_loss_batch(
-    z, labels, sigma, weights, bias, lam: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`ifa_loss_batch` without its checks: float64 arrays it accepts, int64
-    labels and exactly symmetric covariances."""
+def _ifa_values(z, labels, sigma, weights, bias, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_ifa_loss_batch`'s values and the (B * C, C) shifted logits whose
+    softmax its gradient takes."""
     b, c = z.shape[0], weights.shape[0]
     logits = z @ weights.T + bias
     grams = weights @ sigma @ weights.T  # (classes, C, C)
@@ -252,7 +259,16 @@ def _ifa_loss_batch(
     quad = diag[:, None, :] - 2.0 * grams + diag[:, :, None]
     shifted = (logits[:, None, :] + 0.5 * lam * quad[labels]).reshape(b * c, c)
     values = -2.0 * (logits.sum(axis=1) - row_logsumexp(shifted).reshape(b, c).sum(axis=1))
+    return values, shifted
 
+
+def _ifa_loss_batch(
+    z, labels, sigma, weights, bias, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`ifa_loss_batch` without its checks: float64 arrays it accepts, int64
+    labels and exactly symmetric covariances."""
+    values, shifted = _ifa_values(z, labels, sigma, weights, bias, lam)
+    b, c = z.shape[0], weights.shape[0]
     resp = row_softmax(shifted).reshape(b, c, c)  # resp[i, c, c']
     d_logits = -2.0 * (1.0 - resp.sum(axis=1))
     d_features = d_logits @ weights
@@ -288,14 +304,20 @@ def efa_mc_estimate(
     they are drawn directly. softmax(l + t 1) = softmax(l), so subtracting
     M's last row from every row keeps each pair loss's law; for k > C - 1
     the other rows become R^T of their transpose's QR (same Gram matrix),
-    so a draw costs r = min(C - 1, k) normals. A chunk of up to _MC_ROWS
-    pairs draws 2 * rows logit vectors from `rng`, row j paired with row
-    rows + j, class-major (C, 2 * rows) so softmax and pair dots reduce over
-    C long rows, in buffers allocated once per call (concurrent calls share
-    nothing); besides them only the (n_pairs,) losses are held. The result
-    equals drawing each chunk's (2 * rows, r) normals at once into
-    sample-major logits: bit for bit for C <= 7; for C >= 8 NumPy sums long
-    rows pairwise and the two differ by up to about 1e-15 absolute.
+    so a draw costs r = min(C - 1, k) normals.
+
+    The normals come from an SFC64 generator seeded with 128 bits drawn
+    from `rng` (cheaper per normal than `rng`'s Philox), so every call
+    advances `rng` by those bits alone: repeated calls on one state differ
+    and equal states give equal estimates. A chunk of up to _MC_ROWS pairs
+    draws 2 * rows logit vectors, row j paired with row rows + j,
+    class-major (C, 2 * rows) so softmax and pair dots reduce over C long
+    rows, in buffers allocated once per call (concurrent calls share
+    nothing). Each chunk's losses merge into a running (count, mean, sum
+    of squared deviations) by the Chan-Golub-LeVeque update, so memory does
+    not grow with n_pairs. A pair whose dot underflows to 0 (both draws
+    saturated on different classes) is recomputed from its noise rows in
+    log space: lse(a) + lse(b) - lse(a + b) for logit rows a and b.
     """
     if n_pairs < 2:
         raise InvalidInputError("n_pairs must be >= 2")
@@ -313,13 +335,15 @@ def efa_mc_estimate(
         factor = np.vstack([r.T, np.zeros((1, r.shape[0]))])
     centre = (weights @ mean + bias)[:, None]
     n_classes = weights.shape[0]
+    normals = np.random.Generator(np.random.SFC64(rng.generator.bit_generator.random_raw(2)))
     noise = np.empty((2 * _MC_ROWS, factor.shape[1]))
     logit_buffer = np.empty(2 * n_classes * _MC_ROWS)
     row_buffer = np.empty((2 * _MC_ROWS, 1))
-    values = np.empty(n_pairs)
+    losses = np.empty(_MC_ROWS)
+    count, loss_mean, loss_m2 = 0, 0.0, 0.0
     for s in range(0, n_pairs, _MC_ROWS):
         rows = min(_MC_ROWS, n_pairs - s)
-        rng.generator.standard_normal(out=noise[: 2 * rows])
+        normals.standard_normal(out=noise[: 2 * rows])
         logits = logit_buffer[: 2 * n_classes * rows].reshape(n_classes, 2 * rows)
         np.matmul(factor, noise[: 2 * rows].T, out=logits)
         logits += centre
@@ -328,12 +352,22 @@ def efa_mc_estimate(
         except InvalidInputError as exc:
             raise NumericalError("Monte Carlo logits are non-finite") from exc
         pair = np.multiply(probs[:rows], probs[rows:], out=probs[:rows])
-        dots = pair.sum(axis=1, out=values[s : s + rows])
-        np.log(dots, out=dots)  # dots > 0 unless both draws saturate on different classes; ifa-bound's do not
-        np.negative(dots, out=dots)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n_pairs))
-    return mean, stderr
+        chunk = pair.sum(axis=1, out=losses[:rows])
+        underflow = np.flatnonzero(chunk == 0.0)
+        chunk[underflow] = 1.0  # -log(0) is inf; these pairs are redone in log space
+        np.log(chunk, out=chunk)
+        np.negative(chunk, out=chunk)
+        if underflow.size:
+            first, second = (noise[underflow + offset] @ factor.T + centre.T for offset in (0, rows))
+            chunk[underflow] = row_logsumexp(first) + row_logsumexp(second) - row_logsumexp(first + second)
+        chunk_mean = float(chunk.mean())
+        chunk -= chunk_mean
+        total = count + rows
+        delta = chunk_mean - loss_mean
+        loss_m2 += float(chunk @ chunk) + delta * delta * count * rows / total
+        loss_mean = (count * loss_mean + rows * chunk_mean) / total
+        count = total
+    return loss_mean, float(np.sqrt(loss_m2 / (n_pairs - 1)) / np.sqrt(n_pairs))
 
 
 def affinity_weights(score_bank: np.ndarray, pseudo_labels) -> np.ndarray:
@@ -383,9 +417,20 @@ def fd_loss(
     counts, means, covs = _checked_moments(moments, aff.shape[0], feats.shape[1])
     if np.bincount(labels, minlength=aff.shape[0]).tolist() != counts.tolist():
         raise InvalidInputError("moment counts disagree with the pseudo-labels")
-    if np.count_nonzero(counts >= 2) < 2:
-        return 0.0, np.zeros_like(feats)
+    return _fd_loss(feats, labels, counts, means, covs, aff)
 
+
+def _fd_live(counts) -> bool:
+    """Whether FD can be nonzero: at least two classes have >= 2 members."""
+    return np.count_nonzero(counts >= 2) >= 2
+
+
+def _fd_value(covs, aff) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`fd_loss`'s value from the (C, d, d) covariances alone, with the
+    flattened covariances F, T = F F^T, the pair weights W, the stand-in
+    norms and their outer product that its gradient reuses. It is +0.0
+    where `_fd_live` is false: every covariance but one is zero, so no pair
+    contributes."""
     flat = covs.reshape(aff.shape[0], -1)
     trace = flat @ flat.T
     norms = np.sqrt(np.diag(trace))
@@ -398,6 +443,14 @@ def fd_loss(
     denom = np.outer(safe, safe)
     # 0.0 - ...: a batch with no contributing pair returns +0.0, not -0.0.
     value = 0.0 - 0.5 * float((weight * (1.0 - trace / denom)).sum())
+    return value, flat, trace, weight, safe, denom
+
+
+def _fd_loss(feats, labels, counts, means, covs, aff) -> tuple[float, np.ndarray]:
+    """`fd_loss` without its checks, on moments that match the labels."""
+    if not _fd_live(counts):
+        return 0.0, np.zeros_like(feats)
+    value, flat, trace, weight, safe, denom = _fd_value(covs, aff)
     # Pair (i, j) feeds both covariances, so the gradient sees W + W^T.
     sym = 0.5 * (weight + weight.T) / denom
     dflat = sym @ flat - ((sym * trace).sum(axis=1) / safe**2)[:, None] * flat

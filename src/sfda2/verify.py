@@ -23,8 +23,10 @@ from .banks import FeatureBank, knn
 from .data import dumps_json
 from .errors import InvalidInputError
 from .losses import (
-    _ifa_loss_batch,
-    _snc_loss_batch,
+    _fd_live,
+    _fd_value,
+    _ifa_values,
+    _snc_values,
     efa_mc_estimate,
     fd_loss,
     ifa_loss,
@@ -85,14 +87,16 @@ def verify_ifa_bound(
     `lambda_override` pins lambda instead of sampling it (used for the
     degenerate lambda=0 case).
 
-    Trials run on a thread pool, one worker per available CPU (the Philox
+    Trials run on a thread pool, one worker per available CPU (the normal
     fills, GEMMs and ufuncs release the GIL). Each owns a stream split from
     the seed and the report is assembled in trial order, so it does not
     depend on the worker count; a failing trial raises the first error in
-    trial order. Each oracle draws min(C - 1, k) normals per logit vector, k
-    the active covariance coordinates, pairs the draws within each chunk,
-    and holds n_pairs floats plus one set of (C, 2 * 6144) chunk buffers; it
-    forms no (n, d) feature draw.
+    trial order. Each oracle seeds an SFC64 normal generator from the
+    trial's Monte Carlo stream, draws min(C - 1, k) normals per logit
+    vector, k the active covariance coordinates, pairs the draws within
+    each chunk, and holds one set of (C, 2 * 6144) chunk buffers and a
+    running mean and variance, whatever n_pairs is; it forms no (n, d)
+    feature draw.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off the CLI's import
 
@@ -299,7 +303,10 @@ def verify_gradients(
     neighborhood and alignment kernels and the dispersal loss in isolation
     plus the weighted composite objective: one forward pass per perturbed
     point gives all four values, so an instance with P parameters runs
-    4 + 2P forward passes and one perturbation loop. A few wider instances
+    4 + 2P forward passes and one perturbation loop. The perturbed points
+    call only the losses' value stages, and skip the class moments when
+    FD is identically zero (fewer than two classes with >= 2 members in
+    the instance's fixed labels). A few wider instances
     then check the batch kernels against the per-sample reference losses
     (values and gradients, floored relative error < 1e-10). The negative
     control scales every analytic gradient by 1.01 and compares each batch
@@ -397,15 +404,17 @@ def verify_gradients(
             )
             return breakdown.total, grads
 
+        fd_live = _fd_live(np.bincount(labels, minlength=n_classes))
+
         def values(m):
             # One forward pass serves the perturbed point of all four checks;
             # the composite is batch_objective's total, summed in its order.
             # The base point checked the constant inputs, so the perturbed
-            # points take the unchecked cores, as `adapt` does.
+            # points take the unchecked value stages of the cores `adapt` runs.
             feats, probs, _ = forward(m, x)
-            snc = float(_snc_loss_batch(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
-            ifa = float(_ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
-            fd = fd_loss(feats, labels, _class_moments(feats, labels, n_classes), affinity)[0]
+            snc = float(_snc_values(probs, neighbor_probs, bank_rows, decay)[0].sum()) / batch
+            ifa = float(_ifa_values(feats, labels, covs, m.clf_weights, m.clf_bias, lam)[0].sum()) / batch
+            fd = _fd_value(_class_moments(feats, labels, n_classes)[2], affinity)[0] if fd_live else 0.0
             return snc, ifa, fd, snc + alpha1 * ifa + alpha2 * fd
 
         closures = (snc_closure, ifa_closure, fd_closure, composite_closure)

@@ -1,12 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import (
     _MC_ROWS,
+    _fd_value,
+    _ifa_loss_batch,
+    _ifa_values,
+    _snc_loss_batch,
+    _snc_values,
     affinity_weights,
     decay_factor,
     efa_mc_estimate,
@@ -18,7 +26,15 @@ from sfda2.losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from sfda2.numerics import RngState, _gaussian_lift, check_symmetric, psd_factor, row_softmax, sample_gaussian
+from sfda2.numerics import (
+    RngState,
+    _gaussian_lift,
+    check_symmetric,
+    psd_factor,
+    row_logsumexp,
+    row_softmax,
+    sample_gaussian,
+)
 from sfda2.stats import class_moments
 
 
@@ -360,6 +376,38 @@ class TestBatchKernels:
             ifa_loss_batch(inst["features"], np.full(6, 3), inst["covs"], *tail)
 
 
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestValueStages:
+    """Each core's value stage gives the core's values bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.integers(1, 6),
+        st.integers(2, 9),
+        st.integers(1, 4),
+        st.floats(0.0, 5.0),
+    )
+    def test_snc_and_ifa(self, seed, n_classes, dim, batch, k, lam):
+        inst = batch_instance(seed, n_classes, dim, batch, k)
+        snc_args = (inst["probs"], inst["neighbors"], inst["bank"], lam / 2.0)
+        assert same_bits(_snc_values(*snc_args)[0], _snc_loss_batch(*snc_args)[0])
+        covs = check_symmetric(inst["covs"], "covs")
+        ifa_args = (inst["features"], inst["labels"], covs, inst["weights"], inst["bias"], lam)
+        assert same_bits(_ifa_values(*ifa_args)[0], _ifa_loss_batch(*ifa_args)[0])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_fd(self, seed):
+        feats, labels, affinity = fd_instance(np.random.default_rng(seed))
+        moments = class_moments(feats, labels, affinity.shape[0])
+        assert same_bits(_fd_value(moments[2], affinity)[0], fd_loss(feats, labels, moments, affinity)[0])
+
+
 class TestEfaMcEstimate:
     def test_zero_lambda_uniform_logits(self):
         mean, stderr = efa_mc_estimate(
@@ -386,10 +434,41 @@ class TestEfaMcEstimate:
         second = efa_mc_estimate(*args, RngState(9))
         assert first == second
 
-    def test_one_class_draws_nothing(self):
-        rng = RngState(3)
+    def test_repeated_calls_on_one_state_differ(self):
+        args = (np.ones(3), np.eye(3), np.random.default_rng(2).standard_normal((2, 3)), np.zeros(2), 1.5, 500)
+        rng = RngState(9, (4,))
+        first = efa_mc_estimate(*args, rng)
+        assert efa_mc_estimate(*args, rng) != first
+        assert efa_mc_estimate(*args, RngState(9, (4,))) == first
+
+    def test_one_class_draws_only_its_seed(self):
+        rng, twin = RngState(3), RngState(3)
         assert efa_mc_estimate(np.zeros(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 2.0, 10, rng) == (0.0, 0.0)
-        assert_array_equal(rng.generator.standard_normal(4), RngState(3).generator.standard_normal(4))
+        twin.generator.bit_generator.random_raw(2)
+        assert_array_equal(rng.generator.standard_normal(4), twin.generator.standard_normal(4))
+
+    def test_underflowed_pair_dots_are_taken_in_log_space(self):
+        # lam * cov = 1e4 I: most draws saturate, and a pair saturated on
+        # different classes has a dot of exactly 0, whose -log is inf.
+        case = (np.zeros(2), np.eye(2), 100.0 * np.eye(2), np.zeros(2), 1e4, 100)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert two_pass_efa_mc_estimate(*case, RngState(0))[0] == np.inf
+        got = efa_mc_estimate(*case, RngState(0))
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, two_pass_efa_mc_estimate(*case, RngState(0), log_space_pair_losses), rtol=1e-13)
+
+    def test_memory_does_not_grow_with_pairs(self):
+        args = (np.ones(4), np.eye(4), np.random.default_rng(3).standard_normal((5, 4)), np.zeros(5), 2.0)
+        peaks = []
+        for n_pairs in (10_000, 200_000):
+            tracemalloc.start()
+            try:
+                efa_mc_estimate(*args, n_pairs, RngState(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Holding the (n_pairs,) losses would add 8 bytes a pair, 1.5 MB here.
+        assert peaks[1] < peaks[0] + 4096
 
     def test_needs_two_pairs(self):
         with pytest.raises(InvalidInputError):
@@ -411,10 +490,25 @@ class TestEfaMcEstimate:
             efa_mc_estimate(np.zeros(3), np.eye(3), weights, np.zeros(2), 1.0, 10, RngState(0))
 
 
-def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
-    """efa_mc_estimate with each chunk in one shot: its (2 * rows, r) normals
-    drawn at once into sample-major (2 * rows, C) logits, row j paired with
-    row rows + j, the layout the class-major chunks must reproduce. The
+def sfc64_normals(rng):
+    """The generator `efa_mc_estimate` draws its normals from: SFC64 seeded
+    with the next 128 bits of `rng`."""
+    return np.random.Generator(np.random.SFC64(rng.generator.bit_generator.random_raw(2)))
+
+
+def direct_pair_losses(first, second):
+    return -np.log((row_softmax(first) * row_softmax(second)).sum(axis=1))
+
+
+def log_space_pair_losses(first, second):
+    """-log(p . q) as the log-sum-exp of the summed log-probabilities."""
+    return -row_logsumexp(first - row_logsumexp(first)[:, None] + second - row_logsumexp(second)[:, None])
+
+
+def two_pass_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng, pair_losses=direct_pair_losses):
+    """efa_mc_estimate holding every pair loss: each chunk's (2 * rows, r)
+    normals drawn at once into sample-major (2 * rows, C) logits, row j
+    paired with row rows + j, then a two-pass mean and sample stdev. The
     factor is M = W lift minus its last row, with its first C - 1 rows
     replaced by R^T of their transpose's QR when k > C - 1."""
     mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
@@ -423,12 +517,12 @@ def row_major_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs,
     n_classes = factor.shape[0]
     if factor.shape[1] > n_classes - 1:
         factor = np.vstack([np.linalg.qr(factor[:-1].T, mode="r").T, np.zeros((1, n_classes - 1))])
+    normals = sfc64_normals(rng)
     values = []
     for start in range(0, n_pairs, _MC_ROWS):
         rows = min(_MC_ROWS, n_pairs - start)
-        noise = rng.generator.standard_normal((2 * rows, factor.shape[1]))
-        probs = row_softmax(noise @ factor.T + (clf_weights @ mean + clf_bias))
-        values.append(-np.log((probs[:rows] * probs[rows:]).sum(axis=1)))
+        logits = normals.standard_normal((2 * rows, factor.shape[1])) @ factor.T + (clf_weights @ mean + clf_bias)
+        values.append(pair_losses(logits[:rows], logits[rows:]))
     values = np.concatenate(values)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
 
@@ -458,7 +552,7 @@ def chunk_boundary_cases():
 CHUNK_BOUNDARY_CASES = chunk_boundary_cases()
 
 
-class TestEfaMcEstimateMatchesRowMajor:
+class TestEfaMcEstimateMatchesTwoPass:
     def instance(self, n_classes, seed, n_pairs=3000):
         rng = np.random.default_rng(seed)
         dim = 2 + seed % 7
@@ -471,37 +565,31 @@ class TestEfaMcEstimateMatchesRowMajor:
             n_pairs,
         )
 
-    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5, 6, 7])
-    def test_equal_up_to_seven_classes(self, n_classes):
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5, 6, 7, 8, 10])
+    def test_matches_two_pass_reference(self, n_classes):
         for seed in range(3):
             args = self.instance(n_classes, seed)
-            expected = row_major_efa_mc_estimate(*args, RngState(seed))
-            assert efa_mc_estimate(*args, RngState(seed)) == expected
-
-    @pytest.mark.parametrize("n_classes", [8, 10])
-    def test_close_from_eight_classes(self, n_classes):
-        for seed in range(3):
-            args = self.instance(n_classes, seed)
-            expected = row_major_efa_mc_estimate(*args, RngState(seed))
-            assert_allclose(efa_mc_estimate(*args, RngState(seed)), expected, rtol=1e-14, atol=0)
+            expected = two_pass_efa_mc_estimate(*args, RngState(seed))
+            assert_allclose(efa_mc_estimate(*args, RngState(seed)), expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n_pairs", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
-    def test_streamed_chunks_equal_one_shot(self, n_pairs):
-        # The reference draws each chunk's 2 * rows noise rows at once; the
-        # estimate streams _MC_ROWS-pair chunks, the last one short or full.
+    def test_streamed_chunks_match_two_pass(self, n_pairs):
+        # The estimate merges _MC_ROWS-pair chunks, the last one short or
+        # full, into a running mean and variance.
         for n_classes in (2, 5, 7):
             args = self.instance(n_classes, n_classes, n_pairs)
-            expected = row_major_efa_mc_estimate(*args, RngState(n_classes))
-            assert efa_mc_estimate(*args, RngState(n_classes)) == expected
+            expected = two_pass_efa_mc_estimate(*args, RngState(n_classes))
+            assert_allclose(efa_mc_estimate(*args, RngState(n_classes)), expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("name", sorted(CHUNK_BOUNDARY_CASES))
-    def test_chunk_boundary_equals_one_shot(self, name):
-        # One pair past a full chunk, so the estimate streams a full and a 1-pair chunk.
+    def test_chunk_boundary_matches_two_pass(self, name):
+        # One pair past a full chunk, so the estimate merges a full and a 1-pair chunk.
         feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
         rng = np.random.default_rng(0)
         args = (feature, cov, rng.standard_normal((3, feature.size)), rng.standard_normal(3), lam, _MC_ROWS + 1)
-        expected = row_major_efa_mc_estimate(*args, RngState(0))
-        assert efa_mc_estimate(*args, RngState(0)) == expected
+        expected = two_pass_efa_mc_estimate(*args, RngState(0))
+        # At lambda = 0 every pair loss is equal and the stderr is rounding noise.
+        assert_allclose(efa_mc_estimate(*args, RngState(0)), expected, rtol=1e-13, atol=1e-15)
 
     def test_rank_one_case_needs_jitter(self):
         _, cov, lam = CHUNK_BOUNDARY_CASES["rank-one-jitter"]
@@ -640,13 +728,18 @@ class TestEfaMcEstimateLogitSpace:
 
     @pytest.mark.parametrize("n_pairs", [2, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
     @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
-    def test_draws_two_n_times_min_c_k_normals(self, name, n_pairs):
+    def test_draws_two_n_times_min_c_k_normals(self, monkeypatch, name, n_pairs):
+        # The normals come from the SFC64 generator; `rng` gives only its seed.
         case = LOGIT_SPACE_CASES[name]
         n_classes, active = classes_and_active(case)
         rank = min(n_classes - 1, active)
+        sfc64, made = np.random.SFC64, []
+        monkeypatch.setattr(np.random, "SFC64", lambda seed: made.append(sfc64(seed)) or made[-1])
         rng, twin = RngState(5), RngState(5)
         efa_mc_estimate(*case, n_pairs, rng)
-        twin.generator.standard_normal(2 * n_pairs * rank)
+        twin_normals = sfc64_normals(twin)
+        twin_normals.standard_normal(2 * n_pairs * rank)
+        assert_array_equal(np.random.Generator(made[0]).standard_normal(8), twin_normals.standard_normal(8))
         assert_array_equal(rng.generator.standard_normal(8), twin.generator.standard_normal(8))
 
 

@@ -12,6 +12,7 @@ from sfda2.banks import knn
 from sfda2.losses import efa_mc_estimate, fd_loss, ifa_loss, snc_loss, snc_loss_batch
 from sfda2.model import forward, init_model
 from sfda2.numerics import RngState
+from sfda2.stats import _class_moments
 from sfda2.verify import (
     VerifyReport,
     _finish,
@@ -307,6 +308,30 @@ class TestVerifyGradients:
         assert len(counts) == 3
         assert counts[0][1] == 0  # the calibration model runs no forward pass
         assert [passes for _, passes in counts[1:]] == [4 + 2 * size for size, _ in counts[1:]]
+
+    def test_perturbed_points_take_moments_only_where_fd_is_live(self, monkeypatch):
+        # FD is zero unless two classes have >= 2 members, and an instance's
+        # labels are fixed: its 2P perturbed points take the class moments
+        # all or none.
+        module = importlib.import_module("sfda2.verify")
+        counts = []  # [parameter count, FD live, moment calls] per model
+
+        def counting_init_model(*args):
+            model = init_model(*args)
+            counts.append([model.params.size, None, 0])
+            return model
+
+        def counting_moments(feats, labels, n_classes):
+            counts[-1][1] = np.count_nonzero(np.bincount(labels, minlength=n_classes) >= 2) >= 2
+            counts[-1][2] += 1
+            return _class_moments(feats, labels, n_classes)
+
+        monkeypatch.setattr(module, "init_model", counting_init_model)
+        monkeypatch.setattr(module, "_class_moments", counting_moments)
+        assert verify_gradients().passed
+        calls = [moments for _, _, moments in counts[1:]]
+        assert [2 * size for size, live, _ in counts[1:] if live] == [n for n in calls if n]
+        assert calls.count(0) == 14
 
     def test_fd_defect_reported_under_fd_only(self, monkeypatch):
         # Only the dispersal check's analytic gradient is scaled (the
