@@ -31,10 +31,14 @@ from .errors import InvalidInputError, NumericalError
 from .numerics import RngState, _gaussian_lift, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
 from .stats import _checked_batch, _checked_moments, class_moments
 
-# Pairs per chunk of `efa_mc_estimate` (2 * _MC_ROWS draws): a chunk stays in
-# L2, and at verify's C <= 5 its logits GEMM stays under OpenBLAS's threading
-# threshold, so concurrent trials do not oversubscribe the BLAS.
+# Points per chunk of `efa_mc_estimate` (one pair each, so 2 * _MC_ROWS logit
+# vectors a replicate): a chunk stays in L2, and at verify's C <= 5 its
+# logits GEMM stays under OpenBLAS's threading threshold, so concurrent
+# trials do not oversubscribe the BLAS.
 _MC_ROWS = 6144
+# Randomly shifted copies of the point set in `efa_mc_estimate`: its stderr
+# has _MC_REPLICATES - 1 degrees of freedom.
+_MC_REPLICATES = 16
 
 
 @dataclass
@@ -284,6 +288,43 @@ def _ifa_loss_batch(
     return values, d_features, d_weights, d_bias
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton(first: int, points: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the Halton points of indices first + 1, ..., first + n into the
+    (dims, n) `points`, coordinate j the radical inverse in the (j + 1)-th
+    prime base, using a (3, >= n) float `scratch` and allocating nothing.
+    The digits are exact: for an integer rest < 2^52 and base b,
+    floor((rest + 0.5) / b) is the integer quotient."""
+    n = points.shape[1]
+    rest, quotient, digit = scratch[:, :n]
+    for row, base in zip(points, _primes(points.shape[0])):
+        rest.fill(1.0)
+        np.cumsum(rest, out=rest)
+        rest += first
+        row.fill(0.0)
+        scale = 1.0
+        while rest[-1] >= 1.0:  # the largest index has digits left
+            scale /= base
+            np.add(rest, 0.5, out=quotient)
+            quotient /= base
+            np.floor(quotient, out=quotient)
+            np.multiply(quotient, -base, out=digit)
+            digit += rest
+            digit *= scale
+            row += digit
+            rest, quotient = quotient, rest
+
+
 def efa_mc_estimate(
     feature,
     cov,
@@ -293,34 +334,39 @@ def efa_mc_estimate(
     n_pairs: int,
     rng: RngState,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected augmented-pair loss.
+    """Randomized quasi-Monte Carlo estimate of the expected augmented-pair
+    loss -log(softmax(W z + b) . softmax(W z' + b)), z and z' independent
+    draws from N(feature, lam*cov).
 
-    Draws n_pairs independent pairs of features from N(feature, lam*cov)
-    and averages -log(softmax(W z_j + b) . softmax(W z_k + b)). Returns
-    (mean, standard error), stderr = sample stdev / sqrt(n_pairs).
+    R = _MC_REPLICATES randomly shifted copies of one point set of
+    n = n_pairs // R points give R * n pair evaluations. Returns (mean,
+    standard error): the mean of the R replicate means and their sample
+    stdev / sqrt(R), which has R - 1 degrees of freedom.
 
     The logits W z + b are N(W f + b, M M^T) with M = W lift, lift the
     (d, k) factor of lam*cov's k active coordinates (factored once), so
     they are drawn directly. softmax(l + t 1) = softmax(l), so subtracting
     M's last row from every row keeps each pair loss's law; for k > C - 1
     the other rows become R^T of their transpose's QR (same Gram matrix),
-    so a draw costs r = min(C - 1, k) normals.
+    so a logit vector costs r = min(C - 1, k) normals and a pair 2r.
 
-    The normals come from an SFC64 generator seeded with 128 bits drawn
-    from `rng` (cheaper per normal than `rng`'s Philox), so every call
-    advances `rng` by those bits alone: repeated calls on one state differ
-    and equal states give equal estimates. A chunk of up to _MC_ROWS pairs
-    draws 2 * rows logit vectors, row j paired with row rows + j,
-    class-major (C, 2 * rows) so softmax and pair dots reduce over C long
-    rows, in buffers allocated once per call (concurrent calls share
-    nothing). Each chunk's losses merge into a running (count, mean, sum
-    of squared deviations) by the Chan-Golub-LeVeque update, so memory does
-    not grow with n_pairs. A pair whose dot underflows to 0 (both draws
-    saturated on different classes) is recomputed from its noise rows in
-    log space: lse(a) + lse(b) - lse(a + b) for logit rows a and b.
+    The points are the Halton points 1, ..., n in 2r dimensions, bases the
+    first 2r primes. Each replicate adds its own shift ~ U[0, 1)^2r mod 1
+    (Cranley-Patterson), so it is unbiased and the replicates are
+    independent; the R shifts come from `rng`, so repeated calls on one
+    state differ and equal states give equal estimates. Box-Muller maps a
+    point's coordinates (2j, 2j + 1) to the pair's normals (z_j, z'_j). A
+    chunk of up to _MC_ROWS points builds its (2r, rows) Halton block once;
+    each replicate shifts it into one (r, 2 * rows) noise matrix, whose
+    logits are class-major (C, 2 * rows), so softmax and pair dots reduce
+    over C long rows. The buffers are allocated once per call (concurrent
+    calls share nothing) and only R sums persist, so memory does not grow
+    with n_pairs. A pair whose dot underflows to 0 (both draws saturated on
+    different classes) is recomputed from its noise in log space:
+    lse(a) + lse(b) - lse(a + b) for logit rows a and b.
     """
-    if n_pairs < 2:
-        raise InvalidInputError("n_pairs must be >= 2")
+    if n_pairs < _MC_REPLICATES:
+        raise InvalidInputError(f"n_pairs must be >= {_MC_REPLICATES}")
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError("lambda must be finite and >= 0")
     weights = np.asarray(clf_weights, dtype=np.float64)
@@ -334,40 +380,62 @@ def efa_mc_estimate(
         r = np.linalg.qr(factor[:-1].T, mode="r")
         factor = np.vstack([r.T, np.zeros((1, r.shape[0]))])
     centre = (weights @ mean + bias)[:, None]
-    n_classes = weights.shape[0]
-    normals = np.random.Generator(np.random.SFC64(rng.generator.bit_generator.random_raw(2)))
-    noise = np.empty((2 * _MC_ROWS, factor.shape[1]))
+    n_classes, dims = weights.shape[0], 2 * factor.shape[1]
+    n_points = n_pairs // _MC_REPLICATES
+    shifts = rng.generator.random((_MC_REPLICATES, dims, 1))
+    point_buffer = np.empty(dims * _MC_ROWS)
+    noise_buffer = np.empty(dims * _MC_ROWS)
+    wrap_buffer = np.empty(dims * _MC_ROWS, dtype=bool)
+    scratch = np.empty((3, _MC_ROWS))
     logit_buffer = np.empty(2 * n_classes * _MC_ROWS)
     row_buffer = np.empty((2 * _MC_ROWS, 1))
     losses = np.empty(_MC_ROWS)
-    count, loss_mean, loss_m2 = 0, 0.0, 0.0
-    for s in range(0, n_pairs, _MC_ROWS):
-        rows = min(_MC_ROWS, n_pairs - s)
-        normals.standard_normal(out=noise[: 2 * rows])
+    sums = np.zeros(_MC_REPLICATES)
+    for s in range(0, n_points, _MC_ROWS):
+        rows = min(_MC_ROWS, n_points - s)
+        points = point_buffer[: dims * rows].reshape(dims, rows)
+        _halton(s, points, scratch)
+        # Row 2j of `uniforms` is noise row j's first half (the radius), row
+        # 2j + 1 its second half (the angle).
+        uniforms = noise_buffer[: dims * rows].reshape(dims, rows)
+        noise = uniforms.reshape(dims // 2, 2 * rows)
+        radius, angle = noise[:, :rows], noise[:, rows:]
+        cosine = logit_buffer[: dims // 2 * rows].reshape(dims // 2, rows)
+        wrap = wrap_buffer[: dims * rows].reshape(dims, rows)
         logits = logit_buffer[: 2 * n_classes * rows].reshape(n_classes, 2 * rows)
-        np.matmul(factor, noise[: 2 * rows].T, out=logits)
-        logits += centre
-        try:
-            probs = row_softmax(logits.T, out=logits.T, row=row_buffer[: 2 * rows])
-        except InvalidInputError as exc:
-            raise NumericalError("Monte Carlo logits are non-finite") from exc
-        pair = np.multiply(probs[:rows], probs[rows:], out=probs[:rows])
-        chunk = pair.sum(axis=1, out=losses[:rows])
-        underflow = np.flatnonzero(chunk == 0.0)
-        chunk[underflow] = 1.0  # -log(0) is inf; these pairs are redone in log space
-        np.log(chunk, out=chunk)
-        np.negative(chunk, out=chunk)
-        if underflow.size:
-            first, second = (noise[underflow + offset] @ factor.T + centre.T for offset in (0, rows))
-            chunk[underflow] = row_logsumexp(first) + row_logsumexp(second) - row_logsumexp(first + second)
-        chunk_mean = float(chunk.mean())
-        chunk -= chunk_mean
-        total = count + rows
-        delta = chunk_mean - loss_mean
-        loss_m2 += float(chunk @ chunk) + delta * delta * count * rows / total
-        loss_mean = (count * loss_mean + rows * chunk_mean) / total
-        count = total
-    return loss_mean, float(np.sqrt(loss_m2 / (n_pairs - 1)) / np.sqrt(n_pairs))
+        for replicate, shift in enumerate(shifts):
+            np.add(points, shift, out=uniforms)
+            np.greater_equal(uniforms, 1.0, out=wrap)
+            np.subtract(uniforms, wrap, out=uniforms)
+            np.subtract(1.0, radius, out=radius)  # in (0, 1], so the log is finite
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle *= 2.0 * np.pi
+            np.cos(angle, out=cosine)
+            np.sin(angle, out=angle)
+            angle *= radius
+            radius *= cosine
+            np.matmul(factor, noise, out=logits)
+            logits += centre
+            try:
+                probs = row_softmax(logits.T, out=logits.T, row=row_buffer[: 2 * rows])
+            except InvalidInputError as exc:
+                raise NumericalError("Monte Carlo logits are non-finite") from exc
+            pair = np.multiply(probs[:rows], probs[rows:], out=probs[:rows])
+            chunk = pair.sum(axis=1, out=losses[:rows])
+            with np.errstate(divide="ignore"):
+                np.log(chunk, out=chunk)
+            np.negative(chunk, out=chunk)
+            if chunk.max() == np.inf:  # a dot underflowed to 0: redo those pairs in log space
+                underflow = np.flatnonzero(chunk == np.inf)
+                first, second = (noise[:, underflow + offset].T @ factor.T + centre.T for offset in (0, rows))
+                chunk[underflow] = row_logsumexp(first) + row_logsumexp(second) - row_logsumexp(first + second)
+            sums[replicate] += chunk.sum()
+    means = sums / n_points
+    estimate = means.mean()
+    spread = means - estimate
+    return float(estimate), float(np.sqrt(spread @ spread / (_MC_REPLICATES - 1) / _MC_REPLICATES))
 
 
 def affinity_weights(score_bank: np.ndarray, pseudo_labels) -> np.ndarray:

@@ -26,13 +26,6 @@ class RngState:
     reproducible from the root seed.
 
     A state is single-owner: every draw advances the internal counter.
-
-    One caller draws its bulk normals elsewhere: `losses.efa_mc_estimate`
-    seeds an SFC64 generator with 128 bits from its state, because its
-    Monte Carlo normals are most of `verify`'s time and SFC64 makes them
-    about a third cheaper than Philox. Everything else stays on Philox, so
-    the adaptation runs and the seeds the acceptance tests pin keep their
-    streams.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):

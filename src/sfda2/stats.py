@@ -80,10 +80,13 @@ def class_moments(features, labels, n_classes: int) -> tuple[np.ndarray, np.ndar
     """Per-class counts (C,), means (C, d) and population covariances
     (C, d, d) of a batch's rows; an empty class gets count 0 and exact zeros.
 
-    The means are one-hot row sums divided by max(count, 1), summing first
-    so that coincident dyadic rows get an exactly zero covariance. The
-    covariances average the outer products of rows centred by their own
-    class mean, not E[xx^T] - mu mu^T, which cancels.
+    Each populated class is first shifted by one of its own rows (the
+    shifted-data algorithm of Chan, Golub & LeVeque), then its rows are
+    centred by their shifted mean: one-hot row sums divided by max(count,
+    1). Coincident rows thus shift to exact zeros and get an exactly zero
+    covariance, whatever their values; rows that only nearly coincide get
+    a tiny but nonzero one. The covariances average the outer products of
+    the centred rows, not E[xx^T] - mu mu^T, which cancels.
     """
     return _class_moments(*_checked_batch(features, labels, n_classes), n_classes)
 
@@ -95,11 +98,15 @@ def _class_moments(arr, labels, n_classes: int) -> tuple[np.ndarray, np.ndarray,
     counts = np.bincount(labels, minlength=n_classes)
     onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
     per_class = np.maximum(counts, 1)[:, None]
-    means = onehot @ arr / per_class
-    centered = arr - means[labels]
+    pivots = np.zeros((n_classes, d))
+    present, first = np.unique(labels, return_index=True)
+    pivots[present] = arr[first]
+    shifted = arr - pivots[labels]
+    offsets = onehot @ shifted / per_class
+    centered = shifted - offsets[labels]
     outer = (centered[:, :, None] * centered[:, None, :]).reshape(b, d * d)
     covs = (onehot @ outer / per_class).reshape(n_classes, d, d)
-    return counts, means, covs
+    return counts, pivots + offsets, covs
 
 
 def _checked_moments(moments, n_classes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from .banks import FeatureBank, knn
 from .data import dumps_json
 from .errors import InvalidInputError
 from .losses import (
+    _MC_REPLICATES,
     _fd_live,
     _fd_value,
     _ifa_values,
@@ -70,9 +71,16 @@ def _finish(suite: str, trials: int, worst, failures: list[dict], details: dict)
 # ---------------------------------------------------------------- bound
 
 
+# Pass rule of `ifa-bound`: mc_mean <= bound + _IFA_QUANTILE * stderr. The
+# oracle's stderr has _MC_REPLICATES - 1 = 15 degrees of freedom, and this is
+# the t_15 quantile at Phi(3), so a correct bound fails a trial as rarely as a
+# 3-sigma rule on a normal error would (0.13%).
+_IFA_QUANTILE = 3.5864
+
+
 def verify_ifa_bound(
     trials: int = 100,
-    n_pairs: int = 200000,
+    n_pairs: int = 65536,
     seed: int = 7,
     negative_control: bool = False,
     lambda_override: float | None = None,
@@ -80,23 +88,22 @@ def verify_ifa_bound(
     """Closed-form alignment loss must upper-bound its Monte Carlo oracle.
 
     Per trial: random classifier, feature, trace-normalized PSD covariance,
-    lambda in (0, 5]. Pass requires mc_mean <= bound + 3*stderr. The
-    negative control hands `ifa_loss` the negated covariance, which flips
-    the variance margin's sign: a planted bug the comparison must catch on
-    some trials.
+    lambda in (0, 5]. Pass requires mc_mean <= bound + q*stderr, q =
+    _IFA_QUANTILE, which the report's details record with the oracle's
+    replicate count. The negative control hands `ifa_loss` the negated
+    covariance, which flips the variance margin's sign: a planted bug the
+    comparison must catch on some trials.
     `lambda_override` pins lambda instead of sampling it (used for the
     degenerate lambda=0 case).
 
-    Trials run on a thread pool, one worker per available CPU (the normal
-    fills, GEMMs and ufuncs release the GIL). Each owns a stream split from
-    the seed and the report is assembled in trial order, so it does not
-    depend on the worker count; a failing trial raises the first error in
-    trial order. Each oracle seeds an SFC64 normal generator from the
-    trial's Monte Carlo stream, draws min(C - 1, k) normals per logit
-    vector, k the active covariance coordinates, pairs the draws within
-    each chunk, and holds one set of (C, 2 * 6144) chunk buffers and a
-    running mean and variance, whatever n_pairs is; it forms no (n, d)
-    feature draw.
+    Trials run on a thread pool, one worker per available CPU (the ufuncs
+    and GEMMs release the GIL). Each owns a stream split from the seed and
+    the report is assembled in trial order, so it does not depend on the
+    worker count; a failing trial raises the first error in trial order.
+    Each oracle shifts one Halton set of n_pairs // 16 points 16 times,
+    with shifts from the trial's Monte Carlo stream, and holds one set of
+    (C, 2 * 6144) chunk buffers and 16 replicate sums, whatever n_pairs
+    is; it forms no (n, d) feature draw.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off the CLI's import
 
@@ -129,7 +136,7 @@ def verify_ifa_bound(
         # lambda, while the oracle mean at lambda=0 is at most log(C).
         bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
         mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
-        slack = bound + 3.0 * mc_stderr - mc_mean
+        slack = bound + _IFA_QUANTILE * mc_stderr - mc_mean
         return {
             "trial": t,
             "n_classes": n_classes,
@@ -152,6 +159,8 @@ def verify_ifa_bound(
     failures = [record for record in records if record["slack"] < 0.0]
     details = {
         "n_pairs": n_pairs,
+        "replicates": _MC_REPLICATES,
+        "quantile": _IFA_QUANTILE,
         "seed": seed,
         "negative_control": negative_control,
         "lambda_override": lambda_override,

@@ -36,8 +36,8 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bound_run():
     start = time.perf_counter()
-    report = verify_ifa_bound(trials=100, n_pairs=200000, seed=7)
-    control = verify_ifa_bound(trials=100, n_pairs=200000, seed=7, negative_control=True)
+    report = verify_ifa_bound(trials=100, seed=7)
+    control = verify_ifa_bound(trials=100, seed=7, negative_control=True)
     return report, control, time.perf_counter() - start
 
 
@@ -248,7 +248,7 @@ def test_criterion_09_determinism(
     tmp_path, bound_run, gradients_run, oracles_run, factorization_run, adaptation_run
 ):
     report_pairs = [
-        ("bound", bound_run[0], verify_ifa_bound(trials=100, n_pairs=200000, seed=7)),
+        ("bound", bound_run[0], verify_ifa_bound(trials=100, seed=7)),
         ("gradients", gradients_run[0], verify_gradients(seed=0, n_instances=20)),
         ("oracles", oracles_run[0], verify_oracles(seed=0)),
         (

@@ -487,3 +487,17 @@ class TestAdapt:
         config = AdaptConfig(seed=7, epochs=5, batch_size=16, lr=1e8)
         with pytest.raises(NumericalError, match="iteration"):
             adapt(config, model, target.unlabeled())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_target_with_one_repeated_class_row_adapts(self, seed):
+        # Every class-2 row of the README's target is one repeated row, so
+        # class 2's batch covariance is exactly zero and FD must leave it out
+        # at every step, or its scale-invariant term blows the features up.
+        source, target = gen_synthetic(default_shift_spec(), seed)
+        model = pretrain_source(AdaptConfig(seed=seed, epochs=15, lr=0.1), source)
+        inputs = target.inputs.copy()
+        member = target.labels == 2
+        inputs[member] = inputs[member][0]
+        config = AdaptConfig(seed=seed, lr=0.0075, momentum=0.0, epochs=25)
+        adapted, _ = adapt(config, model, Dataset(inputs, None, None))
+        assert evaluate(adapted, target).accuracy > 0.5

@@ -512,17 +512,26 @@ class TestModuleEntryPoint:
     def test_cli_import_leaves_the_thread_pool_unloaded(self):
         # `concurrent.futures` pulls in `logging`; only verify's ifa-bound
         # suite imports it, so the CLI's start-up time does not pay for it.
+        # scipy is a test-only dependency: neither the import nor an
+        # ifa-bound run may load it.
         src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {%s}))"
+        script = (
+            "import sys, io, contextlib, sfda2.cli\n"
+            + loaded % "'concurrent', 'logging', 'scipy'"
+            + "\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = sfda2.cli.run_cli(['verify', '--suite', 'ifa-bound', '--trials', '2', '--pairs', '10000'])\n"
+            "print(code)\n" + loaded % "'scipy'"
+        )
         result = subprocess.run(
-            [sys.executable, "-c", "import sys, sfda2.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('concurrent', 'logging')))"],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.split() == ["[]", "0", "[]"]
 
     def test_diverging_pretrain_prints_one_stderr_line(self, tmp_path):
         # NumPy's overflow warnings must not precede the failure line

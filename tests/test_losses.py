@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.losses import (
+    _MC_REPLICATES,
     _MC_ROWS,
+    _halton,
     _fd_value,
     _ifa_loss_batch,
     _ifa_values,
@@ -441,11 +443,15 @@ class TestEfaMcEstimate:
         assert efa_mc_estimate(*args, rng) != first
         assert efa_mc_estimate(*args, RngState(9, (4,))) == first
 
-    def test_one_class_draws_only_its_seed(self):
+    def test_one_class_draws_no_shifts(self):
+        # One class leaves softmax no noise to see: r = 0, so no shifts are drawn.
         rng, twin = RngState(3), RngState(3)
-        assert efa_mc_estimate(np.zeros(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 2.0, 10, rng) == (0.0, 0.0)
-        twin.generator.bit_generator.random_raw(2)
+        assert efa_mc_estimate(np.zeros(3), np.eye(3), np.ones((1, 3)), np.zeros(1), 2.0, 16, rng) == (0.0, 0.0)
         assert_array_equal(rng.generator.standard_normal(4), twin.generator.standard_normal(4))
+
+    def test_pairs_round_down_to_whole_replicates(self):
+        args = (np.ones(3), np.eye(3), np.random.default_rng(2).standard_normal((3, 3)), np.zeros(3), 1.5)
+        assert efa_mc_estimate(*args, 16 * 40 + 15, RngState(9)) == efa_mc_estimate(*args, 16 * 40, RngState(9))
 
     def test_underflowed_pair_dots_are_taken_in_log_space(self):
         # lam * cov = 1e4 I: most draws saturate, and a pair saturated on
@@ -470,9 +476,11 @@ class TestEfaMcEstimate:
         # Holding the (n_pairs,) losses would add 8 bytes a pair, 1.5 MB here.
         assert peaks[1] < peaks[0] + 4096
 
-    def test_needs_two_pairs(self):
-        with pytest.raises(InvalidInputError):
-            efa_mc_estimate(np.zeros(2), np.eye(2), np.eye(2), np.zeros(2), 1.0, 1, RngState(0))
+    def test_needs_one_pair_per_replicate(self):
+        args = (np.zeros(2), np.eye(2), np.eye(2), np.zeros(2), 1.0)
+        with pytest.raises(InvalidInputError, match="n_pairs must be >= 16"):
+            efa_mc_estimate(*args, _MC_REPLICATES - 1, RngState(0))
+        assert np.isfinite(efa_mc_estimate(*args, _MC_REPLICATES, RngState(0))).all()
 
     @pytest.mark.parametrize(
         "weights, bias",
@@ -481,19 +489,30 @@ class TestEfaMcEstimate:
     )
     def test_classifier_shape_rejected(self, weights, bias):
         with pytest.raises(InvalidInputError, match="classifier"):
-            efa_mc_estimate(np.zeros(3), np.eye(3), weights, bias, 1.0, 10, RngState(0))
+            efa_mc_estimate(np.zeros(3), np.eye(3), weights, bias, 1.0, 16, RngState(0))
 
     def test_non_finite_logits_are_a_numerical_error(self):
         weights = np.ones((2, 3))
         weights[1, 2] = np.nan
         with pytest.raises(NumericalError, match="^Monte Carlo logits are non-finite$"):
-            efa_mc_estimate(np.zeros(3), np.eye(3), weights, np.zeros(2), 1.0, 10, RngState(0))
+            efa_mc_estimate(np.zeros(3), np.eye(3), weights, np.zeros(2), 1.0, 16, RngState(0))
 
 
-def sfc64_normals(rng):
-    """The generator `efa_mc_estimate` draws its normals from: SFC64 seeded
-    with the next 128 bits of `rng`."""
-    return np.random.Generator(np.random.SFC64(rng.generator.bit_generator.random_raw(2)))
+def radical_inverse(index, base):
+    """The Halton coordinate of a point index in one base, digit by digit."""
+    value, scale = 0.0, 1.0
+    while index:
+        index, digit = divmod(index, base)
+        scale /= base
+        value += digit * scale
+    return value
+
+
+def halton_reference(n_points, dims):
+    """The (n_points, dims) Halton points 1, ..., n_points, coordinate j in the
+    (j + 1)-th prime base."""
+    bases = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:dims]
+    return np.array([[radical_inverse(i, b) for b in bases] for i in range(1, n_points + 1)]).reshape(n_points, dims)
 
 
 def direct_pair_losses(first, second):
@@ -506,25 +525,33 @@ def log_space_pair_losses(first, second):
 
 
 def two_pass_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng, pair_losses=direct_pair_losses):
-    """efa_mc_estimate holding every pair loss: each chunk's (2 * rows, r)
-    normals drawn at once into sample-major (2 * rows, C) logits, row j
-    paired with row rows + j, then a two-pass mean and sample stdev. The
-    factor is M = W lift minus its last row, with its first C - 1 rows
-    replaced by R^T of their transpose's QR when k > C - 1."""
+    """efa_mc_estimate holding every pair loss: the (n, 2r) Halton points
+    from `halton_reference`, shifted mod 1 by each of the (R, 2r) uniforms
+    drawn from `rng`, Box-Muller on the sample-major coordinate pairs into
+    two (n, C) logit arrays, then each replicate's two-pass mean and the
+    sample stdev of the R means. The factor is M = W lift minus its last
+    row, with its first C - 1 rows replaced by R^T of their transpose's QR
+    when k > C - 1."""
     mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
     factor = clf_weights @ lift
     factor = factor - factor[-1]
     n_classes = factor.shape[0]
     if factor.shape[1] > n_classes - 1:
         factor = np.vstack([np.linalg.qr(factor[:-1].T, mode="r").T, np.zeros((1, n_classes - 1))])
-    normals = sfc64_normals(rng)
-    values = []
-    for start in range(0, n_pairs, _MC_ROWS):
-        rows = min(_MC_ROWS, n_pairs - start)
-        logits = normals.standard_normal((2 * rows, factor.shape[1])) @ factor.T + (clf_weights @ mean + clf_bias)
-        values.append(pair_losses(logits[:rows], logits[rows:]))
-    values = np.concatenate(values)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_pairs))
+    dims = 2 * factor.shape[1]
+    shifts = rng.generator.random((_MC_REPLICATES, dims))
+    points = halton_reference(n_pairs // _MC_REPLICATES, dims)
+    centre = clf_weights @ mean + clf_bias
+    means = []
+    for shift in shifts:
+        uniforms = (points + shift) % 1.0
+        radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, 0::2]))
+        angle = 2.0 * np.pi * uniforms[:, 1::2]
+        first = (radius * np.cos(angle)) @ factor.T + centre
+        second = (radius * np.sin(angle)) @ factor.T + centre
+        means.append(pair_losses(first, second).mean())
+    means = np.array(means)
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(_MC_REPLICATES))
 
 
 def feature_space_efa_mc_estimate(feature, cov, clf_weights, clf_bias, lam, n_pairs, rng):
@@ -572,21 +599,22 @@ class TestEfaMcEstimateMatchesTwoPass:
             expected = two_pass_efa_mc_estimate(*args, RngState(seed))
             assert_allclose(efa_mc_estimate(*args, RngState(seed)), expected, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("n_pairs", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
-    def test_streamed_chunks_match_two_pass(self, n_pairs):
-        # The estimate merges _MC_ROWS-pair chunks, the last one short or
-        # full, into a running mean and variance.
+    @pytest.mark.parametrize("n_points", [_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
+    def test_streamed_chunks_match_two_pass(self, n_points):
+        # The estimate walks the points in _MC_ROWS-point chunks, the last
+        # one short or full, and sums each replicate's losses across them.
         for n_classes in (2, 5, 7):
-            args = self.instance(n_classes, n_classes, n_pairs)
+            args = self.instance(n_classes, n_classes, _MC_REPLICATES * n_points)
             expected = two_pass_efa_mc_estimate(*args, RngState(n_classes))
             assert_allclose(efa_mc_estimate(*args, RngState(n_classes)), expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("name", sorted(CHUNK_BOUNDARY_CASES))
     def test_chunk_boundary_matches_two_pass(self, name):
-        # One pair past a full chunk, so the estimate merges a full and a 1-pair chunk.
+        # One point past a full chunk, so the estimate sums a full and a 1-point chunk.
         feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
         rng = np.random.default_rng(0)
-        args = (feature, cov, rng.standard_normal((3, feature.size)), rng.standard_normal(3), lam, _MC_ROWS + 1)
+        n_pairs = _MC_REPLICATES * (_MC_ROWS + 1)
+        args = (feature, cov, rng.standard_normal((3, feature.size)), rng.standard_normal(3), lam, n_pairs)
         expected = two_pass_efa_mc_estimate(*args, RngState(0))
         # At lambda = 0 every pair loss is equal and the stderr is rounding noise.
         assert_allclose(efa_mc_estimate(*args, RngState(0)), expected, rtol=1e-13, atol=1e-15)
@@ -726,21 +754,125 @@ class TestEfaMcEstimateLogitSpace:
         monkeypatch.setattr("sfda2.losses._gaussian_lift", lambda mean, cov: lift(mean, cov / case[4]))
         assert not agree_with_feature_space(case)
 
-    @pytest.mark.parametrize("n_pairs", [2, _MC_ROWS + 1, 2 * _MC_ROWS + 3])
+    @pytest.mark.parametrize("n_pairs", [_MC_REPLICATES, _MC_REPLICATES * (_MC_ROWS + 1)])
     @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
-    def test_draws_two_n_times_min_c_k_normals(self, monkeypatch, name, n_pairs):
-        # The normals come from the SFC64 generator; `rng` gives only its seed.
+    def test_draws_one_shift_per_replicate_and_coordinate(self, name, n_pairs):
+        # A pair costs 2 * min(C - 1, k) coordinates; `rng` gives only their
+        # R shifts, however many points and chunks there are.
         case = LOGIT_SPACE_CASES[name]
         n_classes, active = classes_and_active(case)
-        rank = min(n_classes - 1, active)
-        sfc64, made = np.random.SFC64, []
-        monkeypatch.setattr(np.random, "SFC64", lambda seed: made.append(sfc64(seed)) or made[-1])
         rng, twin = RngState(5), RngState(5)
         efa_mc_estimate(*case, n_pairs, rng)
-        twin_normals = sfc64_normals(twin)
-        twin_normals.standard_normal(2 * n_pairs * rank)
-        assert_array_equal(np.random.Generator(made[0]).standard_normal(8), twin_normals.standard_normal(8))
+        twin.generator.random((_MC_REPLICATES, 2 * min(n_classes - 1, active)))
         assert_array_equal(rng.generator.standard_normal(8), twin.generator.standard_normal(8))
+
+
+class TestHalton:
+    def test_first_points_by_hand(self):
+        points = np.empty((2, 4))
+        _halton(0, points, np.empty((3, 4)))
+        assert_array_equal(points, [[1 / 2, 1 / 4, 3 / 4, 1 / 8], [1 / 3, 2 / 3, 1 / 9, 4 / 9]])
+
+    @pytest.mark.parametrize("first", [0, 5, _MC_ROWS])
+    def test_matches_digit_by_digit_reference(self, first):
+        points = np.empty((8, 300))
+        _halton(first, points, np.empty((3, _MC_ROWS)))
+        assert_array_equal(points.T, halton_reference(first + 300, 8)[first:])
+
+
+def log_sigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
+def two_class_exact_mean(mean, scale, degree=100):
+    """E[-log(softmax(a) . softmax(b))] for two classes whose logit
+    differences a, b are independent N(mean, scale^2), by the 2-D
+    Gauss-Hermite product rule of `degree` nodes a side."""
+    nodes, weights = np.polynomial.hermite.hermgauss(degree)
+    x = mean + np.sqrt(2.0) * scale * nodes
+    a, b = x[:, None], x[None, :]
+    losses = -np.logaddexp(log_sigmoid(a) + log_sigmoid(b), log_sigmoid(-a) + log_sigmoid(-b))
+    return float(weights @ losses @ weights / np.pi)
+
+
+def two_class_instance(seed):
+    """A verify-style two-class instance, its lambda set so the logit
+    difference has sd in (0, 3], where 100 Gauss-Hermite nodes a side are
+    exact to about 1e-10; returns the arguments and the exact mean."""
+    g = np.random.default_rng(seed)
+    dim = int(g.integers(2, 9))
+    feature, a = g.standard_normal(dim), g.standard_normal((dim, dim))
+    cov = a @ a.T * (dim / np.trace(a @ a.T))
+    weights, bias = g.standard_normal((2, dim)), g.standard_normal(2)
+    diff = weights[0] - weights[1]
+    scale = 3.0 * (1.0 - g.random())
+    lam = scale**2 / float(diff @ cov @ diff)
+    mean = float(diff @ feature + bias[0] - bias[1])
+    return (feature, cov, weights, bias, lam), two_class_exact_mean(mean, scale)
+
+
+class OneShiftState:
+    """A planted defect: an RngState whose uniforms repeat one row, so every
+    replicate gets the same shift."""
+
+    def __init__(self, seed):
+        self.generator, self._stream = self, RngState(seed).generator
+
+    def random(self, shape):
+        return np.broadcast_to(self._stream.random(shape[1:]), shape).copy()
+
+
+def coverage_holds(make_rng, n_seeds):
+    """Whether the stderr covers the exact mean at its nominal rate over
+    two-class instances: |mean - exact| > t * stderr on 2-8.5% of them for
+    t = 2.1314 (the t_15 quantile of two-sided 5%), and on at most 1% for
+    t = 3.5864 (two-sided 0.27%)."""
+    scores = []
+    for seed in range(n_seeds):
+        case, exact = two_class_instance(seed)
+        mean, stderr = efa_mc_estimate(*case, 16 * 256, make_rng(seed))
+        scores.append(abs(mean - exact) / stderr if stderr else np.inf)
+    scores = np.array(scores)
+    return 0.02 <= np.mean(scores > 2.1314) <= 0.085 and np.mean(scores > 3.5864) <= 0.01
+
+
+class TestEfaMcEstimateCoverage:
+    def test_exact_mean_reference_has_converged(self):
+        for seed in range(20):
+            case, exact = two_class_instance(seed)
+            diff = case[2][0] - case[2][1]
+            scale = np.sqrt(case[4] * diff @ case[1] @ diff)
+            assert abs(two_class_exact_mean(diff @ case[0] + case[3][0] - case[3][1], scale, 150) - exact) < 1e-9
+
+    def test_stderr_covers_the_exact_mean(self):
+        # Over these 400 seeds: 20 misses at t = 2.1314 (nominal 20) and none
+        # at t = 3.5864 (nominal 1.1).
+        assert coverage_holds(RngState, 400)
+
+    def test_planted_shared_shift_caught(self):
+        # With one shift the replicates agree exactly, so the stderr is 0.
+        assert not coverage_holds(OneShiftState, 40)
+
+
+def verify_style_instance(seed):
+    g = np.random.default_rng(seed)
+    n_classes, dim = int(g.integers(2, 6)), int(g.integers(2, 9))
+    feature, a = g.standard_normal(dim), g.standard_normal((dim, dim))
+    cov = a @ a.T * (dim / np.trace(a @ a.T))
+    return feature, cov, g.standard_normal((n_classes, dim)), g.standard_normal(n_classes), 5.0 * (1.0 - g.random())
+
+
+class TestEfaMcEstimateAgainstPlainMonteCarlo:
+    def test_agrees_and_is_sharper_at_equal_pairs(self):
+        # The feature-space oracle is plain Monte Carlo on a Philox stream.
+        ratios = []
+        for seed in range(20):
+            case = verify_style_instance(seed)
+            got = efa_mc_estimate(*case, 16384, RngState(seed, (0,)))
+            plain = feature_space_efa_mc_estimate(*case, 16384, RngState(seed, (1,)))
+            assert abs(got[0] - plain[0]) <= 4.0 * math.hypot(got[1], plain[1])
+            ratios.append(plain[1] / got[1])
+        assert np.median(ratios) >= 2.0
 
 
 class TestAffinityWeights:
@@ -827,6 +959,18 @@ class TestFdLoss:
         value, grad = fd(feats, [0, 0, 1, 1], uniform_affinity(2))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert np.isfinite(grad).all()
+
+    @pytest.mark.parametrize("step", [0.0, 1e-4, -1e-4])
+    def test_three_equal_rows_stay_out_at_a_step(self, step):
+        # Three equal rows (dead ReLUs give them) have an exactly zero
+        # covariance at the point and at a finite-difference step that moves
+        # them together, so FD and its gradient stay exactly 0 there.
+        rng = np.random.default_rng(13)
+        row = rng.standard_normal(8) + step * rng.standard_normal(8)
+        feats = np.vstack([np.tile(row, (3, 1)), rng.standard_normal((3, 8))])
+        value, grad = fd(feats, [0, 0, 0, 1, 1, 1], uniform_affinity(2))
+        assert value == 0.0
+        assert_array_equal(grad, np.zeros_like(feats))
 
     def test_value_range(self):
         rng = np.random.default_rng(7)

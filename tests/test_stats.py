@@ -111,6 +111,16 @@ class TestClassMoments:
             assert means[1].tobytes() == row.tobytes()
             assert covs[1].tobytes() == np.zeros((4, 4)).tobytes()
 
+    def test_coincident_rows_zero_covariance(self):
+        # Not dyadic: the mean of m equal rows need not round back to the row,
+        # but each class is shifted by one of its own rows first.
+        row = np.random.default_rng(12).standard_normal(8)
+        for m in (2, 3, 5, 7):
+            rows = np.vstack([np.tile(row, (m, 1)), np.ones((2, 8))])
+            _, means, covs = class_moments(rows, [1] * m + [0, 0], 2)
+            assert means[1].tobytes() == row.tobytes()
+            assert covs[1].tobytes() == np.zeros((8, 8)).tobytes()
+
     def test_bad_input_rejected(self):
         with pytest.raises(InvalidInputError):
             class_moments(np.ones((3, 2)), [0, 1], 2)

@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.banks import knn
-from sfda2.losses import efa_mc_estimate, fd_loss, ifa_loss, snc_loss, snc_loss_batch
+from sfda2.losses import _MC_REPLICATES, efa_mc_estimate, fd_loss, ifa_loss, snc_loss, snc_loss_batch
 from sfda2.model import forward, init_model
 from sfda2.numerics import RngState
 from sfda2.stats import _class_moments
 from sfda2.verify import (
+    _IFA_QUANTILE,
     VerifyReport,
     _finish,
     verify_gradients,
@@ -82,6 +83,18 @@ class TestVerifyIfaBound:
         b = verify_ifa_bound(trials=5, n_pairs=10000, seed=11)
         assert a.to_json() == b.to_json()
 
+    def test_details_state_the_pass_rule(self):
+        details = verify_ifa_bound(trials=2, n_pairs=10000, seed=3).details
+        assert (details["n_pairs"], details["replicates"], details["quantile"]) == (10000, 16, 3.5864)
+
+    def test_quantile_is_t_at_three_sigma(self):
+        # mc_mean <= bound + q * stderr with a t_{R-1} stderr fails a correct
+        # bound as often as the 3-sigma rule on a normal error.
+        stats = pytest.importorskip("scipy.stats")
+        assert _MC_REPLICATES == 16
+        expected = stats.t.ppf(stats.norm.cdf(3.0), _MC_REPLICATES - 1)
+        assert abs(_IFA_QUANTILE - expected) < 5e-5
+
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             verify_ifa_bound(trials=0)
@@ -108,7 +121,7 @@ def serial_ifa_bound(trials, n_pairs, seed, negative_control=False, lambda_overr
         lam = 5.0 * (1.0 - g.random()) if lambda_override is None else float(lambda_override)
         bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
         mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
-        slack = bound + 3.0 * mc_stderr - mc_mean
+        slack = bound + _IFA_QUANTILE * mc_stderr - mc_mean
         worst_slack = min(worst_slack, slack)
         if slack < 0.0:
             failures.append(
@@ -129,6 +142,8 @@ def serial_ifa_bound(trials, n_pairs, seed, negative_control=False, lambda_overr
             )
     details = {
         "n_pairs": n_pairs,
+        "replicates": 16,
+        "quantile": 3.5864,
         "seed": seed,
         "negative_control": negative_control,
         "lambda_override": lambda_override,
