@@ -70,7 +70,7 @@ def validate_config(config: AdaptConfig) -> None:
         raise InvalidInputError("epochs must be >= 1")
     if not 0.0 < config.bank_fraction <= 1.0:
         raise InvalidInputError("bank_fraction must lie in (0, 1]")
-    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+    if isinstance(config.seed, bool) or not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {config.seed!r}")
 
 

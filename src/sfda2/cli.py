@@ -220,12 +220,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# Suites in `--suite all` order, each with the keyword `--trials` sets.
+# Suites in `--suite all` order, each with the keywords its flags set.
 _SUITES = {
-    "ifa-bound": (verify_ifa_bound, "trials"),
-    "snc-factorization": (verify_snc_factorization, "trials"),
-    "gradients": (verify_gradients, "n_instances"),
-    "oracles": (verify_oracles, None),
+    "ifa-bound": (verify_ifa_bound, {"trials": "trials", "pairs": "n_pairs"}),
+    "snc-factorization": (verify_snc_factorization, {"trials": "trials"}),
+    "gradients": (verify_gradients, {"trials": "n_instances"}),
+    "oracles": (verify_oracles, {}),
 }
 
 
@@ -233,19 +233,16 @@ def _run_suite(name: str, args) -> "object":
     """Run one suite with only the flags the user gave; everything else,
     the seed included when neither --seed nor SFDA2_SEED sets it, keeps the
     suite's own default."""
-    suite, trials_keyword = _SUITES[name]
-    kwargs = {"negative_control": args.negative_control}
-    seed = _resolve_seed(args.seed, default=None)
-    if seed is not None:
-        kwargs["seed"] = seed
-    if args.trials is not None and trials_keyword is not None:
-        kwargs[trials_keyword] = args.trials
-    if args.pairs is not None and name == "ifa-bound":
-        kwargs["n_pairs"] = args.pairs
-    return suite(**kwargs)
+    suite, keywords = _SUITES[name]
+    kwargs = {"negative_control": args.negative_control, "seed": _resolve_seed(args.seed, default=None)}
+    kwargs.update((keyword, getattr(args, flag)) for flag, keyword in keywords.items())
+    return suite(**{key: value for key, value in kwargs.items() if value is not None})
 
 
 def _cmd_verify(args) -> int:
+    for flag in ("trials", "pairs"):
+        if args.suite != "all" and getattr(args, flag) is not None and flag not in _SUITES[args.suite][1]:
+            raise _UsageError(f"--{flag} does not apply to --suite {args.suite}")
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     payload = {"suites": [r.to_dict() for r in reports], "passed": all(r.passed for r in reports)}
@@ -318,11 +315,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.handler(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

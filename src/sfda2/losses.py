@@ -33,8 +33,7 @@ from .stats import _checked_batch, _checked_moments, class_moments
 
 # Points per chunk of `efa_mc_estimate` (one pair each, so 2 * _MC_ROWS logit
 # vectors a replicate): a chunk stays in L2, and at verify's C <= 5 its
-# logits GEMM stays under OpenBLAS's threading threshold, so concurrent
-# trials do not oversubscribe the BLAS.
+# logits GEMM stays under OpenBLAS's threading threshold.
 _MC_ROWS = 6144
 # Randomly shifted copies of the point set in `efa_mc_estimate`: its stderr
 # has _MC_REPLICATES - 1 degrees of freedom.
@@ -355,15 +354,18 @@ def efa_mc_estimate(
     (Cranley-Patterson), so it is unbiased and the replicates are
     independent; the R shifts come from `rng`, so repeated calls on one
     state differ and equal states give equal estimates. Box-Muller maps a
-    point's coordinates (2j, 2j + 1) to the pair's normals (z_j, z'_j). A
-    chunk of up to _MC_ROWS points builds its (2r, rows) Halton block once;
-    each replicate shifts it into one (r, 2 * rows) noise matrix, whose
-    logits are class-major (C, 2 * rows), so softmax and pair dots reduce
-    over C long rows. The buffers are allocated once per call (concurrent
-    calls share nothing) and only R sums persist, so memory does not grow
-    with n_pairs. A pair whose dot underflows to 0 (both draws saturated on
-    different classes) is recomputed from its noise in log space:
-    lse(a) + lse(b) - lse(a + b) for logit rows a and b.
+    point's coordinates (2j, 2j + 1), a radius and an angle, to the pair's
+    normals (z_j, z'_j). A chunk of up to _MC_ROWS points takes its
+    (2r, rows) Halton block and the cos and sin of its angles once. A
+    shift only rotates an angle, so each replicate turns them by the
+    angle-sum identities with its shift's cos and sin (taken once per
+    call); only the radii are shifted mod 1. Each replicate fills one
+    (r, 2 * rows) noise matrix, whose logits are class-major (C, 2 * rows),
+    so softmax and pair dots reduce over C long rows. The buffers are
+    allocated once per call and only R sums persist, so memory does not
+    grow with n_pairs. A pair whose dot underflows to 0 (both draws
+    saturated on different classes) is recomputed from its noise in log
+    space: lse(a) + lse(b) - lse(a + b) for logit rows a and b.
     """
     if n_pairs < _MC_REPLICATES:
         raise InvalidInputError(f"n_pairs must be >= {_MC_REPLICATES}")
@@ -380,12 +382,17 @@ def efa_mc_estimate(
         r = np.linalg.qr(factor[:-1].T, mode="r")
         factor = np.vstack([r.T, np.zeros((1, r.shape[0]))])
     centre = (weights @ mean + bias)[:, None]
-    n_classes, dims = weights.shape[0], 2 * factor.shape[1]
+    n_classes, active = weights.shape[0], factor.shape[1]
+    dims = 2 * active
     n_points = n_pairs // _MC_REPLICATES
+    # Row 2j of a shift or a point block is noise row j's radius coordinate,
+    # row 2j + 1 its angle coordinate.
     shifts = rng.generator.random((_MC_REPLICATES, dims, 1))
-    point_buffer = np.empty(dims * _MC_ROWS)
-    noise_buffer = np.empty(dims * _MC_ROWS)
-    wrap_buffer = np.empty(dims * _MC_ROWS, dtype=bool)
+    turns = 2.0 * np.pi * shifts[:, 1::2]
+    rotations = list(zip(shifts[:, 0::2], np.cos(turns), np.sin(turns)))
+    point_buffer, noise_buffer = np.empty((2, dims * _MC_ROWS))
+    trig_buffer = np.empty((2, active * _MC_ROWS))
+    wrap_buffer = np.empty(active * _MC_ROWS, dtype=bool)
     scratch = np.empty((3, _MC_ROWS))
     logit_buffer = np.empty(2 * n_classes * _MC_ROWS)
     row_buffer = np.empty((2 * _MC_ROWS, 1))
@@ -395,27 +402,32 @@ def efa_mc_estimate(
         rows = min(_MC_ROWS, n_points - s)
         points = point_buffer[: dims * rows].reshape(dims, rows)
         _halton(s, points, scratch)
-        # Row 2j of `uniforms` is noise row j's first half (the radius), row
-        # 2j + 1 its second half (the angle).
-        uniforms = noise_buffer[: dims * rows].reshape(dims, rows)
-        noise = uniforms.reshape(dims // 2, 2 * rows)
-        radius, angle = noise[:, :rows], noise[:, rows:]
-        cosine = logit_buffer[: dims // 2 * rows].reshape(dims // 2, rows)
-        wrap = wrap_buffer[: dims * rows].reshape(dims, rows)
+        radial, sine = points[0::2], points[1::2]
+        cosine, radius = trig_buffer[:, : active * rows].reshape(2, active, rows)
+        wrap = wrap_buffer[: active * rows].reshape(active, rows)
+        sine *= 2.0 * np.pi
+        np.cos(sine, out=cosine)
+        np.sin(sine, out=sine)
+        noise = noise_buffer[: dims * rows].reshape(active, 2 * rows)
+        noise_cos, noise_sin = noise[:, :rows], noise[:, rows:]
+        halves = noise.reshape(active, 2, rows)
         logits = logit_buffer[: 2 * n_classes * rows].reshape(n_classes, 2 * rows)
-        for replicate, shift in enumerate(shifts):
-            np.add(points, shift, out=uniforms)
-            np.greater_equal(uniforms, 1.0, out=wrap)
-            np.subtract(uniforms, wrap, out=uniforms)
+        for replicate, (radius_shift, cos_shift, sin_shift) in enumerate(rotations):
+            # Rotate the angles by the shift; `radius` holds the cross terms.
+            np.multiply(sine, sin_shift, out=radius)
+            np.multiply(cosine, cos_shift, out=noise_cos)
+            noise_cos -= radius
+            np.multiply(cosine, sin_shift, out=radius)
+            np.multiply(sine, cos_shift, out=noise_sin)
+            noise_sin += radius
+            np.add(radial, radius_shift, out=radius)
+            np.greater_equal(radius, 1.0, out=wrap)
+            np.subtract(radius, wrap, out=radius)
             np.subtract(1.0, radius, out=radius)  # in (0, 1], so the log is finite
             np.log(radius, out=radius)
             radius *= -2.0
             np.sqrt(radius, out=radius)
-            angle *= 2.0 * np.pi
-            np.cos(angle, out=cosine)
-            np.sin(angle, out=angle)
-            angle *= radius
-            radius *= cosine
+            np.multiply(halves, radius[:, None], out=halves)
             np.matmul(factor, noise, out=logits)
             logits += centre
             try:

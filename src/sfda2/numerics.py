@@ -22,14 +22,14 @@ class RngState:
     Backed by the Philox counter-based bit generator. A state is identified
     by (seed, spawn key); identical identities produce identical streams.
     `split` derives independent child streams by extending the spawn key,
-    so parallel trials can each own a private stream while staying
-    reproducible from the root seed.
+    so trials can each own a private stream while staying reproducible
+    from the root seed.
 
     A state is single-owner: every draw advances the internal counter.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in _spawn_key)

@@ -13,7 +13,6 @@ formula; a sensitive suite must then report failures.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,26 +86,15 @@ def verify_ifa_bound(
 ) -> VerifyReport:
     """Closed-form alignment loss must upper-bound its Monte Carlo oracle.
 
-    Per trial: random classifier, feature, trace-normalized PSD covariance,
-    lambda in (0, 5]. Pass requires mc_mean <= bound + q*stderr, q =
-    _IFA_QUANTILE, which the report's details record with the oracle's
-    replicate count. The negative control hands `ifa_loss` the negated
-    covariance, which flips the variance margin's sign: a planted bug the
-    comparison must catch on some trials.
-    `lambda_override` pins lambda instead of sampling it (used for the
-    degenerate lambda=0 case).
-
-    Trials run on a thread pool, one worker per available CPU (the ufuncs
-    and GEMMs release the GIL). Each owns a stream split from the seed and
-    the report is assembled in trial order, so it does not depend on the
-    worker count; a failing trial raises the first error in trial order.
-    Each oracle shifts one Halton set of n_pairs // 16 points 16 times,
-    with shifts from the trial's Monte Carlo stream, and holds one set of
-    (C, 2 * 6144) chunk buffers and 16 replicate sums, whatever n_pairs
-    is; it forms no (n, d) feature draw.
+    Per trial, from its own stream split from the seed: random classifier,
+    feature, trace-normalized PSD covariance, lambda in (0, 5]. Pass
+    requires mc_mean <= bound + q*stderr, q = _IFA_QUANTILE, which the
+    report's details record with the oracle's replicate count. The
+    negative control hands `ifa_loss` the negated covariance, which flips
+    the variance margin's sign: a planted bug the comparison must catch on
+    some trials. `lambda_override` pins lambda instead of sampling it (used
+    for the degenerate lambda=0 case).
     """
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: keep it off the CLI's import
-
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if n_pairs < 10000:
@@ -114,7 +102,9 @@ def verify_ifa_bound(
     if lambda_override is not None and lambda_override < 0.0:
         raise InvalidInputError("lambda_override must be >= 0")
 
-    def trial(t: int, trial_rng: RngState) -> dict:
+    failures: list[dict] = []
+    worst_slack = np.inf
+    for t, trial_rng in enumerate(RngState(seed).split(trials)):
         param_rng, mc_rng = trial_rng.split(2)
         g = param_rng.generator
         n_classes = int(g.integers(2, 6))
@@ -137,26 +127,24 @@ def verify_ifa_bound(
         bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
         mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
         slack = bound + _IFA_QUANTILE * mc_stderr - mc_mean
-        return {
-            "trial": t,
-            "n_classes": n_classes,
-            "dim": dim,
-            "lambda": lam,
-            "bound": bound,
-            "mc_mean": mc_mean,
-            "mc_stderr": mc_stderr,
-            "slack": slack,
-            "feature": feature.tolist(),
-            "cov": cov.tolist(),
-            "clf_weights": weights.tolist(),
-            "clf_bias": bias.tolist(),
-        }
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(trials, cpus)) as pool:
-        records = list(pool.map(trial, range(trials), RngState(seed).split(trials)))
-    worst_slack = min(np.inf, *(record["slack"] for record in records))
-    failures = [record for record in records if record["slack"] < 0.0]
+        worst_slack = min(worst_slack, slack)
+        if slack < 0.0:
+            failures.append(
+                {
+                    "trial": t,
+                    "n_classes": n_classes,
+                    "dim": dim,
+                    "lambda": lam,
+                    "bound": bound,
+                    "mc_mean": mc_mean,
+                    "mc_stderr": mc_stderr,
+                    "slack": slack,
+                    "feature": feature.tolist(),
+                    "cov": cov.tolist(),
+                    "clf_weights": weights.tolist(),
+                    "clf_bias": bias.tolist(),
+                }
+            )
     details = {
         "n_pairs": n_pairs,
         "replicates": _MC_REPLICATES,
@@ -564,8 +552,10 @@ def verify_oracles(
     doubled covariance correction term, an unnormalized distance scan, and
     shift-free naive exponentials.
     """
-    if streams < 1 or samples_per_stream < 1:
-        raise InvalidInputError("need at least one stream and one sample")
+    if min(streams, samples_per_stream, n_classes, dim, bank_points, bank_dim) < 1 or softmax_trials < 0:
+        raise InvalidInputError("every size must be >= 1, and softmax_trials >= 0")
+    if not (1 <= n_queries <= bank_points and all(1 <= k < bank_points for k in ks)):
+        raise InvalidInputError("need 1 <= n_queries <= bank_points and 1 <= k < bank_points for each k in ks")
     rngs = RngState(seed).split(streams + 2)
     failures: list[dict] = []
     stats_worst = 0.0

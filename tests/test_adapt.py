@@ -198,6 +198,11 @@ class TestValidateConfig:
             with pytest.raises(InvalidInputError):
                 validate_config(bad)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_boolean_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="^seed must be a non-negative integer"):
+            validate_config(AdaptConfig(seed=seed))
+
     @pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta", "lambda0", "lr"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_names_the_field(self, name, value):

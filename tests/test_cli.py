@@ -10,9 +10,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import sfda2
-from sfda2.cli import _CONFIG_SCHEMA, _UsageError, _build_parser, _load_run_config, run_cli
+from sfda2.cli import _CONFIG_SCHEMA, _SUITES, _UsageError, _build_parser, _load_run_config, run_cli
 from sfda2.data import load_checkpoint, load_dataset, save_checkpoint
-from sfda2.verify import verify_snc_factorization
+from sfda2.verify import VerifyReport, verify_snc_factorization
 
 
 def write_spec(path, source_counts=(12, 12), target_counts=(12, 12)):
@@ -423,6 +423,38 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["suites"] == [json.loads(verify_snc_factorization(seed=0).to_json())]
 
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [("snc-factorization", "--pairs"), ("gradients", "--pairs"), ("oracles", "--pairs"), ("oracles", "--trials")],
+    )
+    def test_flag_a_named_suite_does_not_take_is_a_usage_error(self, suite, flag, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert run_cli(["verify", "--suite", suite, flag, "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: {flag} does not apply to --suite {suite}"]
+        assert not out.exists()
+
+    def test_suite_all_gives_each_suite_the_flags_it_takes(self, monkeypatch, capsys):
+        calls = {}
+
+        def recorder(name):
+            def suite(**kwargs):
+                calls[name] = kwargs
+                return VerifyReport(suite=name, trials=1, passed=True, worst=None)
+            return suite
+
+        for name, (_, keywords) in list(_SUITES.items()):
+            monkeypatch.setitem(_SUITES, name, (recorder(name), keywords))
+        monkeypatch.delenv("SFDA2_SEED", raising=False)
+        assert run_cli(["verify", "--trials", "2", "--pairs", "10000"]) == 0
+        assert calls == {
+            "ifa-bound": {"negative_control": False, "trials": 2, "n_pairs": 10000},
+            "snc-factorization": {"negative_control": False, "trials": 2},
+            "gradients": {"negative_control": False, "n_instances": 2},
+            "oracles": {"negative_control": False},
+        }
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize(
@@ -510,18 +542,17 @@ class TestModuleEntryPoint:
         assert load_dataset(str(out / "target.csv")).size == 600
 
     def test_cli_import_leaves_the_thread_pool_unloaded(self):
-        # `concurrent.futures` pulls in `logging`; only verify's ifa-bound
-        # suite imports it, so the CLI's start-up time does not pay for it.
-        # scipy is a test-only dependency: neither the import nor an
-        # ifa-bound run may load it.
+        # `concurrent.futures` pulls in `logging`, and scipy is a test-only
+        # dependency: neither the CLI's import nor an ifa-bound run, whose
+        # trials run on the calling thread, may load any of them.
         src = os.path.dirname(os.path.dirname(sfda2.__file__))
-        loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {%s}))"
+        loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'logging', 'scipy'}))"
         script = (
             "import sys, io, contextlib, sfda2.cli\n"
-            + loaded % "'concurrent', 'logging', 'scipy'"
+            + loaded
             + "\nwith contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = sfda2.cli.run_cli(['verify', '--suite', 'ifa-bound', '--trials', '2', '--pairs', '10000'])\n"
-            "print(code)\n" + loaded % "'scipy'"
+            "print(code)\n" + loaded
         )
         result = subprocess.run(
             [sys.executable, "-c", script],

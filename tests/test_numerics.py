@@ -288,7 +288,7 @@ class TestRngState:
         for c, f in zip(children, fresh):
             assert_array_equal(c.generator.standard_normal(3), f.generator.standard_normal(3))
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.0, "0"])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.0, "0", True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
             RngState(seed)

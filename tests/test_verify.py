@@ -1,7 +1,5 @@
 import importlib
 import json
-import os
-import time
 
 import numpy as np
 import pytest
@@ -9,14 +7,12 @@ from numpy.testing import assert_allclose
 
 from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.banks import knn
-from sfda2.losses import _MC_REPLICATES, efa_mc_estimate, fd_loss, ifa_loss, snc_loss, snc_loss_batch
+from sfda2.losses import _MC_REPLICATES, efa_mc_estimate, fd_loss, snc_loss, snc_loss_batch
 from sfda2.model import forward, init_model
-from sfda2.numerics import RngState
 from sfda2.stats import _class_moments
 from sfda2.verify import (
     _IFA_QUANTILE,
     VerifyReport,
-    _finish,
     verify_gradients,
     verify_ifa_bound,
     verify_oracles,
@@ -101,92 +97,12 @@ class TestVerifyIfaBound:
         with pytest.raises(InvalidInputError):
             verify_ifa_bound(trials=1, n_pairs=5000)
 
-
-def serial_ifa_bound(trials, n_pairs, seed, negative_control=False, lambda_override=None):
-    """verify_ifa_bound as one loop over the trials in order: the form the
-    pooled suite must reproduce byte for byte."""
-    failures = []
-    worst_slack = np.inf
-    for t, trial_rng in enumerate(RngState(seed).split(trials)):
-        param_rng, mc_rng = trial_rng.split(2)
-        g = param_rng.generator
-        n_classes = int(g.integers(2, 6))
-        dim = int(g.integers(2, 9))
-        feature = g.standard_normal(dim)
-        a = g.standard_normal((dim, dim))
-        cov = a @ a.T
-        cov *= dim / np.trace(cov)
-        weights = g.standard_normal((n_classes, dim))
-        bias = g.standard_normal(n_classes)
-        lam = 5.0 * (1.0 - g.random()) if lambda_override is None else float(lambda_override)
-        bound = ifa_loss(feature, -cov if negative_control else cov, weights, bias, lam)[0]
-        mc_mean, mc_stderr = efa_mc_estimate(feature, cov, weights, bias, lam, n_pairs, mc_rng)
-        slack = bound + _IFA_QUANTILE * mc_stderr - mc_mean
-        worst_slack = min(worst_slack, slack)
-        if slack < 0.0:
-            failures.append(
-                {
-                    "trial": t,
-                    "n_classes": n_classes,
-                    "dim": dim,
-                    "lambda": lam,
-                    "bound": bound,
-                    "mc_mean": mc_mean,
-                    "mc_stderr": mc_stderr,
-                    "slack": slack,
-                    "feature": feature.tolist(),
-                    "cov": cov.tolist(),
-                    "clf_weights": weights.tolist(),
-                    "clf_bias": bias.tolist(),
-                }
-            )
-    details = {
-        "n_pairs": n_pairs,
-        "replicates": 16,
-        "quantile": 3.5864,
-        "seed": seed,
-        "negative_control": negative_control,
-        "lambda_override": lambda_override,
-    }
-    return _finish("ifa-bound", trials, worst_slack, failures, details)
-
-
-IFA_POOL_CASES = [
-    dict(trials=9, n_pairs=10000, seed=3),
-    dict(trials=24, n_pairs=10000, seed=3, negative_control=True),
-    dict(trials=5, n_pairs=10000, seed=4, lambda_override=0.0),
-]
-
-
-class TestVerifyIfaBoundPool:
-    @pytest.mark.parametrize("case", IFA_POOL_CASES, ids=["plain", "control", "lambda0"])
-    def test_report_equals_serial_loop(self, case):
-        report = verify_ifa_bound(**case)
-        assert report.to_json() == serial_ifa_bound(**case).to_json()
-        if case.get("negative_control"):
-            assert len(report.failures) >= 2  # so their order is checked too
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
-    def test_report_equal_on_one_cpu(self):
-        case = IFA_POOL_CASES[1]
-        saved = os.sched_getaffinity(0)
-        try:
-            os.sched_setaffinity(0, {min(saved)})
-            assert len(os.sched_getaffinity(0)) == 1
-            pinned = verify_ifa_bound(**case)
-        finally:
-            os.sched_setaffinity(0, saved)
-        assert pinned.to_json() == verify_ifa_bound(**case).to_json()
-
     def test_first_failing_trial_in_order_propagates(self, monkeypatch):
-        # Trial 2 fails late and trial 5 at once; the report must raise
-        # trial 2's error whichever finishes first.
+        # Trials 2 and 5 fail; the suite must raise trial 2's error.
         module = importlib.import_module("sfda2.verify")
 
         def failing(*args):
             trial = args[-1].spawn_key[0]
-            if trial == 2:
-                time.sleep(0.2)
             if trial in (2, 5):
                 raise NumericalError(f"trial {trial} failed")
             return efa_mc_estimate(*args)
@@ -390,3 +306,35 @@ class TestVerifyOracles:
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             verify_oracles(streams=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_classes=0),
+            dict(dim=0),
+            dict(bank_points=0),
+            dict(bank_dim=0),
+            dict(n_queries=0),
+            dict(n_queries=101),
+            dict(ks=(0, 5)),
+            dict(ks=(1, 100)),
+            dict(softmax_trials=-1),
+        ],
+        ids=lambda overrides: "-".join(f"{key}={value}" for key, value in overrides.items()),
+    )
+    def test_size_preconditions(self, overrides, monkeypatch):
+        # Checked before any work, which starts by splitting the seed's
+        # stream: NumPy would otherwise fail mid-run with its own ValueError
+        # (a sample larger than the bank, an empty range).
+        def no_work(*args):
+            raise AssertionError("verify_oracles started work")
+
+        monkeypatch.setattr(importlib.import_module("sfda2.verify"), "RngState", no_work)
+        with pytest.raises(InvalidInputError):
+            verify_oracles(**small_oracle_args(**overrides))
+
+    def test_size_bounds_admitted(self):
+        # Every bank point a query and the largest k (the bank less the query).
+        report = verify_oracles(**small_oracle_args(n_queries=100, ks=(99,), softmax_trials=0))
+        assert report.passed
+        assert report.trials == 2 + 100 + 0 + 4
