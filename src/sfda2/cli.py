@@ -110,22 +110,20 @@ def _read_json_object(path: str, kind: str, known) -> dict:
     return raw
 
 
-def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, tuple[int, ...], int]:
-    """Config file merged with flag overrides; every field is validated."""
+def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, dict]:
+    """Config file merged with flag overrides, and the model-shape values
+    given (`pretrain_source` owns their defaults); every field is validated."""
     raw = {} if path is None else _read_json_object(path, "config", _CONFIG_SCHEMA)
     values = {key: _check_config_value(key, value) for key, value in raw.items()}
     for key in _CONFIG_SCHEMA:
         if key != "seed" and (flag_value := getattr(args, key, None)) is not None:
             values[key] = flag_value
 
-    hidden_dims = values.pop("hidden_dims", (16,))
-    feature_dim = values.pop("feature_dim", 8)
-    if feature_dim < 1:
-        raise InvalidInputError("config field 'feature_dim' must be >= 1")
+    shape = {key: values.pop(key) for key in ("hidden_dims", "feature_dim") if key in values}
     seed = _resolve_seed(getattr(args, "seed", None), values.pop("seed", None))
     config = AdaptConfig(seed=seed, **values)
     validate_config(config)
-    return config, hidden_dims, feature_dim
+    return config, shape
 
 
 def _load_shift_spec(path: str) -> ShiftSpec:
@@ -172,9 +170,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config, hidden_dims, feature_dim = _load_run_config(args.config, args)
+    config, shape = _load_run_config(args.config, args)
     source = load_dataset(args.source)
-    model = pretrain_source(config, source, hidden_dims, feature_dim)
+    model = pretrain_source(config, source, **shape)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "source.ckpt")
     save_checkpoint(model, ckpt_path)
@@ -188,7 +186,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    config, _, _ = _load_run_config(args.config, args)
+    config, _ = _load_run_config(args.config, args)
     model = load_checkpoint(args.model)
     target = load_dataset(args.target, n_classes=model.n_classes)
     eval_data = None
@@ -220,12 +218,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# Suites in `--suite all` order, each with the keywords its flags set.
+# Suites in `--suite all` order: the name of each suite's function in this
+# module, looked up at call time so that a rebinding of it is seen, and the
+# keywords its flags set.
 _SUITES = {
-    "ifa-bound": (verify_ifa_bound, {"trials": "trials", "pairs": "n_pairs"}),
-    "snc-factorization": (verify_snc_factorization, {"trials": "trials"}),
-    "gradients": (verify_gradients, {"trials": "n_instances"}),
-    "oracles": (verify_oracles, {}),
+    "ifa-bound": ("verify_ifa_bound", {"trials": "trials", "pairs": "n_pairs"}),
+    "snc-factorization": ("verify_snc_factorization", {"trials": "trials"}),
+    "gradients": ("verify_gradients", {"trials": "n_instances"}),
+    "oracles": ("verify_oracles", {}),
 }
 
 
@@ -233,7 +233,8 @@ def _run_suite(name: str, args) -> "object":
     """Run one suite with only the flags the user gave; everything else,
     the seed included when neither --seed nor SFDA2_SEED sets it, keeps the
     suite's own default."""
-    suite, keywords = _SUITES[name]
+    function, keywords = _SUITES[name]
+    suite = globals()[function]
     kwargs = {"negative_control": args.negative_control, "seed": _resolve_seed(args.seed, default=None)}
     kwargs.update((keyword, getattr(args, flag)) for flag, keyword in keywords.items())
     return suite(**{key: value for key, value in kwargs.items() if value is not None})

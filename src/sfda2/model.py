@@ -139,8 +139,12 @@ def init_model(
     Weight scales follow the usual fan-in heuristics (sqrt(2/fan_in) before
     relu, sqrt(1/fan_in) elsewhere) so forward magnitudes stay O(1).
     """
-    if input_dim < 1 or feature_dim < 1 or n_classes < 2:
+    if input_dim < 1 or n_classes < 2:
         raise InvalidInputError("model dimensions out of range")
+    if feature_dim < 1:
+        raise InvalidInputError(f"feature_dim must be >= 1, got {feature_dim}")
+    if any(width < 1 for width in hidden_dims):
+        raise InvalidInputError(f"hidden layer widths must be >= 1, got {tuple(hidden_dims)}")
     gen = rng.generator
     layers: list[Layer] = []
     fan_in = input_dim
@@ -223,13 +227,6 @@ def sgd_step(model: Model, grads: Model, state: OptimizerState) -> None:
     state.buffer *= state.momentum
     state.buffer += g
     model.params -= state.lr * state.buffer
-
-
-def finite_diff_check(model: Model, loss_and_grad, h: float) -> float:
-    """`finite_diff_errors` for one loss: loss_and_grad maps a Model to
-    (scalar value, gradient Model)."""
-    value, grads = loss_and_grad(model)
-    return float(finite_diff_errors(model, [value], grads.params[None], lambda m: [loss_and_grad(m)[0]], h)[0])
 
 
 def finite_diff_errors(model: Model, base, analytic: np.ndarray, values, h: float) -> np.ndarray:

@@ -94,7 +94,11 @@ def row_logsumexp(m: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(arr - mx).sum(axis=1, keepdims=True))).ravel()
 
 
-def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
+# Largest admitted |m - m^T| entry of a matrix checked as symmetric.
+_SYMMETRY_TOL = 1e-9
+
+
+def check_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
     """Validate a square matrix, or a stack of them along the leading axes,
     and return its exact symmetrization."""
     arr = np.asarray(matrix, dtype=np.float64)
@@ -103,8 +107,8 @@ def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-9) -> np.ndar
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     transposed = np.swapaxes(arr, -1, -2)
-    if np.abs(arr - transposed).max() > tol:
-        raise InvalidInputError(f"{name} is not symmetric within {tol}")
+    if np.abs(arr - transposed).max() > _SYMMETRY_TOL:
+        raise InvalidInputError(f"{name} is not symmetric within {_SYMMETRY_TOL}")
     return (arr + transposed) / 2.0
 
 

@@ -8,7 +8,9 @@ identity).
 
 Every suite is deterministic for a given seed and returns a VerifyReport.
 `negative_control=True` plants a known-wrong variant of the checked
-formula; a sensitive suite must then report failures.
+formula; a sensitive suite must then report failures. The suites take
+only what `sfda2 verify` can set; their other sizes are module constants,
+and each report's details record the main ones.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .losses import (
     snc_loss_batch,
     softmax_vjp,
 )
-from .model import finite_diff_check, finite_diff_errors, forward, grad_params, init_model
+from .model import finite_diff_errors, forward, grad_params, init_model
 from .numerics import RngState, row_logsumexp, row_softmax
 from .stats import ClassStatistics, _class_moments, batch_covariance_oracle, class_moments, update_class_stats
 
@@ -82,7 +84,6 @@ def verify_ifa_bound(
     n_pairs: int = 65536,
     seed: int = 7,
     negative_control: bool = False,
-    lambda_override: float | None = None,
 ) -> VerifyReport:
     """Closed-form alignment loss must upper-bound its Monte Carlo oracle.
 
@@ -92,15 +93,12 @@ def verify_ifa_bound(
     report's details record with the oracle's replicate count. The
     negative control hands `ifa_loss` the negated covariance, which flips
     the variance margin's sign: a planted bug the comparison must catch on
-    some trials. `lambda_override` pins lambda instead of sampling it (used
-    for the degenerate lambda=0 case).
+    some trials.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if n_pairs < 10000:
         raise InvalidInputError("n_pairs must be >= 10000")
-    if lambda_override is not None and lambda_override < 0.0:
-        raise InvalidInputError("lambda_override must be >= 0")
 
     failures: list[dict] = []
     worst_slack = np.inf
@@ -115,7 +113,7 @@ def verify_ifa_bound(
         cov *= dim / np.trace(cov)
         weights = g.standard_normal((n_classes, dim))
         bias = g.standard_normal(n_classes)
-        lam = 5.0 * (1.0 - g.random()) if lambda_override is None else float(lambda_override)
+        lam = 5.0 * (1.0 - g.random())
 
         # The negative control negates the covariance, which negates every
         # q[c,c'] exactly: the variance margin enters with the wrong sign, so
@@ -151,7 +149,6 @@ def verify_ifa_bound(
         "quantile": _IFA_QUANTILE,
         "seed": seed,
         "negative_control": negative_control,
-        "lambda_override": lambda_override,
     }
     return _finish("ifa-bound", trials, worst_slack, failures, details)
 
@@ -161,11 +158,11 @@ def verify_ifa_bound(
 
 # Largest admitted gap between the summed losses and either closed form.
 _SNC_TOLERANCE = 1e-8
+# Points per trial and neighbors per point.
+_SNC_POINTS, _SNC_K = 30, 3
 
 
 def verify_snc_factorization(
-    n_points: int = 30,
-    k: int = 3,
     trials: int = 10,
     seed: int = 0,
     negative_control: bool = False,
@@ -182,8 +179,6 @@ def verify_snc_factorization(
     symmetric or not. The negative control skips the constant-term
     subtraction.
     """
-    if n_points < 2 or k < 1 or k >= n_points:
-        raise InvalidInputError("need 1 <= k < n_points and n_points >= 2")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
 
@@ -192,17 +187,17 @@ def verify_snc_factorization(
     n_classes = 4
     for t, trial_rng in enumerate(RngState(seed).split(trials)):
         g = trial_rng.generator
-        points = g.standard_normal((n_points, 8))
-        neighbors = knn(FeatureBank(points, n_points), np.arange(n_points), k)
-        adjacency = np.zeros((n_points, n_points))
-        adjacency[np.arange(n_points)[:, None], neighbors] = 1.0
+        points = g.standard_normal((_SNC_POINTS, 8))
+        neighbors = knn(FeatureBank(points, _SNC_POINTS), np.arange(_SNC_POINTS), _SNC_K)
+        adjacency = np.zeros((_SNC_POINTS, _SNC_POINTS))
+        adjacency[np.arange(_SNC_POINTS)[:, None], neighbors] = 1.0
 
-        probs = row_softmax(1.5 * g.standard_normal((n_points, n_classes)))
+        probs = row_softmax(1.5 * g.standard_normal((_SNC_POINTS, n_classes)))
         loss_sum = float(snc_loss_batch(probs, probs[neighbors], probs, 1.0)[0].sum())
 
         gram = probs @ probs.T
-        edge_form = -(2.0 / k) * float((adjacency * gram).sum()) + float((gram**2).sum())
-        scaled = adjacency / k
+        edge_form = -(2.0 / _SNC_K) * float((adjacency * gram).sum()) + float((gram**2).sum())
+        scaled = adjacency / _SNC_K
         factor_form = float(((scaled - gram) ** 2).sum())
         constant = float((scaled**2).sum())
         rhs = factor_form if negative_control else factor_form - constant
@@ -222,8 +217,8 @@ def verify_snc_factorization(
                 }
             )
     details = {
-        "n_points": n_points,
-        "k": k,
+        "n_points": _SNC_POINTS,
+        "k": _SNC_K,
         "seed": seed,
         "tolerance": _SNC_TOLERANCE,
         "negative_control": negative_control,
@@ -285,11 +280,20 @@ def _batched_vs_reference(rng: RngState, shape, negative_control: bool) -> float
     )
 
 
+# Largest admitted finite-difference error, and the central-difference
+# step. The step balances truncation against the rounding noise that
+# parameters with exactly-zero gradients (the dispersal loss is translation
+# invariant, so feature-layer biases have none) leak into the floored
+# relative error: noise grows like 1/step.
+_GRAD_TOLERANCE, _GRAD_STEP = 1e-4, 1e-4
+# Both calibration losses have zero truncation error under central
+# differences, so a wide step only shrinks the 1/step rounding noise.
+_CALIBRATION_STEP = 1e-2
+
+
 def verify_gradients(
     seed: int = 0,
     n_instances: int = 20,
-    tolerance: float = 1e-4,
-    step: float = 1e-4,
     negative_control: bool = False,
 ) -> VerifyReport:
     """Analytic gradients vs central finite differences.
@@ -298,21 +302,17 @@ def verify_gradients(
     and a pure quadratic in the parameters (central differences are exact,
     error < 1e-9). Then each random instance checks the batch
     neighborhood and alignment kernels and the dispersal loss in isolation
-    plus the weighted composite objective: one forward pass per perturbed
-    point gives all four values, so an instance with P parameters runs
-    4 + 2P forward passes and one perturbation loop. The perturbed points
-    call only the losses' value stages, and skip the class moments when
-    FD is identically zero (fewer than two classes with >= 2 members in
-    the instance's fixed labels). A few wider instances
+    plus the weighted composite objective: one forward pass at the base
+    point feeds the public kernels and `batch_objective`, and one forward
+    pass per perturbed point gives all four values, so an instance with P
+    parameters runs 1 + 2P forward passes and one perturbation loop. The
+    perturbed points call only the losses' value stages, and skip the
+    class moments when FD is identically zero (fewer than two classes with
+    >= 2 members in the instance's fixed labels). A few wider instances
     then check the batch kernels against the per-sample reference losses
     (values and gradients, floored relative error < 1e-10). The negative
     control scales every analytic gradient by 1.01 and compares each batch
     row with the reference of the next sample.
-
-    The step default balances truncation against the rounding noise that
-    parameters with exactly-zero gradients (the dispersal loss is
-    translation invariant, so feature-layer biases have none) leak into
-    the floored relative error: noise grows like 1/step.
     """
     if n_instances < 1:
         raise InvalidInputError("n_instances must be >= 1")
@@ -323,21 +323,16 @@ def verify_gradients(
 
     cal_model = init_model(3, (4,), 3, 3, rngs[n_instances])
 
-    def constant_closure(m):
-        return 1.0, m.with_params(np.zeros_like(m.params))
-
-    def quadratic_closure(m):
-        # Summed array by array: the value's rounding, and so the reported
-        # control error, depends on the summation order.
+    def calibration_values(m):
+        # The quadratic is summed array by array: the value's rounding, and
+        # so the reported control error, depends on the summation order.
         arrays = [a for layer in m.layers for a in (layer.weights, layer.bias)]
-        value = 0.5 * sum(float((arr * arr).sum()) for arr in arrays + [m.clf_weights, m.clf_bias])
-        return value, m.with_params(m.params.copy())
+        return 1.0, 0.5 * sum(float((arr * arr).sum()) for arr in arrays + [m.clf_weights, m.clf_bias])
 
-    # Both calibration losses have zero truncation error under central
-    # differences, so a wide step only shrinks the 1/step rounding noise.
-    cal_step = max(step, 1e-2)
-    constant_err = finite_diff_check(cal_model, constant_closure, cal_step)
-    quadratic_err = finite_diff_check(cal_model, quadratic_closure, cal_step)
+    cal_analytic = np.stack([np.zeros_like(cal_model.params), cal_model.params])
+    constant_err, quadratic_err = finite_diff_errors(
+        cal_model, calibration_values(cal_model), cal_analytic, calibration_values, _CALIBRATION_STEP
+    ).tolist()
     if constant_err > 1e-12:
         failures.append({"check": "constant-control", "error": constant_err})
     if quadratic_err > 1e-9:
@@ -373,33 +368,25 @@ def verify_gradients(
         lam = float(2.0 * g.random())
         alpha1, alpha2 = 0.3, 0.7
 
-        def snc_closure(m):
-            _, probs, acts = forward(m, x)
-            values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
-            dlogits = softmax_vjp(probs, dprobs) / batch
-            return float(values.sum()) / batch, grad_params(m, acts, dlogits, np.zeros((batch, d_feat)))
-
-        def ifa_closure(m):
-            feats, _, acts = forward(m, x)
-            values, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, m.clf_weights, m.clf_bias, lam)
-            grads = grad_params(m, acts, np.zeros((batch, n_classes)), dfeats / batch)
-            grads.clf_weights += dw / batch
-            grads.clf_bias += db / batch
-            return float(values.sum()) / batch, grads
-
-        # Each FD call takes the moments of its own perturbed features.
-        def fd_closure(m):
-            feats, _, acts = forward(m, x)
-            value, gfeat = fd_loss(feats, labels, class_moments(feats, labels, n_classes), affinity)
-            return value, grad_params(m, acts, np.zeros((batch, n_classes)), gfeat)
-
-        def composite_closure(m):
-            feats, probs, acts = forward(m, x)
-            breakdown, grads = batch_objective(
-                m, acts, probs, neighbor_probs, bank_rows, labels,
-                class_moments(feats, labels, n_classes), covs, affinity, decay, lam, alpha1, alpha2,
-            )
-            return breakdown.total, grads
+        # The base point: each check's value and gradient from one forward
+        # pass, through the checked kernels and the composite `adapt` runs.
+        feats, probs, acts = forward(model, x)
+        no_logits, no_feats = np.zeros((batch, n_classes)), np.zeros((batch, d_feat))
+        snc_values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
+        snc_grads = grad_params(model, acts, softmax_vjp(probs, dprobs) / batch, no_feats)
+        ifa_values, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, model.clf_weights, model.clf_bias, lam)
+        ifa_grads = grad_params(model, acts, no_logits, dfeats / batch)
+        ifa_grads.clf_weights += dw / batch
+        ifa_grads.clf_bias += db / batch
+        moments = class_moments(feats, labels, n_classes)
+        fd_value, gfeat = fd_loss(feats, labels, moments, affinity)
+        fd_grads = grad_params(model, acts, no_logits, gfeat)
+        breakdown, composite_grads = batch_objective(
+            model, acts, probs, neighbor_probs, bank_rows, labels,
+            moments, covs, affinity, decay, lam, alpha1, alpha2,
+        )
+        base = (float(snc_values.sum()) / batch, float(ifa_values.sum()) / batch, fd_value, breakdown.total)
+        analytic = np.stack([grads.params for grads in (snc_grads, ifa_grads, fd_grads, composite_grads)])
 
         fd_live = _fd_live(np.bincount(labels, minlength=n_classes))
 
@@ -414,16 +401,13 @@ def verify_gradients(
             fd = _fd_value(_class_moments(feats, labels, n_classes)[2], affinity)[0] if fd_live else 0.0
             return snc, ifa, fd, snc + alpha1 * ifa + alpha2 * fd
 
-        closures = (snc_closure, ifa_closure, fd_closure, composite_closure)
-        base, grads = zip(*(closure(model) for closure in closures))
-        analytic = np.stack([g.params for g in grads])
         if negative_control:
             analytic *= 1.01
-        errors = finite_diff_errors(model, base, analytic, values, step)
+        errors = finite_diff_errors(model, base, analytic, values, _GRAD_STEP)
         for name, err in zip(("snc", "ifa", "fd", "composite"), errors.tolist()):
             per_check_max[name] = max(per_check_max[name], err)
             worst = max(worst, err)
-            if err > tolerance:
+            if err > _GRAD_TOLERANCE:
                 failures.append(
                     {
                         "instance": idx,
@@ -455,8 +439,8 @@ def verify_gradients(
 
     details = {
         "seed": seed,
-        "tolerance": tolerance,
-        "step": step,
+        "tolerance": _GRAD_TOLERANCE,
+        "step": _GRAD_STEP,
         "negative_control": negative_control,
         "constant_control_error": constant_err,
         "quadratic_control_error": quadratic_err,
@@ -527,19 +511,15 @@ _EXTREME_LOGITS = (
 )
 
 
-def verify_oracles(
-    seed: int = 0,
-    streams: int = 10,
-    samples_per_stream: int = 1000,
-    n_classes: int = 10,
-    dim: int = 8,
-    bank_points: int = 500,
-    bank_dim: int = 16,
-    n_queries: int = 50,
-    ks: tuple[int, ...] = (1, 5, 10),
-    softmax_trials: int = 200,
-    negative_control: bool = False,
-) -> VerifyReport:
+# Sizes of `oracles`: the class-statistics streams (count, samples each,
+# classes, feature dim), the neighbor-search bank (points, dim, queries,
+# each k) and the random log-softmax trials.
+_STREAMS, _STREAM_SAMPLES, _STREAM_CLASSES, _STREAM_DIM = 10, 1000, 10, 8
+_BANK_POINTS, _BANK_DIM, _BANK_QUERIES, _BANK_KS = 500, 16, 50, (1, 5, 10)
+_SOFTMAX_TRIALS = 200
+
+
+def verify_oracles(seed: int = 0, negative_control: bool = False) -> VerifyReport:
     """Streaming/numeric primitives vs independent oracles.
 
     (a) streaming class statistics vs `batch_covariance_oracle` over random batch
@@ -552,36 +532,32 @@ def verify_oracles(
     doubled covariance correction term, an unnormalized distance scan, and
     shift-free naive exponentials.
     """
-    if min(streams, samples_per_stream, n_classes, dim, bank_points, bank_dim) < 1 or softmax_trials < 0:
-        raise InvalidInputError("every size must be >= 1, and softmax_trials >= 0")
-    if not (1 <= n_queries <= bank_points and all(1 <= k < bank_points for k in ks)):
-        raise InvalidInputError("need 1 <= n_queries <= bank_points and 1 <= k < bank_points for each k in ks")
-    rngs = RngState(seed).split(streams + 2)
+    rngs = RngState(seed).split(_STREAMS + 2)
     failures: list[dict] = []
     stats_worst = 0.0
 
-    for s in range(streams):
+    for s in range(_STREAMS):
         g = rngs[s].generator
         scale = 0.5 + 2.0 * g.random()
-        shift = 3.0 * g.standard_normal(dim)
-        feats = g.standard_normal((samples_per_stream, dim)) * scale + shift
-        labels = g.integers(0, n_classes, samples_per_stream).astype(np.int64)
-        sizes = _partition_sizes(samples_per_stream, g)
+        shift = 3.0 * g.standard_normal(_STREAM_DIM)
+        feats = g.standard_normal((_STREAM_SAMPLES, _STREAM_DIM)) * scale + shift
+        labels = g.integers(0, _STREAM_CLASSES, _STREAM_SAMPLES).astype(np.int64)
+        sizes = _partition_sizes(_STREAM_SAMPLES, g)
 
         if negative_control:
             means, covs, counts = _stream_with_doubled_correction(
-                feats, labels, sizes, n_classes, dim
+                feats, labels, sizes, _STREAM_CLASSES, _STREAM_DIM
             )
         else:
-            stats = ClassStatistics.empty(n_classes, dim)
+            stats = ClassStatistics.empty(_STREAM_CLASSES, _STREAM_DIM)
             pos = 0
             for size in sizes:
                 batch = slice(pos, pos + size)
-                stats = update_class_stats(stats, class_moments(feats[batch], labels[batch], n_classes))
+                stats = update_class_stats(stats, class_moments(feats[batch], labels[batch], _STREAM_CLASSES))
                 pos += size
             means, covs, counts = stats.means, stats.covs, stats.counts
 
-        for c in range(n_classes):
+        for c in range(_STREAM_CLASSES):
             rows = feats[labels == c]
             if rows.shape[0] == 0:
                 if counts[c] != 0:
@@ -605,23 +581,23 @@ def verify_oracles(
                     }
                 )
 
-    g = rngs[streams].generator
-    rows = g.standard_normal((bank_points, bank_dim))
-    bank = FeatureBank(rows, bank_points)
-    queries = g.choice(bank_points, n_queries, replace=False)
+    g = rngs[_STREAMS].generator
+    rows = g.standard_normal((_BANK_POINTS, _BANK_DIM))
+    bank = FeatureBank(rows, _BANK_POINTS)
+    queries = g.choice(_BANK_POINTS, _BANK_QUERIES, replace=False)
     knn_mismatches = 0
     # Oracle scan; the negative control plants the bug of skipping row
     # normalization in the scanned distances.
     scan_rows = rows if negative_control else bank.normalized
-    found = {k: knn(bank, queries, k) for k in ks}
+    found = {k: knn(bank, queries, k) for k in _BANK_KS}
     for row, q in enumerate(queries):
         q = int(q)
         ranked = sorted(
             (float(1.0 - np.dot(scan_rows[i], scan_rows[q])), i)
-            for i in range(bank_points)
+            for i in range(_BANK_POINTS)
             if i != q
         )
-        for k in ks:
+        for k in _BANK_KS:
             expected = [idx for _, idx in ranked[:k]]
             got = found[k][row].tolist()
             if got != expected:
@@ -631,9 +607,9 @@ def verify_oracles(
                         {"part": "knn", "query": q, "k": k, "got": got, "expected": expected}
                     )
 
-    g = rngs[streams + 1].generator
+    g = rngs[_STREAMS + 1].generator
     softmax_worst = 0.0
-    for t in range(softmax_trials):
+    for t in range(_SOFTMAX_TRIALS):
         width = int(g.integers(1, 13))
         scale = 10.0 ** g.uniform(-2.0, 2.0)
         v = g.standard_normal(width) * scale
@@ -665,13 +641,13 @@ def verify_oracles(
 
     details = {
         "seed": seed,
-        "streams": streams,
-        "samples_per_stream": samples_per_stream,
+        "streams": _STREAMS,
+        "samples_per_stream": _STREAM_SAMPLES,
         "negative_control": negative_control,
         "stats_max_error": stats_worst,
         "knn_mismatches": knn_mismatches,
         "softmax_max_error": softmax_worst,
     }
     worst = max(stats_worst, softmax_worst, float(knn_mismatches))
-    trials = streams + len(queries) * len(ks) + softmax_trials + len(_EXTREME_LOGITS)
+    trials = _STREAMS + len(queries) * len(_BANK_KS) + _SOFTMAX_TRIALS + len(_EXTREME_LOGITS)
     return _finish("oracles", trials, worst, failures, details)

@@ -58,7 +58,7 @@ def oracles_run():
 @pytest.fixture(scope="module")
 def factorization_run():
     start = time.perf_counter()
-    report = verify_snc_factorization(n_points=30, k=3, trials=10, seed=0)
+    report = verify_snc_factorization(trials=10, seed=0)
     return report, time.perf_counter() - start
 
 
@@ -254,7 +254,7 @@ def test_criterion_09_determinism(
         (
             "factorization",
             factorization_run[0],
-            verify_snc_factorization(n_points=30, k=3, trials=10, seed=0),
+            verify_snc_factorization(trials=10, seed=0),
         ),
     ]
     stable_reports = [name for name, first, second in report_pairs if first.to_json() == second.to_json()]

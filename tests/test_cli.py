@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -161,6 +162,27 @@ class TestPretrain:
         assert capsys.readouterr().err == "error: lr must be finite and >= 0, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--hidden-dims", "0"], "hidden layer widths must be >= 1, got (0,)"),
+            (["--hidden-dims=-3"], "hidden layer widths must be >= 1, got (-3,)"),
+            (["--hidden-dims", "4,0"], "hidden layer widths must be >= 1, got (4, 0)"),
+            (["--feature-dim", "0"], "feature_dim must be >= 1, got 0"),
+        ],
+        ids=["hidden-0", "hidden-minus-3", "hidden-4-0", "feature-0"],
+    )
+    def test_bad_layer_widths_exit_one_with_one_error_line(self, argv, message, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen-data", "--spec", write_spec(tmp_path / "spec.json"), "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "pre"
+        assert run_cli(["pretrain", "--source", str(data_dir / "source.csv"), *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_invalid_config_value_rejected(self, tmp_path, workspace):
         _, data_dir, _ = workspace
         code = run_cli(
@@ -216,12 +238,12 @@ class TestConfigFlags:
             if _CONFIG_SCHEMA[key] is int:
                 with pytest.raises(_UsageError):
                     self.parse(flag, "1.5")
-        config_value, hidden_dims, feature_dim = _load_run_config(str(config), args)
-        resolved = {**vars(config_value), "hidden_dims": hidden_dims, "feature_dim": feature_dim}
+        config_value, shape = _load_run_config(str(config), args)
+        resolved = {**vars(config_value), **shape}
         assert resolved[key] == parsed
         # without the flag the file's value stands
-        file_only = _load_run_config(str(config), self.parse("--config", str(config)))
-        resolved = {**vars(file_only[0]), "hidden_dims": file_only[1], "feature_dim": file_only[2]}
+        config_value, shape = _load_run_config(str(config), self.parse("--config", str(config)))
+        resolved = {**vars(config_value), **shape}
         expected = tuple(file_value) if key == "hidden_dims" else file_value
         assert resolved[key] == expected
 
@@ -444,8 +466,9 @@ class TestVerifyCommand:
                 return VerifyReport(suite=name, trials=1, passed=True, worst=None)
             return suite
 
-        for name, (_, keywords) in list(_SUITES.items()):
-            monkeypatch.setitem(_SUITES, name, (recorder(name), keywords))
+        cli = importlib.import_module("sfda2.cli")
+        for name, (function, _) in _SUITES.items():
+            monkeypatch.setattr(cli, function, recorder(name))
         monkeypatch.delenv("SFDA2_SEED", raising=False)
         assert run_cli(["verify", "--trials", "2", "--pairs", "10000"]) == 0
         assert calls == {
@@ -454,6 +477,24 @@ class TestVerifyCommand:
             "gradients": {"negative_control": False, "n_instances": 2},
             "oracles": {"negative_control": False},
         }
+
+    def test_a_rebound_suite_function_is_called(self, monkeypatch, capsys):
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return verify_snc_factorization(**kwargs)
+
+        monkeypatch.setattr(importlib.import_module("sfda2.cli"), "verify_snc_factorization", recording)
+        assert run_cli(["verify", "--suite", "snc-factorization", "--seed", "3"]) == 0
+        assert calls == [{"negative_control": False, "seed": 3}]
+
+    def test_suites_take_only_the_seed_the_control_and_their_flags(self):
+        # A suite parameter no flag sets would serve only direct callers.
+        verify = importlib.import_module("sfda2.verify")
+        for function, keywords in _SUITES.values():
+            parameters = inspect.signature(getattr(verify, function)).parameters
+            assert set(parameters) == {"seed", "negative_control", *keywords.values()}, function
 
 
 class TestNegativeSeed:

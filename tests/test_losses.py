@@ -239,6 +239,21 @@ class TestIfaLoss:
             mean, stderr = efa_mc_estimate(z, cov, w, b, lam, 20000, RngState(trial))
             assert mean <= value + 3.0 * stderr
 
+    def test_zero_lambda_direction_holds(self):
+        # At lambda = 0 every augmented pair is the feature itself, and the
+        # bound, a sum over all classes, stays above the pair loss.
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            c = int(rng.integers(2, 6))
+            d = int(rng.integers(2, 9))
+            z = rng.standard_normal(d)
+            cov = random_psd(rng, d)
+            w = rng.standard_normal((c, d))
+            b = rng.standard_normal(c)
+            value, *_ = ifa_loss(z, cov, w, b, 0.0)
+            mean, _ = efa_mc_estimate(z, cov, w, b, 0.0, 10000, RngState(trial))
+            assert mean <= value
+
     def test_feature_gradient_matches_central_differences(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal(4)

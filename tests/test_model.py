@@ -6,7 +6,6 @@ from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.model import (
     Layer,
     Model,
-    finite_diff_check,
     finite_diff_errors,
     forward,
     grad_params,
@@ -155,13 +154,13 @@ class TestGradParams:
         model = init_model(3, (4, 3), 3, 4, RngState(5))
         x = np.random.default_rng(6).standard_normal((4, 3))
 
-        def loss_and_grad(m):
-            feats, _, acts = forward(m, x)
-            logits = logits_of(m, feats)
-            value = 0.5 * float((logits**2).sum() + (feats**2).sum())
-            return value, grad_params(m, acts, logits, feats)
+        def values(m):
+            feats, _, _ = forward(m, x)
+            return [0.5 * float((logits_of(m, feats) ** 2).sum() + (feats**2).sum())]
 
-        assert finite_diff_check(model, loss_and_grad, 1e-5) < 1e-6
+        feats, _, acts = forward(model, x)
+        analytic = grad_params(model, acts, logits_of(model, feats), feats).params[None]
+        assert finite_diff_errors(model, values(model), analytic, values, 1e-5)[0] < 1e-6
 
 
 class TestSgdStep:
@@ -232,48 +231,47 @@ class TestSgdStep:
             init_optimizer(identity_model(2), 0.9, lr)
 
 
-class TestFiniteDiffCheck:
+class TestFiniteDiffOneLoss:
     def test_constant_loss_reports_zero(self):
         model = identity_model(2)
-
-        def loss_and_grad(m):
-            return 3.25, zero_grads(m)
-
-        assert finite_diff_check(model, loss_and_grad, 1e-5) == 0.0
+        zeros = np.zeros((1, model.params.size))
+        assert finite_diff_errors(model, [3.25], zeros, lambda m: [3.25], 1e-5)[0] == 0.0
 
     def test_quadratic_loss_is_machine_exact(self):
         model = init_model(2, (3,), 2, 2, RngState(8))
 
-        def loss_and_grad(m):
-            return 0.5 * float(m.params @ m.params), m.with_params(m.params.copy())
+        def values(m):
+            return [0.5 * float(m.params @ m.params)]
 
         # zero truncation error for a quadratic, so a wide step leaves
         # only rounding noise
-        assert finite_diff_check(model, loss_and_grad, 1e-3) < 1e-9
+        assert finite_diff_errors(model, values(model), model.params[None], values, 1e-3)[0] < 1e-9
 
-    def test_non_finite_loss_rejected(self):
+    def test_non_finite_perturbed_loss_rejected(self):
         model = identity_model(2)
+        base = model.params.copy()
 
-        def loss_and_grad(m):
-            return float("nan"), zero_grads(m)
+        def values(m):
+            return [0.0 if np.array_equal(m.params, base) else float("nan")]
 
-        with pytest.raises(NumericalError):
-            finite_diff_check(model, loss_and_grad, 1e-5)
+        with pytest.raises(NumericalError, match="perturbed point"):
+            finite_diff_errors(model, [0.0], np.zeros((1, base.size)), values, 1e-5)
 
     def test_step_must_be_positive(self):
         model = identity_model(2)
         with pytest.raises(InvalidInputError):
-            finite_diff_check(model, lambda m: (0.0, zero_grads(m)), 0.0)
+            finite_diff_errors(model, [0.0], np.zeros((1, model.params.size)), lambda m: [0.0], 0.0)
 
     def test_non_finite_gradient_rejected(self):
         # A NaN gradient entry would drop out of max(worst, rel) and report 0.
         model = init_model(3, (4,), 3, 3, RngState(8))
 
-        def loss_and_grad(m):
-            return 0.5 * float(m.params @ m.params), m.with_params(np.full_like(m.params, np.nan))
+        def values(m):
+            return [0.5 * float(m.params @ m.params)]
 
+        nan_grad = np.full((1, model.params.size), np.nan)
         with pytest.raises(NumericalError, match="^analytic gradient has non-finite entries$"):
-            finite_diff_check(model, loss_and_grad, 1e-3)
+            finite_diff_errors(model, values(model), nan_grad, values, 1e-3)
 
 
 def two_losses(x):
@@ -303,10 +301,14 @@ class TestFiniteDiffErrors:
         base, grads = zip(*(c(self.model) for c in self.closures))
         self.base, self.analytic = base, np.stack([g.params for g in grads])
 
-    def test_each_row_equals_its_scalar_check(self):
+    def test_each_row_equals_its_one_loss_call(self):
         errors = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
         assert errors.shape == (2,)
-        assert errors.tolist() == [finite_diff_check(self.model, c, 1e-5) for c in self.closures]
+        singles = [
+            finite_diff_errors(self.model, [base], row[None], lambda m, i=i: [self.values(m)[i]], 1e-5)[0]
+            for i, (base, row) in enumerate(zip(self.base, self.analytic))
+        ]
+        assert errors.tolist() == singles
         assert errors.max() < 1e-6
 
     def test_defect_stays_in_its_row(self):

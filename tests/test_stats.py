@@ -167,12 +167,9 @@ class TestOracleOffTrainingPath:
             return batch_covariance_oracle(features)
 
         monkeypatch.setattr(importlib.import_module("sfda2.verify"), "batch_covariance_oracle", counting)
-        report = verify_oracles(
-            streams=1, samples_per_stream=30, n_classes=3, dim=2,
-            bank_points=20, bank_dim=3, n_queries=3, ks=(1,), softmax_trials=3,
-        )
+        report = verify_oracles()
         assert report.passed
-        assert sum(calls) == 30
+        assert sum(calls) == report.details["streams"] * report.details["samples_per_stream"]
 
 
 def merge_batch(stats, rows, labels):
