@@ -126,6 +126,17 @@ class TestVerifySncFactorization:
         with pytest.raises(InvalidInputError):
             verify_snc_factorization(trials=0)
 
+    @pytest.mark.parametrize("n_points, k", [(5, 3), (2, 1)])
+    def test_any_knn_graph_serves(self, n_points, k, monkeypatch):
+        # Sizes without a symmetric k-NN graph still satisfy the identity.
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "_SNC_POINTS", n_points)
+        monkeypatch.setattr(module, "_SNC_K", k)
+        report = verify_snc_factorization(trials=3, seed=4)
+        assert report.passed
+        assert report.worst <= 1e-12
+        assert (report.details["n_points"], report.details["k"]) == (n_points, k)
+
     def test_asymmetric_graphs_checked(self, monkeypatch):
         graphs = []
 
@@ -270,3 +281,37 @@ class TestVerifyOracles:
         a = verify_oracles(seed=5)
         b = verify_oracles(seed=5)
         assert a.to_json() == b.to_json()
+
+    def test_size_bounds_admitted(self, monkeypatch):
+        # Every bank point a query and the largest k (the bank less the query).
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "_STREAMS", 2)
+        monkeypatch.setattr(module, "_BANK_POINTS", 100)
+        monkeypatch.setattr(module, "_BANK_QUERIES", 100)
+        monkeypatch.setattr(module, "_BANK_KS", (99,))
+        monkeypatch.setattr(module, "_SOFTMAX_TRIALS", 0)
+        report = verify_oracles(seed=5)
+        assert report.passed
+        assert report.trials == 2 + 100 + 0 + 4
+
+    def test_classes_absent_from_a_stream_have_no_count(self, monkeypatch):
+        # Three samples over ten classes leave most classes empty, which
+        # the streaming statistics must report with a zero count.
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "_STREAMS", 2)
+        monkeypatch.setattr(module, "_STREAM_SAMPLES", 3)
+        report = verify_oracles(seed=5)
+        assert report.passed
+        assert report.details["stats_max_error"] < 1e-9
+        control = verify_oracles(seed=5, negative_control=True)
+        assert "class-stats" in {f["part"] for f in control.failures}
+
+    def test_tied_distances_ranked_by_index(self, monkeypatch):
+        # In one dimension every normalized bank row is +1 or -1, so each
+        # query ties with about half the bank: the search must order the
+        # ties by index, as the exhaustive scan does.
+        module = importlib.import_module("sfda2.verify")
+        monkeypatch.setattr(module, "_BANK_DIM", 1)
+        report = verify_oracles(seed=5)
+        assert report.passed
+        assert report.details["knn_mismatches"] == 0
