@@ -186,8 +186,15 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    config, _ = _load_run_config(args.config, args)
+    config, shape = _load_run_config(args.config, args)
     model = load_checkpoint(args.model)
+    # The checkpoint fixes the shape; a given value must agree with it, as
+    # one in a config file shared with `pretrain` does.
+    hidden_dims = tuple(layer.weights.shape[0] for layer in model.layers[:-1])
+    actual = {"hidden_dims": hidden_dims, "feature_dim": model.feature_dim}
+    for key, value in shape.items():
+        if value != actual[key]:
+            raise InvalidInputError(f"{key} {value} disagrees with the checkpoint's {actual[key]}")
     target = load_dataset(args.target, n_classes=model.n_classes)
     eval_data = None
     if args.eval_data:

@@ -19,6 +19,9 @@ by the current forward pass carry gradient. Each core is a value stage
 the intermediates the gradient reuses, and a gradient tail that calls it,
 so each value has one formula; value-only callers, such as the perturbed
 points of `verify`'s finite differences, call the value stages alone.
+The Monte Carlo oracle `efa_mc_estimate` draws only the C - 1 logits that
+softmax can see, relative to the last one, and forms each pair loss from
+their exponentials without normalising them.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from .errors import InvalidInputError, NumericalError
 from .numerics import RngState, _gaussian_lift, check_distribution_rows, check_symmetric, row_logsumexp, row_softmax
 from .stats import _checked_batch, _checked_moments, class_moments
 
-# Points per chunk of `efa_mc_estimate` (one pair each, so 2 * _MC_ROWS logit
-# vectors a replicate): a chunk stays in L2, and at verify's C <= 5 its
-# logits GEMM stays under OpenBLAS's threading threshold.
+# Points per chunk of `efa_mc_estimate`: one pair each, so a replicate's GEMM
+# writes 2(C - 1) free-logit rows of _MC_ROWS, and a chunk stays in L2.
 _MC_ROWS = 6144
 # Randomly shifted copies of the point set in `efa_mc_estimate`: its stderr
 # has _MC_REPLICATES - 1 degrees of freedom.
@@ -344,10 +346,11 @@ def efa_mc_estimate(
 
     The logits W z + b are N(W f + b, M M^T) with M = W lift, lift the
     (d, k) factor of lam*cov's k active coordinates (factored once), so
-    they are drawn directly. softmax(l + t 1) = softmax(l), so subtracting
-    M's last row from every row keeps each pair loss's law; for k > C - 1
-    the other rows become R^T of their transpose's QR (same Gram matrix),
-    so a logit vector costs r = min(C - 1, k) normals and a pair 2r.
+    they are drawn directly. softmax(l + t 1) = softmax(l), so only the
+    C - 1 free logits a = l[:-1] - l[-1] are drawn, about m = c[:-1] - c[-1]
+    for the centre c = W f + b with factor F = M[:-1] - M[-1]; the last
+    logit is exactly 0. For k > C - 1, F becomes R^T of F^T = QR (same Gram
+    matrix), so a logit vector costs r = min(C - 1, k) normals and a pair 2r.
 
     The points are the Halton points 1, ..., n in 2r dimensions, bases the
     first 2r primes. Each replicate adds its own shift ~ U[0, 1)^2r mod 1
@@ -356,16 +359,19 @@ def efa_mc_estimate(
     state differ and equal states give equal estimates. Box-Muller maps a
     point's coordinates (2j, 2j + 1), a radius and an angle, to the pair's
     normals (z_j, z'_j). A chunk of up to _MC_ROWS points takes its
-    (2r, rows) Halton block and the cos and sin of its angles once. A
-    shift only rotates an angle, so each replicate turns them by the
-    angle-sum identities with its shift's cos and sin (taken once per
-    call); only the radii are shifted mod 1. Each replicate fills one
-    (r, 2 * rows) noise matrix, whose logits are class-major (C, 2 * rows),
-    so softmax and pair dots reduce over C long rows. The buffers are
-    allocated once per call and only R sums persist, so memory does not
-    grow with n_pairs. A pair whose dot underflows to 0 (both draws
-    saturated on different classes) is recomputed from its noise in log
-    space: lse(a) + lse(b) - lse(a + b) for logit rows a and b.
+    (2r, rows) Halton block and the cos and sin of its angles once. A shift
+    only rotates an angle, by phi say, so a replicate shifts the radii rho
+    mod 1, fills the (2r + 1, rows) basis [rho cos; rho sin; 1] and takes
+    both draws' free logits a and b in one GEMM by its (2(C - 1), 2r + 1)
+    block [[F cos phi, -F sin phi, m], [F sin phi, F cos phi, m]], built
+    once per call.
+
+    With S = 1 + sum e^a, S' = 1 + sum e^b and X = 1 + sum e^(a + b), the
+    pair loss is log(S S' / X); all three are >= 1, so nothing underflows.
+    A pair whose loss is non-finite (an exponential or S S' overflowed) is
+    recomputed in log space, lse(a) + lse(b) - lse(a + b) with the 0 logit
+    appended. The buffers are allocated once per call and only R sums
+    persist, so memory does not grow with n_pairs.
     """
     if n_pairs < _MC_REPLICATES:
         raise InvalidInputError(f"n_pairs must be >= {_MC_REPLICATES}")
@@ -377,73 +383,77 @@ def efa_mc_estimate(
         raise InvalidInputError("classifier must be (C, d) weights and a (C,) bias, d the feature size, C >= 1")
     mean, lift, _ = _gaussian_lift(feature, lam * check_symmetric(cov, "cov"))
     factor = weights @ lift
-    factor -= factor[-1]
-    if factor.shape[1] >= factor.shape[0]:
-        r = np.linalg.qr(factor[:-1].T, mode="r")
-        factor = np.vstack([r.T, np.zeros((1, r.shape[0]))])
-    centre = (weights @ mean + bias)[:, None]
-    n_classes, active = weights.shape[0], factor.shape[1]
+    free = factor[:-1] - factor[-1]
+    if free.shape[1] > free.shape[0]:
+        free = np.linalg.qr(free.T, mode="r").T
+    centre = weights @ mean + bias
+    if not (np.isfinite(free).all() and np.isfinite(centre).all()):
+        raise NumericalError("Monte Carlo logits are non-finite")
+    n_free, active = free.shape
     dims = 2 * active
     n_points = n_pairs // _MC_REPLICATES
     # Row 2j of a shift or a point block is noise row j's radius coordinate,
     # row 2j + 1 its angle coordinate.
     shifts = rng.generator.random((_MC_REPLICATES, dims, 1))
-    turns = 2.0 * np.pi * shifts[:, 1::2]
-    rotations = list(zip(shifts[:, 0::2], np.cos(turns), np.sin(turns)))
-    point_buffer, noise_buffer = np.empty((2, dims * _MC_ROWS))
-    trig_buffer = np.empty((2, active * _MC_ROWS))
-    wrap_buffer = np.empty(active * _MC_ROWS, dtype=bool)
+    leads = 1.0 - shifts[:, 0::2]
+    turns = 2.0 * np.pi * shifts[:, 1::2, 0]
+    rotated_cos, rotated_sin = free * np.cos(turns)[:, None], free * np.sin(turns)[:, None]
+    offset = np.broadcast_to((centre[:-1] - centre[-1])[:, None], (_MC_REPLICATES, n_free, 1))
+    blocks = np.block([[rotated_cos, -rotated_sin, offset], [rotated_sin, rotated_cos, offset]])
+    point_buffer = np.empty(dims * _MC_ROWS)
+    trig_buffer = np.empty((3, active * _MC_ROWS))
+    basis_buffer = np.empty((dims + 1) * _MC_ROWS)
+    logit_buffer = np.empty(2 * n_free * _MC_ROWS)
     scratch = np.empty((3, _MC_ROWS))
-    logit_buffer = np.empty(2 * n_classes * _MC_ROWS)
-    row_buffer = np.empty((2 * _MC_ROWS, 1))
-    losses = np.empty(_MC_ROWS)
     sums = np.zeros(_MC_REPLICATES)
-    for s in range(0, n_points, _MC_ROWS):
-        rows = min(_MC_ROWS, n_points - s)
-        points = point_buffer[: dims * rows].reshape(dims, rows)
-        _halton(s, points, scratch)
-        radial, sine = points[0::2], points[1::2]
-        cosine, radius = trig_buffer[:, : active * rows].reshape(2, active, rows)
-        wrap = wrap_buffer[: active * rows].reshape(active, rows)
-        sine *= 2.0 * np.pi
-        np.cos(sine, out=cosine)
-        np.sin(sine, out=sine)
-        noise = noise_buffer[: dims * rows].reshape(active, 2 * rows)
-        noise_cos, noise_sin = noise[:, :rows], noise[:, rows:]
-        halves = noise.reshape(active, 2, rows)
-        logits = logit_buffer[: 2 * n_classes * rows].reshape(n_classes, 2 * rows)
-        for replicate, (radius_shift, cos_shift, sin_shift) in enumerate(rotations):
-            # Rotate the angles by the shift; `radius` holds the cross terms.
-            np.multiply(sine, sin_shift, out=radius)
-            np.multiply(cosine, cos_shift, out=noise_cos)
-            noise_cos -= radius
-            np.multiply(cosine, sin_shift, out=radius)
-            np.multiply(sine, cos_shift, out=noise_sin)
-            noise_sin += radius
-            np.add(radial, radius_shift, out=radius)
-            np.greater_equal(radius, 1.0, out=wrap)
-            np.subtract(radius, wrap, out=radius)
-            np.subtract(1.0, radius, out=radius)  # in (0, 1], so the log is finite
-            np.log(radius, out=radius)
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            np.multiply(halves, radius[:, None], out=halves)
-            np.matmul(factor, noise, out=logits)
-            logits += centre
-            try:
-                probs = row_softmax(logits.T, out=logits.T, row=row_buffer[: 2 * rows])
-            except InvalidInputError as exc:
-                raise NumericalError("Monte Carlo logits are non-finite") from exc
-            pair = np.multiply(probs[:rows], probs[rows:], out=probs[:rows])
-            chunk = pair.sum(axis=1, out=losses[:rows])
-            with np.errstate(divide="ignore"):
-                np.log(chunk, out=chunk)
-            np.negative(chunk, out=chunk)
-            if chunk.max() == np.inf:  # a dot underflowed to 0: redo those pairs in log space
-                underflow = np.flatnonzero(chunk == np.inf)
-                first, second = (noise[:, underflow + offset].T @ factor.T + centre.T for offset in (0, rows))
-                chunk[underflow] = row_logsumexp(first) + row_logsumexp(second) - row_logsumexp(first + second)
-            sums[replicate] += chunk.sum()
+    # Overflow is caught by the finiteness test on each replicate's sum.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s in range(0, n_points, _MC_ROWS):
+            rows = min(_MC_ROWS, n_points - s)
+            points = point_buffer[: dims * rows].reshape(dims, rows)
+            _halton(s, points, scratch)
+            radial, sine = points[0::2], points[1::2]
+            cosine, radius, wrap = trig_buffer[:, : active * rows].reshape(3, active, rows)
+            sine *= 2.0 * np.pi
+            np.cos(sine, out=cosine)
+            np.sin(sine, out=sine)
+            basis = basis_buffer[: (dims + 1) * rows].reshape(dims + 1, rows)
+            basis[-1] = 1.0
+            logits = logit_buffer[: 2 * n_free * rows].reshape(2 * n_free, rows)
+            first, second = logits[:n_free], logits[n_free:]
+            norm, norm_second, cross = scratch[:, :rows]
+            for replicate, (block, lead) in enumerate(zip(blocks, leads)):
+                # t = lead - radial, plus 1 where t <= 0 (the shift mod 1), so
+                # t is in (0, 1] and its log is finite. With u = -t in [-1, 1),
+                # t = (floor(u) + 1) - u; floor writes the wrap as a float, so
+                # adding it casts nothing.
+                np.subtract(radial, lead, out=radius)
+                np.floor(radius, out=wrap)
+                wrap += 1.0
+                np.subtract(wrap, radius, out=radius)
+                np.log(radius, out=radius)
+                radius *= -2.0
+                np.sqrt(radius, out=radius)
+                np.multiply(cosine, radius, out=basis[:active])
+                np.multiply(sine, radius, out=basis[active:dims])
+                np.matmul(block, basis, out=logits)
+                np.exp(logits, out=logits)
+                np.add.reduce(first, axis=0, initial=1.0, out=norm)
+                np.add.reduce(second, axis=0, initial=1.0, out=norm_second)
+                np.multiply(first, second, out=first)
+                np.add.reduce(first, axis=0, initial=1.0, out=cross)
+                norm *= norm_second
+                norm /= cross
+                np.log(norm, out=norm)
+                total = norm.sum()
+                if not np.isfinite(total):  # an exponential or S S' overflowed: redo those pairs in log space
+                    bad = np.flatnonzero(~np.isfinite(norm))
+                    a, b = (np.pad(half.T, ((0, 0), (0, 1))) for half in np.split(block @ basis[:, bad], 2))
+                    norm[bad] = row_logsumexp(a) + row_logsumexp(b) - row_logsumexp(a + b)
+                    total = norm.sum()
+                    if not np.isfinite(total):
+                        raise NumericalError("Monte Carlo logits are non-finite")
+                sums[replicate] += total
     means = sums / n_points
     estimate = means.mean()
     spread = means - estimate

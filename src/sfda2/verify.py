@@ -587,18 +587,16 @@ def verify_oracles(seed: int = 0, negative_control: bool = False) -> VerifyRepor
     queries = g.choice(_BANK_POINTS, _BANK_QUERIES, replace=False)
     knn_mismatches = 0
     # Oracle scan; the negative control plants the bug of skipping row
-    # normalization in the scanned distances.
+    # normalization in the scanned distances. A stable sort ranks by
+    # (distance, index); each query's own row sorts last, at +inf.
     scan_rows = rows if negative_control else bank.normalized
     found = {k: knn(bank, queries, k) for k in _BANK_KS}
-    for row, q in enumerate(queries):
-        q = int(q)
-        ranked = sorted(
-            (float(1.0 - np.dot(scan_rows[i], scan_rows[q])), i)
-            for i in range(_BANK_POINTS)
-            if i != q
-        )
+    distances = 1.0 - scan_rows[queries] @ scan_rows.T
+    distances[np.arange(queries.size), queries] = np.inf
+    ranked = np.argsort(distances, axis=1, kind="stable")
+    for row, q in enumerate(queries.tolist()):
         for k in _BANK_KS:
-            expected = [idx for _, idx in ranked[:k]]
+            expected = ranked[row, :k].tolist()
             got = found[k][row].tolist()
             if got != expected:
                 knn_mismatches += 1

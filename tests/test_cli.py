@@ -361,6 +361,43 @@ class TestAdapt:
         assert capsys.readouterr().err == f"error: {field} must be finite and >= 0, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, config, message",
+        [
+            (
+                ("--hidden-dims", "0", "--feature-dim", "0"),
+                None,
+                "hidden_dims (0,) disagrees with the checkpoint's (6,)",
+            ),
+            ((), {"hidden_dims": [5]}, "hidden_dims (5,) disagrees with the checkpoint's (6,)"),
+            ((), {"feature_dim": 3}, "feature_dim 3 disagrees with the checkpoint's 4"),
+        ],
+        ids=["flags", "config-hidden-dims", "config-feature-dim"],
+    )
+    def test_model_shape_disagreeing_with_checkpoint_exits_one(
+        self, tmp_path, workspace, capsys, extra, config, message
+    ):
+        # The workspace checkpoint has hidden_dims (6,) and feature_dim 4.
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            extra = ("--config", str(path))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli(self.adapt_args(workspace, out, extra)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_model_shape_equal_to_checkpoint_passes(self, tmp_path, workspace):
+        # A config file shared with `pretrain` names the checkpoint's shape.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"hidden_dims": [6], "feature_dim": 4}))
+        base, out = tmp_path / "base", tmp_path / "run"
+        assert run_cli(self.adapt_args(workspace, base)) == 0
+        assert run_cli(self.adapt_args(workspace, out, ("--config", str(path), "--hidden-dims", "6"))) == 0
+        for name in ("adapted.ckpt", "losses.csv", "metrics.json"):
+            assert (base / name).read_bytes() == (out / name).read_bytes()
+
     def test_missing_checkpoint_rejected(self, tmp_path, workspace):
         _, data_dir, _ = workspace
         code = run_cli(
@@ -604,6 +641,29 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["[]", "0", "[]"]
+
+    def test_cli_import_adds_only_the_standard_library_and_numpy(self):
+        # NumPy is the one runtime dependency, and the import that the
+        # benchmark's setup probe times loads no process or thread pool.
+        src = os.path.dirname(os.path.dirname(sfda2.__file__))
+        script = (
+            "import sys\n"
+            "before = {m.split('.')[0] for m in sys.modules}\n"
+            "import sfda2.cli\n"
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        added = set(result.stdout.split())
+        assert {"numpy", "sfda2"} <= added
+        assert {name for name in added if name not in sys.stdlib_module_names} == {"numpy", "sfda2"}
+        assert not added & {"concurrent", "multiprocessing"}
 
     def test_diverging_pretrain_prints_one_stderr_line(self, tmp_path):
         # NumPy's overflow warnings must not precede the failure line

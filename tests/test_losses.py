@@ -478,6 +478,26 @@ class TestEfaMcEstimate:
         assert np.all(np.isfinite(got))
         assert_allclose(got, two_pass_efa_mc_estimate(*case, RngState(0), log_space_pair_losses), rtol=1e-13)
 
+    def test_overflowed_exponentials_are_taken_in_log_space(self, monkeypatch):
+        # Classes 0 and 1 sit 354 logits above the last one, so on most pairs
+        # e^(a + b) or S S' overflows, while no pair's dot underflows.
+        weights = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.0, 0.0, 0.0]])
+        case = (np.zeros(3), np.eye(3), weights, np.array([354.0, 354.0, 0.0]), 4.0, 16 * 100)
+        assert np.all(np.isfinite(two_pass_efa_mc_estimate(*case, RngState(0))))
+        repaired = []
+        monkeypatch.setattr("sfda2.losses.row_logsumexp", lambda x: repaired.append(x.shape[0]) or row_logsumexp(x))
+        got = efa_mc_estimate(*case, RngState(0))
+        # Three log-sum-exps per repair, over some but not all of the 1600 pairs.
+        assert 0 < sum(repaired) / 3 < 1600
+        assert_allclose(got, two_pass_efa_mc_estimate(*case, RngState(0), log_space_pair_losses), rtol=1e-13)
+
+    def test_non_finite_repaired_losses_are_a_numerical_error(self):
+        # The factor and centre are finite, but a free logit 1e308 z
+        # overflows for |z| > 1.8, and its log-space repair is NaN.
+        weights = np.array([[1e308, 0.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError, match="^Monte Carlo logits are non-finite$"):
+            efa_mc_estimate(np.zeros(2), np.eye(2), weights, np.zeros(2), 1.0, 16 * 100, RngState(0))
+
     def test_memory_does_not_grow_with_pairs(self):
         args = (np.ones(4), np.eye(4), np.random.default_rng(3).standard_normal((5, 4)), np.zeros(5), 2.0)
         peaks = []
@@ -689,6 +709,24 @@ def agree_with_feature_space(case, n_pairs=20000, seed=0):
     return abs(got[0] - expected[0]) <= 4.0 * math.hypot(got[1], expected[1]) + 1e-12
 
 
+class MatmulRecorder:
+    """numpy as `sfda2.losses` sees it, keeping a copy of each `np.matmul`
+    result. The estimate's one `np.matmul` call is the GEMM that writes a
+    replicate's (2(C - 1), rows) free logits: the first draws' rows, then
+    the second draws'."""
+
+    def __init__(self):
+        self.results = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        result = np.matmul(*args, **kwargs)
+        self.results.append(result.copy())
+        return result
+
+
 class TestEfaMcEstimateLogitSpace:
     @pytest.mark.parametrize("name", sorted(LOGIT_SPACE_CASES))
     def test_agrees_with_feature_space_draws(self, name):
@@ -717,12 +755,12 @@ class TestEfaMcEstimateLogitSpace:
         # Under feature draws d ~ N(D (W f + b), D W (lam cov) W^T D^T); the
         # drawn logits must give that law whether the factor is cut (C = 2
         # and C - 1 < k), left square (C - 1 = k) or left tall (C - 1 > k).
+        # The estimate draws exactly these differences, as its free logits.
         feature, cov, weights, bias, lam = case = LOGIT_SPACE_CASES[name]
-        drawn = []
-        monkeypatch.setattr("sfda2.losses.row_softmax", lambda x, **kw: drawn.append(x.copy()) or row_softmax(x, **kw))
+        recorder = MatmulRecorder()
+        monkeypatch.setattr("sfda2.losses.np", recorder)
         efa_mc_estimate(*case, 20000, RngState(0))
-        logits = np.concatenate(drawn)
-        diffs = logits[:, :-1] - logits[:, -1:]
+        diffs = np.concatenate([half.T for logits in recorder.results for half in np.split(logits, 2)])
         to_diffs = np.hstack([np.eye(weights.shape[0] - 1), -np.ones((weights.shape[0] - 1, 1))])
         mean = to_diffs @ (weights @ feature + bias)
         covariance = to_diffs @ weights @ (lam * cov) @ weights.T @ to_diffs.T
