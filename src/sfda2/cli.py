@@ -126,16 +126,33 @@ def _load_run_config(path: str | None, args) -> tuple[AdaptConfig, dict]:
     return config, shape
 
 
+def _json_leaves(value):
+    """The values of a JSON value, with its lists flattened."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    else:
+        yield value
+
+
 def _load_shift_spec(path: str) -> ShiftSpec:
     base = vars(default_shift_spec())
     raw = _read_json_object(path, "spec", base)
+    for name, value in raw.items():
+        # Counts must be integers and the rest numbers, as in a config file:
+        # a boolean or a fraction would be cast silently.
+        integral = np.asarray(base[name]).dtype.kind == "i"
+        for leaf in _json_leaves(value):
+            if isinstance(leaf, bool) or not isinstance(leaf, int if integral else (int, float)):
+                kind = "integers" if integral else "numbers"
+                raise InvalidInputError(f"spec field {name!r} must hold {kind}, got {leaf!r}")
     try:
         spec = ShiftSpec(**{
             name: np.asarray(raw.get(name, value), dtype=value.dtype)
             if isinstance(value, np.ndarray) else float(raw.get(name, value))
             for name, value in base.items()
         })
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed spec value: {exc}") from exc
     validate_shift_spec(spec)
     return spec

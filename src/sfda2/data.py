@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CheckpointError, DatasetFormatError, InvalidInputError
 from .model import Layer, Model, validate_model
-from .numerics import RngState, check_symmetric, sample_gaussian
+from .numerics import _SYMMETRY_TOL, RngState, check_symmetric, sample_gaussian
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -65,29 +65,36 @@ def validate_shift_spec(spec: ShiftSpec) -> None:
     means = np.asarray(spec.means, dtype=np.float64)
     if means.ndim != 2 or means.shape[0] < 2:
         raise InvalidInputError("spec needs at least 2 class means")
+    if not np.isfinite(means).all():
+        raise InvalidInputError("class means contain non-finite entries")
     c, d = means.shape
     covs = np.asarray(spec.covariances, dtype=np.float64)
     if covs.shape != (c, d, d):
         raise InvalidInputError("covariances must be one d x d matrix per class")
     for i in range(c):
-        check_symmetric(covs[i], f"class {i} covariance")
+        eigvals = np.linalg.eigvalsh(check_symmetric(covs[i], f"class {i} covariance"))
+        if eigvals[0] < -_SYMMETRY_TOL * max(1.0, np.abs(eigvals).max()):
+            raise InvalidInputError(f"class {i} covariance is not positive semidefinite")
     for name, counts in (("source", spec.source_counts), ("target", spec.target_counts)):
         arr = np.asarray(counts)
-        if arr.shape != (c,) or arr.min() < 1:
-            raise InvalidInputError(f"{name} counts must be >= 1 for every class")
+        if arr.shape != (c,) or arr.dtype.kind not in "iu" or arr.min() < 1:
+            raise InvalidInputError(f"{name} counts must be integers >= 1 for every class")
     if not 0.0 <= spec.angle_degrees < 360.0:
         raise InvalidInputError("rotation angle must lie in [0, 360)")
     if spec.angle_degrees != 0.0 and d < 2:
         raise InvalidInputError("rotation needs at least 2 input dimensions")
-    if np.asarray(spec.translation, dtype=np.float64).shape != (d,):
+    translation = np.asarray(spec.translation, dtype=np.float64)
+    if translation.shape != (d,):
         raise InvalidInputError("translation width must match the input dimension")
-    if spec.noise_scale < 0.0:
-        raise InvalidInputError("noise scale must be >= 0")
+    if not np.isfinite(translation).all():
+        raise InvalidInputError("translation contains non-finite entries")
+    if not 0.0 <= spec.noise_scale < math.inf:
+        raise InvalidInputError("noise scale must be finite and >= 0")
 
 
-def default_shift_spec(samples_per_class: int = 200, angle_degrees: float = 45.0) -> ShiftSpec:
+def default_shift_spec(samples_per_class: int = 200) -> ShiftSpec:
     """Toy benchmark: 3 Gaussian classes, means 120 degrees apart on a
-    radius-3 circle, identity covariance, target rotated by `angle_degrees`."""
+    radius-3 circle, identity covariance, target rotated by 45 degrees."""
     angles = np.deg2rad([90.0, 210.0, 330.0])
     means = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     counts = np.full(3, samples_per_class, dtype=np.int64)
@@ -96,7 +103,7 @@ def default_shift_spec(samples_per_class: int = 200, angle_degrees: float = 45.0
         covariances=np.tile(np.eye(2), (3, 1, 1)),
         source_counts=counts.copy(),
         target_counts=counts.copy(),
-        angle_degrees=angle_degrees,
+        angle_degrees=45.0,
         translation=np.zeros(2),
         noise_scale=0.0,
     )

@@ -229,24 +229,22 @@ def sgd_step(model: Model, grads: Model, state: OptimizerState) -> None:
     model.params -= state.lr * state.buffer
 
 
-def finite_diff_errors(model: Model, base, analytic: np.ndarray, values, h: float) -> np.ndarray:
+def finite_diff_errors(model: Model, analytic: np.ndarray, values, h: float) -> np.ndarray:
     """Per loss, the max over parameters of |analytic - central difference|
     relative error, with denominator max(1e-8, |central difference|).
 
-    `base` holds the losses' values at `model` and `analytic` their
-    (losses, P) gradients there. `values` maps a Model to all the losses'
-    values, so each perturbed point is evaluated once for every loss.
+    `analytic` holds the losses' (losses, P) gradients at `model`. `values`
+    maps a Model to all the losses' values, so each perturbed point is
+    evaluated once for every loss.
     """
     if h <= 0.0:
         raise InvalidInputError("step size must be positive")
-    if not np.all(np.isfinite(base)):
-        raise NumericalError("loss is non-finite at the base point")
     if not np.all(np.isfinite(analytic)):
         raise NumericalError("analytic gradient has non-finite entries")
 
     probe = model.with_params(model.params.copy())
     params = probe.params
-    up, down = np.empty((2, params.size, len(base)))
+    up, down = np.empty((2, params.size, analytic.shape[0]))
     for j in range(params.size):
         orig = params[j]
         params[j] = orig + h

@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 
-# Jitter escalation for Cholesky on near-singular covariance blocks.
-_JITTERS = (1e-12, 1e-6)
-
 
 class RngState:
     """Deterministic splittable random stream.
@@ -67,19 +64,17 @@ def check_distribution_rows(rows, name: str) -> np.ndarray:
     return arr
 
 
-def row_softmax(m: np.ndarray, out: np.ndarray | None = None, row: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, computed with max subtraction, into
-    `out` when given (it may be `m`) with the row maxima and sums in `row`,
-    a (rows, 1) buffer: a caller that reuses both allocates nothing."""
+def row_softmax(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D array, computed with max subtraction."""
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise InvalidInputError("row_softmax input must be 2-D with nonzero width")
-    row = arr.max(axis=1, keepdims=True, out=row)
+    row = arr.max(axis=1, keepdims=True)
     # NaN propagates through both reductions: -inf shows in the minimum,
     # +inf in the maxima. `initial` lets a zero-row input through.
     if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(row.max(initial=0.0))):
         raise InvalidInputError("row_softmax input contains non-finite entries")
-    out = np.subtract(arr, row, out=out)
+    out = np.subtract(arr, row)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True, out=row)
     return out
@@ -113,22 +108,14 @@ def check_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor L with L @ L.T == cov for a (near-)PSD matrix.
-
-    Tries Cholesky first, escalates through diagonal jitter, then falls back
-    to an eigen-decomposition with negative eigenvalues clamped to zero.
+    """Factor L with L @ L.T == cov for a PSD matrix: Cholesky, or, for a
+    singular one, an eigendecomposition with the negative eigenvalues of
+    rounding clamped to zero.
     """
-    dim = cov.shape[0]
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    eye = np.eye(dim)
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(cov + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
     try:
         eigvals, eigvecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:

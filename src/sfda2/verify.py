@@ -331,7 +331,7 @@ def verify_gradients(
 
     cal_analytic = np.stack([np.zeros_like(cal_model.params), cal_model.params])
     constant_err, quadratic_err = finite_diff_errors(
-        cal_model, calibration_values(cal_model), cal_analytic, calibration_values, _CALIBRATION_STEP
+        cal_model, cal_analytic, calibration_values, _CALIBRATION_STEP
     ).tolist()
     if constant_err > 1e-12:
         failures.append({"check": "constant-control", "error": constant_err})
@@ -368,24 +368,23 @@ def verify_gradients(
         lam = float(2.0 * g.random())
         alpha1, alpha2 = 0.3, 0.7
 
-        # The base point: each check's value and gradient from one forward
-        # pass, through the checked kernels and the composite `adapt` runs.
+        # The base point: each check's gradient from one forward pass,
+        # through the checked kernels and the composite `adapt` runs.
         feats, probs, acts = forward(model, x)
         no_logits, no_feats = np.zeros((batch, n_classes)), np.zeros((batch, d_feat))
-        snc_values, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
+        _, dprobs = snc_loss_batch(probs, neighbor_probs, bank_rows, decay)
         snc_grads = grad_params(model, acts, softmax_vjp(probs, dprobs) / batch, no_feats)
-        ifa_values, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, model.clf_weights, model.clf_bias, lam)
+        _, dfeats, dw, db = ifa_loss_batch(feats, labels, covs, model.clf_weights, model.clf_bias, lam)
         ifa_grads = grad_params(model, acts, no_logits, dfeats / batch)
         ifa_grads.clf_weights += dw / batch
         ifa_grads.clf_bias += db / batch
         moments = class_moments(feats, labels, n_classes)
-        fd_value, gfeat = fd_loss(feats, labels, moments, affinity)
+        _, gfeat = fd_loss(feats, labels, moments, affinity)
         fd_grads = grad_params(model, acts, no_logits, gfeat)
-        breakdown, composite_grads = batch_objective(
+        _, composite_grads = batch_objective(
             model, acts, probs, neighbor_probs, bank_rows, labels,
             moments, covs, affinity, decay, lam, alpha1, alpha2,
         )
-        base = (float(snc_values.sum()) / batch, float(ifa_values.sum()) / batch, fd_value, breakdown.total)
         analytic = np.stack([grads.params for grads in (snc_grads, ifa_grads, fd_grads, composite_grads)])
 
         fd_live = _fd_live(np.bincount(labels, minlength=n_classes))
@@ -403,7 +402,7 @@ def verify_gradients(
 
         if negative_control:
             analytic *= 1.01
-        errors = finite_diff_errors(model, base, analytic, values, _GRAD_STEP)
+        errors = finite_diff_errors(model, analytic, values, _GRAD_STEP)
         for name, err in zip(("snc", "ifa", "fd", "composite"), errors.tolist()):
             per_check_max[name] = max(per_check_max[name], err)
             worst = max(worst, err)
@@ -471,27 +470,16 @@ def _partition_sizes(total: int, g: np.random.Generator) -> list[int]:
     return sizes
 
 
-def _stream_with_doubled_correction(feats, labels, sizes, n_classes, dim):
-    # Planted bug for the negative control: the mean-gap correction term
-    # of the pooled covariance update is doubled.
-    means = np.zeros((n_classes, dim))
-    covs = np.zeros((n_classes, dim, dim))
-    counts = np.zeros(n_classes, dtype=np.int64)
-    pos = 0
-    for size in sizes:
-        batch_counts, batch_means, batch_covs = class_moments(
-            feats[pos : pos + size], labels[pos : pos + size], n_classes
-        )
-        pos += size
-        for c in np.flatnonzero(batch_counts):
-            m, mu_b, cov_b = int(batch_counts[c]), batch_means[c], batch_covs[c]
-            n_a = int(counts[c])
-            n = n_a + m
-            delta = means[c] - mu_b
-            covs[c] = (n_a * covs[c] + m * cov_b) / n + 2.0 * (n_a * m / n**2) * np.outer(delta, delta)
-            means[c] = (n_a * means[c] + m * mu_b) / n
-            counts[c] = n
-    return means, covs, counts
+def _planted_doubled_correction(stats: ClassStatistics, moments):
+    # Planted bug for the negative control: each batch covariance gains
+    # n/(n+m) (mu - mu')(mu - mu')^T, which the merge weighs by m/(n+m), so
+    # the merge's n*m/(n+m)^2 mean-gap correction term is doubled. A class
+    # the batch does not hold is left out of the merge, whatever it gains.
+    counts, means, covs = moments
+    n = stats.counts[:, None, None]
+    delta = (stats.means - means)[:, :, None]
+    weight = n / np.maximum(n + counts[:, None, None], 1)
+    return counts, means, covs + weight * (delta * delta.transpose(0, 2, 1))
 
 
 def _softmax_and_logsumexp(v: np.ndarray, negative_control: bool):
@@ -544,18 +532,16 @@ def verify_oracles(seed: int = 0, negative_control: bool = False) -> VerifyRepor
         labels = g.integers(0, _STREAM_CLASSES, _STREAM_SAMPLES).astype(np.int64)
         sizes = _partition_sizes(_STREAM_SAMPLES, g)
 
-        if negative_control:
-            means, covs, counts = _stream_with_doubled_correction(
-                feats, labels, sizes, _STREAM_CLASSES, _STREAM_DIM
-            )
-        else:
-            stats = ClassStatistics.empty(_STREAM_CLASSES, _STREAM_DIM)
-            pos = 0
-            for size in sizes:
-                batch = slice(pos, pos + size)
-                stats = update_class_stats(stats, class_moments(feats[batch], labels[batch], _STREAM_CLASSES))
-                pos += size
-            means, covs, counts = stats.means, stats.covs, stats.counts
+        stats = ClassStatistics.empty(_STREAM_CLASSES, _STREAM_DIM)
+        pos = 0
+        for size in sizes:
+            batch = slice(pos, pos + size)
+            moments = class_moments(feats[batch], labels[batch], _STREAM_CLASSES)
+            if negative_control:
+                moments = _planted_doubled_correction(stats, moments)
+            stats = update_class_stats(stats, moments)
+            pos += size
+        means, covs, counts = stats.means, stats.covs, stats.counts
 
         for c in range(_STREAM_CLASSES):
             rows = feats[labels == c]

@@ -100,6 +100,41 @@ class TestGenData:
         assert run_cli(["gen-data", "--spec", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("translation", "[Infinity, 0.0]", "translation contains non-finite entries"),
+            ("noise_scale", "NaN", "noise scale must be finite and >= 0"),
+            ("noise_scale", "Infinity", "noise scale must be finite and >= 0"),
+            ("means", "[[NaN, 0.0], [0.0, 1.0]]", "class means contain non-finite entries"),
+            (
+                "covariances",
+                "[[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]",
+                "class 0 covariance is not positive semidefinite",
+            ),
+            ("source_counts", "[1.5, 2.7]", "spec field 'source_counts' must hold integers, got 1.5"),
+            ("target_counts", "[12, true]", "spec field 'target_counts' must hold integers, got True"),
+            ("angle_degrees", "true", "spec field 'angle_degrees' must hold numbers, got True"),
+            ("noise_scale", "1" + "0" * 400, "malformed spec value: int too large to convert to float"),
+        ],
+        ids=[
+            "inf-translation", "nan-noise", "inf-noise", "nan-mean", "indefinite-covariance",
+            "fractional-counts", "boolean-count", "boolean-angle", "overflowing-noise",
+        ],
+    )
+    def test_bad_spec_value_exits_one_with_one_error_line(self, field, text, message, tmp_path, capsys):
+        # Each spec is valid but for one field, written as JSON text so that
+        # NaN, Infinity and true reach the loader as parsed.
+        path = tmp_path / "spec.json"
+        write_spec(path)
+        raw = json.loads(path.read_text())
+        raw[field] = "@"
+        path.write_text(json.dumps(raw).replace('"@"', text))
+        out = tmp_path / "data"
+        assert run_cli(["gen-data", "--spec", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestPretrain:
     def test_outputs_checkpoint_and_metrics(self, workspace):

@@ -102,6 +102,8 @@ class TestGenSynthetic:
     def test_degenerate_specs_rejected(self):
         with pytest.raises(InvalidInputError):
             validate_shift_spec(two_class_spec(source_counts=np.array([0, 10])))
+        with pytest.raises(InvalidInputError, match="^target counts must be integers >= 1 for every class$"):
+            validate_shift_spec(two_class_spec(target_counts=np.array([1.5, 2.7])))
         with pytest.raises(InvalidInputError):
             validate_shift_spec(two_class_spec(means=np.array([[1.0, 0.0]])))
         with pytest.raises(InvalidInputError):
@@ -110,6 +112,16 @@ class TestGenSynthetic:
             validate_shift_spec(two_class_spec(noise_scale=-0.5))
         with pytest.raises(InvalidInputError):
             validate_shift_spec(two_class_spec(translation=np.zeros(3)))
+
+    def test_covariance_psd_boundary(self):
+        # Eigenvalues 3 and -1 fail; the identity and a rank-one outer(u, u)
+        # (eigenvalues 5 and 0 up to rounding) pass.
+        u = np.array([1.0, 2.0])
+        for cov in (np.eye(2), np.outer(u, u)):
+            validate_shift_spec(two_class_spec(covariances=np.stack([cov, np.eye(2)])))
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="^class 1 covariance is not positive semidefinite$"):
+            validate_shift_spec(two_class_spec(covariances=np.stack([np.eye(2), indefinite])))
 
     def test_default_benchmark_geometry(self):
         spec = default_shift_spec(samples_per_class=50)

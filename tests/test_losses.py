@@ -607,7 +607,7 @@ def chunk_boundary_cases():
     return {
         "lambda-zero": (np.array([0.5, -0.0, 2.0]), random_psd(rng, 3), 0.0),
         "negative-zero-mean-dead-coordinate": (np.array([0.5, -0.0, 2.0]), dead, 1.5),
-        "rank-one-jitter": (np.array([0.3, -0.2, 1.0]), np.outer(u, u), 2.0),
+        "rank-one": (np.array([0.3, -0.2, 1.0]), np.outer(u, u), 2.0),
     }
 
 
@@ -654,8 +654,8 @@ class TestEfaMcEstimateMatchesTwoPass:
         # At lambda = 0 every pair loss is equal and the stderr is rounding noise.
         assert_allclose(efa_mc_estimate(*args, RngState(0)), expected, rtol=1e-13, atol=1e-15)
 
-    def test_rank_one_case_needs_jitter(self):
-        _, cov, lam = CHUNK_BOUNDARY_CASES["rank-one-jitter"]
+    def test_rank_one_case_fails_plain_cholesky(self):
+        _, cov, lam = CHUNK_BOUNDARY_CASES["rank-one"]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(lam * cov)
 
@@ -672,8 +672,9 @@ class TestEfaMcEstimateMatchesTwoPass:
 def logit_space_cases():
     """(feature, cov, weights, bias, lam) with C classes and k active
     coordinates on either side of C - 1 and at it, a dead coordinate with a
-    -0.0 mean, a covariance only jitter can factor (with 2 and 3 classes),
-    and lambda = 0. Cases are appended, so earlier ones keep their draws."""
+    -0.0 mean, a rank-one covariance that plain Cholesky cannot factor (with
+    2 and 3 classes), and lambda = 0. Cases are appended, so earlier ones
+    keep their draws."""
     rng = np.random.default_rng(11)
 
     def classifier(n_classes, dim):
@@ -682,12 +683,12 @@ def logit_space_cases():
     cases = {}
     for name, n_classes, dim in (("C<k", 3, 6), ("C=k", 4, 4), ("C>k", 5, 3)):
         cases[name] = (rng.standard_normal(dim), random_psd(rng, dim), *classifier(n_classes, dim), 2.5)
-    for name in ("negative-zero-mean-dead-coordinate", "rank-one-jitter", "lambda-zero"):
+    for name in ("negative-zero-mean-dead-coordinate", "rank-one", "lambda-zero"):
         feature, cov, lam = CHUNK_BOUNDARY_CASES[name]
-        cases[name] = (feature, cov, *classifier(2 if name == "rank-one-jitter" else 4, 3), lam)
+        cases[name] = (feature, cov, *classifier(2 if name == "rank-one" else 4, 3), lam)
     cases["C=k+1"] = (rng.standard_normal(3), random_psd(rng, 3), *classifier(4, 3), 2.5)
-    feature, cov, lam = CHUNK_BOUNDARY_CASES["rank-one-jitter"]
-    cases["rank-one-jitter-C3"] = (feature, cov, *classifier(3, 3), lam)
+    feature, cov, lam = CHUNK_BOUNDARY_CASES["rank-one"]
+    cases["rank-one-C3"] = (feature, cov, *classifier(3, 3), lam)
     return cases
 
 
@@ -744,12 +745,12 @@ class TestEfaMcEstimateLogitSpace:
             "C=k+1": 0,
             "C>k": 1,
             "negative-zero-mean-dead-coordinate": 1,
-            "rank-one-jitter": -1,
-            "rank-one-jitter-C3": -1,
+            "rank-one": -1,
+            "rank-one-C3": -1,
             "lambda-zero": 1,
         }
 
-    @pytest.mark.parametrize("name", ["rank-one-jitter", "C<k", "C=k", "C=k+1", "C>k"])
+    @pytest.mark.parametrize("name", ["rank-one", "C<k", "C=k", "C=k+1", "C>k"])
     def test_logit_differences_have_the_feature_space_law(self, monkeypatch, name):
         # Softmax sees a logit vector l only through d = D l = l[:-1] - l[-1].
         # Under feature draws d ~ N(D (W f + b), D W (lam cov) W^T D^T); the
@@ -771,7 +772,7 @@ class TestEfaMcEstimateLogitSpace:
         sample = np.atleast_2d(np.cov(diffs, rowvar=False))
         assert np.all(np.abs(sample - covariance) <= 5.0 * np.sqrt((np.outer(sd, sd) ** 2 + covariance**2) / n))
 
-    @pytest.mark.parametrize("name", ["C<k", "rank-one-jitter-C3"])
+    @pytest.mark.parametrize("name", ["C<k", "rank-one-C3"])
     def test_planted_untransposed_r_caught(self, monkeypatch, name):
         # For k > C - 1 the shifted factor's first C - 1 rows F become R^T of
         # F^T = QR, whose Gram matrix R^T R is F F^T. The untransposed R has

@@ -160,7 +160,7 @@ class TestGradParams:
 
         feats, _, acts = forward(model, x)
         analytic = grad_params(model, acts, logits_of(model, feats), feats).params[None]
-        assert finite_diff_errors(model, values(model), analytic, values, 1e-5)[0] < 1e-6
+        assert finite_diff_errors(model, analytic, values, 1e-5)[0] < 1e-6
 
 
 class TestSgdStep:
@@ -235,7 +235,7 @@ class TestFiniteDiffOneLoss:
     def test_constant_loss_reports_zero(self):
         model = identity_model(2)
         zeros = np.zeros((1, model.params.size))
-        assert finite_diff_errors(model, [3.25], zeros, lambda m: [3.25], 1e-5)[0] == 0.0
+        assert finite_diff_errors(model, zeros, lambda m: [3.25], 1e-5)[0] == 0.0
 
     def test_quadratic_loss_is_machine_exact(self):
         model = init_model(2, (3,), 2, 2, RngState(8))
@@ -245,7 +245,7 @@ class TestFiniteDiffOneLoss:
 
         # zero truncation error for a quadratic, so a wide step leaves
         # only rounding noise
-        assert finite_diff_errors(model, values(model), model.params[None], values, 1e-3)[0] < 1e-9
+        assert finite_diff_errors(model, model.params[None], values, 1e-3)[0] < 1e-9
 
     def test_non_finite_perturbed_loss_rejected(self):
         model = identity_model(2)
@@ -255,12 +255,12 @@ class TestFiniteDiffOneLoss:
             return [0.0 if np.array_equal(m.params, base) else float("nan")]
 
         with pytest.raises(NumericalError, match="perturbed point"):
-            finite_diff_errors(model, [0.0], np.zeros((1, base.size)), values, 1e-5)
+            finite_diff_errors(model, np.zeros((1, base.size)), values, 1e-5)
 
     def test_step_must_be_positive(self):
         model = identity_model(2)
         with pytest.raises(InvalidInputError):
-            finite_diff_errors(model, [0.0], np.zeros((1, model.params.size)), lambda m: [0.0], 0.0)
+            finite_diff_errors(model, np.zeros((1, model.params.size)), lambda m: [0.0], 0.0)
 
     def test_non_finite_gradient_rejected(self):
         # A NaN gradient entry would drop out of max(worst, rel) and report 0.
@@ -271,50 +271,46 @@ class TestFiniteDiffOneLoss:
 
         nan_grad = np.full((1, model.params.size), np.nan)
         with pytest.raises(NumericalError, match="^analytic gradient has non-finite entries$"):
-            finite_diff_errors(model, values(model), nan_grad, values, 1e-3)
+            finite_diff_errors(model, nan_grad, values, 1e-3)
 
 
 def two_losses(x):
     """L1 = 0.5*sum(logits^2) and L2 = 0.5*sum(features^2): a value function
-    for both and a loss-and-gradient closure for each."""
+    for both and a function of the model giving their (2, P) gradients."""
 
     def values(m):
         feats, _, _ = forward(m, x)
         return 0.5 * float((logits_of(m, feats) ** 2).sum()), 0.5 * float((feats**2).sum())
 
-    def closure(index):
-        def loss_and_grad(m):
-            feats, _, acts = forward(m, x)
-            logits = logits_of(m, feats)
-            upstream = (logits, np.zeros_like(feats)) if index == 0 else (np.zeros_like(logits), feats)
-            return values(m)[index], grad_params(m, acts, *upstream)
+    def gradients(m):
+        feats, _, acts = forward(m, x)
+        logits = logits_of(m, feats)
+        upstreams = ((logits, np.zeros_like(feats)), (np.zeros_like(logits), feats))
+        return np.stack([grad_params(m, acts, *upstream).params for upstream in upstreams])
 
-        return loss_and_grad
-
-    return values, [closure(0), closure(1)]
+    return values, gradients
 
 
 class TestFiniteDiffErrors:
     def setup_method(self):
         self.model = init_model(3, (4, 3), 3, 4, RngState(5))
-        self.values, self.closures = two_losses(np.random.default_rng(6).standard_normal((4, 3)))
-        base, grads = zip(*(c(self.model) for c in self.closures))
-        self.base, self.analytic = base, np.stack([g.params for g in grads])
+        self.values, gradients = two_losses(np.random.default_rng(6).standard_normal((4, 3)))
+        self.analytic = gradients(self.model)
 
     def test_each_row_equals_its_one_loss_call(self):
-        errors = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        errors = finite_diff_errors(self.model, self.analytic, self.values, 1e-5)
         assert errors.shape == (2,)
         singles = [
-            finite_diff_errors(self.model, [base], row[None], lambda m, i=i: [self.values(m)[i]], 1e-5)[0]
-            for i, (base, row) in enumerate(zip(self.base, self.analytic))
+            finite_diff_errors(self.model, row[None], lambda m, i=i: [self.values(m)[i]], 1e-5)[0]
+            for i, row in enumerate(self.analytic)
         ]
         assert errors.tolist() == singles
         assert errors.max() < 1e-6
 
     def test_defect_stays_in_its_row(self):
-        clean = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        clean = finite_diff_errors(self.model, self.analytic, self.values, 1e-5)
         self.analytic[1] *= 1.01
-        planted = finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
+        planted = finite_diff_errors(self.model, self.analytic, self.values, 1e-5)
         assert planted[0] == clean[0]
         assert planted[1] > 5e-3
 
@@ -322,11 +318,7 @@ class TestFiniteDiffErrors:
     def test_non_finite_gradient_rejected(self, bad):
         self.analytic[1, 7] = bad
         with pytest.raises(NumericalError, match="^analytic gradient has non-finite entries$"):
-            finite_diff_errors(self.model, self.base, self.analytic, self.values, 1e-5)
-
-    def test_non_finite_base_rejected(self):
-        with pytest.raises(NumericalError, match="base point"):
-            finite_diff_errors(self.model, [self.base[0], np.nan], self.analytic, self.values, 1e-5)
+            finite_diff_errors(self.model, self.analytic, self.values, 1e-5)
 
 
 class TestModelPlumbing:

@@ -9,9 +9,10 @@ from sfda2.errors import InvalidInputError, NumericalError
 from sfda2.banks import knn
 from sfda2.losses import _MC_REPLICATES, efa_mc_estimate, fd_loss, snc_loss, snc_loss_batch
 from sfda2.model import forward, init_model
-from sfda2.stats import _class_moments
+from sfda2.stats import ClassStatistics, _class_moments, class_moments, update_class_stats
 from sfda2.verify import (
     _IFA_QUANTILE,
+    _planted_doubled_correction,
     VerifyReport,
     verify_gradients,
     verify_ifa_bound,
@@ -276,6 +277,24 @@ class TestVerifyOracles:
         assert "class-stats" in parts
         assert "knn" in parts
         assert parts & {"log-softmax", "log-softmax-extreme"}
+
+    def test_planted_moments_double_the_merge_correction(self):
+        # Classes 0-1 are in both batches, 2 only in the first, 3 only in
+        # the second and 4 in neither: the planted moments add one more
+        # n*m/(n+m)^2 (mu - mu')(mu - mu')^T where n, m >= 1, and nothing else.
+        g = np.random.default_rng(3)
+        first, second = (g.standard_normal((size, 4)) + 5.0 * g.standard_normal(4) for size in (7, 6))
+        stats = update_class_stats(ClassStatistics.empty(5, 4), class_moments(first, [0, 1, 2, 0, 1, 2, 2], 5))
+        moments = class_moments(second, [0, 1, 3, 1, 0, 3], 5)
+        true = update_class_stats(stats, moments)
+        planted = update_class_stats(stats, _planted_doubled_correction(stats, moments))
+        n, m = stats.counts[:, None, None], moments[0][:, None, None]
+        delta = (stats.means - moments[1])[:, :, None]
+        extra = n * m / np.maximum(n + m, 1) ** 2 * (delta * delta.transpose(0, 2, 1))
+        assert np.abs(extra[:2]).min() > 0.0 and not extra[2:].any()
+        assert_allclose(planted.covs - true.covs, extra, rtol=1e-12, atol=0)
+        assert np.array_equal(planted.means, true.means)
+        assert np.array_equal(planted.counts, true.counts)
 
     def test_deterministic_per_seed(self):
         a = verify_oracles(seed=5)
